@@ -21,6 +21,7 @@ training schedule, generator knobs).
 import argparse
 import json
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,10 @@ from .corrector.model import Hyper, init_model, load_model, save_model
 from .corrector.network import correct as correct_phrase
 from .corrector.training import TrainConfig, train
 from .corrector.vocab import Vocab
+from .ctc import greedy_decode
 from .errors import DivergenceError, DoctextError, FormatError, InputError
 from .formats import (
+    BoxRecord,
     read_boxes,
     read_corpus,
     read_frames,
@@ -60,53 +63,6 @@ __all__ = ["main"]
 # ----------------------------------------------------------------- params
 
 
-def _parse_toml_value(raw: str, where: str):
-    raw = raw.strip()
-    if raw.startswith('"'):
-        end = raw.find('"', 1)
-        if end < 0:
-            raise FormatError(f"{where}: unterminated string")
-        return raw[1:end]
-    raw = raw.split("#", 1)[0].strip()
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_toml_value(part, where) for part in inner.split(",")]
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise FormatError(f"{where}: cannot parse value {raw!r}") from None
-
-
-def _parse_toml_min(text: str, name: str) -> dict:
-    """Parse the flat TOML subset used for parameter files.
-
-    Sections only group keys visually; all keys land in one flat dict.
-    Values may be strings, booleans, numbers, or flat arrays of those.
-    """
-    out: dict = {}
-    for n, line in enumerate(text.splitlines(), start=1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        if s.startswith("[") and s.endswith("]"):
-            continue
-        if "=" not in s:
-            raise FormatError(f"{name}:{n}: expected key = value")
-        key, _, val = s.partition("=")
-        out[key.strip()] = _parse_toml_value(val, f"{name}:{n}")
-    return out
-
-
 def load_params(path) -> dict:
     """Load a flat parameter dict from a JSON or TOML file."""
     p = Path(path)
@@ -121,16 +77,9 @@ def load_params(path) -> dict:
             raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     elif p.suffix.lower() == ".toml":
         try:
-            import tomllib  # py311+; fall back to the subset parser below
-        except ModuleNotFoundError:
-            tomllib = None
-        if tomllib is not None:
-            try:
-                payload = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as exc:
-                raise FormatError(f"{path} is not valid TOML: {exc}") from exc
-        else:
-            payload = _parse_toml_min(text, str(path))
+            payload = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise FormatError(f"{path} is not valid TOML: {exc}") from exc
     else:
         raise InputError(f"params file {path} must end in .json or .toml")
     if not isinstance(payload, dict):
@@ -218,8 +167,6 @@ def _cmd_synth_gen(args) -> int:
         rng = np.random.default_rng([spec.seed, i])
         layout = gen_document(spec, rng)
         alphabet, frames = gen_frames(layout, spec, rng=rng)
-        from .formats import BoxRecord  # local to avoid an unused module-level name
-
         records = [BoxRecord(box=b) for b in layout.boxes]
         write_boxes(out / f"doc_{i:04d}.boxes.jsonl", records)
         write_frames(out / f"doc_{i:04d}.frames.jsonl", alphabet, frames)
@@ -273,8 +220,6 @@ def _cmd_arrange(args) -> int:
 def _cmd_decode(args) -> int:
     alphabet, frames = read_frames(args.frames)
     if args.greedy:
-        from .ctc import greedy_decode
-
         words = {bid: alphabet.decode(greedy_decode(mat)) for bid, mat in frames.items()}
     else:
         words = decode_words(alphabet, frames, args.beam)

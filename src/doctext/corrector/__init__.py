@@ -9,18 +9,7 @@ the test suite.
 """
 
 from .model import CorrectorModel, Hyper, init_model, load_model, model_from_dict, model_to_dict, save_model
-from .network import (
-    CorrectionResult,
-    DecoderState,
-    EncoderStates,
-    attend,
-    backward,
-    correct,
-    decode_step,
-    encode,
-    init_decoder_state,
-    loss,
-)
+from .network import CorrectionResult, backward, correct, loss
 from .training import TrainConfig, build_pairs, learning_rate, train
 from .vocab import GO, END, PAD, SEP, UNK, SPECIAL_TOKENS, Vocab
 
@@ -39,13 +28,7 @@ __all__ = [
     "model_from_dict",
     "save_model",
     "load_model",
-    "EncoderStates",
-    "DecoderState",
     "CorrectionResult",
-    "encode",
-    "attend",
-    "init_decoder_state",
-    "decode_step",
     "loss",
     "backward",
     "correct",

@@ -16,13 +16,12 @@ LSTM weights follow the x @ W + h @ U + b layout with gates ordered
 input, forget, cell, output along the last axis.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import FormatError, InputError, VersionError
+from ..formats import read_json_file, write_json_file
 from .vocab import Vocab
 
 __all__ = [
@@ -178,18 +177,8 @@ def model_from_dict(payload: dict) -> CorrectorModel:
 def save_model(model: CorrectorModel, path) -> None:
     """Write a checkpoint as canonical JSON (sorted keys, fixed
     separators) so identical models produce identical bytes."""
-    payload = model_to_dict(model)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_json_file(path, model_to_dict(model))
 
 
 def load_model(path) -> CorrectorModel:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(payload)
+    return model_from_dict(read_json_file(path))

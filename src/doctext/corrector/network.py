@@ -9,11 +9,13 @@ the summed directional states with the resulting weights.  The output
 layer feeds the state/context pair through a tanh bottleneck and a
 softmax over the vocabulary.
 
-Everything here is explicit numpy.  The batched internals pad
-sequences with the <pad> token and use masks so that padding changes
-nothing: padded source positions neither update encoder states nor
-receive attention, and padded target positions contribute zero loss
-and zero gradient.  Single-sequence entry points wrap a batch of one.
+Everything here is explicit numpy and batched.  Sequences are padded
+with the <pad> token and masks make padding change nothing: padded
+source positions neither update encoder states nor receive attention,
+and padded target positions contribute zero loss and zero gradient.
+One decoder-step kernel, ``_decoder_step``, serves both teacher-forced
+training and inference.  The public ``loss``, ``backward`` and
+``correct`` take one sequence and run it as a batch of one.
 
 All (probs, labels) style losses are sums over tokens, so gradients of
 a batch are the sums of the per-pair gradients.
@@ -27,18 +29,7 @@ from ..errors import InputError
 from .model import CorrectorModel
 from .vocab import Vocab
 
-__all__ = [
-    "EncoderStates",
-    "DecoderState",
-    "CorrectionResult",
-    "encode",
-    "attend",
-    "init_decoder_state",
-    "decode_step",
-    "loss",
-    "backward",
-    "correct",
-]
+__all__ = ["CorrectionResult", "loss", "backward", "correct"]
 
 _ATT_MASK = 1e30  # additive pre-softmax penalty for padded positions
 
@@ -174,7 +165,7 @@ class _StepCache:
     drop_masks: list
     cat: np.ndarray
     htilde: np.ndarray
-    probs: np.ndarray
+    probs: np.ndarray | None = None
 
 
 @dataclass
@@ -252,11 +243,59 @@ def _attend_cached(keys, hsum, mask_x, s_prev):
     return ctx, alpha
 
 
+def _start_state(model: CorrectorModel, enc: _EncBundle):
+    """Decoder start state: s0 on every layer, with zero cells."""
+    n = model.hyper.dec_layers
+    return [enc.s0.copy() for _ in range(n)], [np.zeros_like(enc.s0) for _ in range(n)]
+
+
+def _decoder_step(model: CorrectorModel, enc: _EncBundle, h, c, tok, training=False, rng=None):
+    """One batched decoder step from the previous tokens ``tok`` (B,).
+
+    Attends with the top layer's state, advances every layer (dropout
+    between layers only while training), then mixes the new top state
+    with the context through ``att.out`` and ``gen``.  Returns the
+    max-shifted (B, V) logits, the new per-layer states, and the step's
+    cache for the backward pass (``probs`` still unset).
+    """
+    p = model.params
+    hp = model.hyper
+    s_prev = h[-1]
+    ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s_prev)
+    xi = np.concatenate([p["embedding"][tok], ctx], axis=1)
+    new_h, new_c, cell_caches, drops = [], [], [], []
+    for l in range(hp.dec_layers):
+        h_new, c_new, cache = _cell_forward(
+            xi, h[l], c[l], p[f"dec.{l}.W"], p[f"dec.{l}.U"], p[f"dec.{l}.b"]
+        )
+        new_h.append(h_new)
+        new_c.append(c_new)
+        cell_caches.append(cache)
+        dm = None
+        if training and hp.dropout > 0.0 and l < hp.dec_layers - 1:
+            h_new, dm = _dropout(h_new, hp.dropout, rng)
+        drops.append(dm)
+        xi = h_new
+    cat = np.concatenate([new_h[-1], ctx], axis=1)
+    htilde = np.tanh(cat @ p["att.out"])
+    logits = htilde @ p["gen.W"] + p["gen.b"]
+    logits -= logits.max(axis=1, keepdims=True)
+    step = _StepCache(
+        s_prev=s_prev,
+        alpha=alpha,
+        ctx=ctx,
+        tok=tok,
+        cell_caches=cell_caches,
+        drop_masks=drops,
+        cat=cat,
+        htilde=htilde,
+    )
+    return logits, new_h, new_c, step
+
+
 def _forward_batch(model, x_ids, y_ids, training=False, rng=None):
     """Summed cross-entropy of tail-padded target rows given tail-padded
     source rows, with the tape needed for the backward pass."""
-    p = model.params
-    hp = model.hyper
     vb = model.vocab
     enc = _encode_batch(model, x_ids, training, rng)
     y_ids = np.asarray(y_ids, dtype=np.int64)
@@ -273,52 +312,18 @@ def _forward_batch(model, x_ids, y_ids, training=False, rng=None):
     dinp = np.concatenate(
         [np.full((bsz, 1), vb.go_id, dtype=np.int64), y_ids[:, :-1]], axis=1
     )
-    h = [enc.s0.copy() for _ in range(hp.dec_layers)]
-    c = [np.zeros_like(enc.s0) for _ in range(hp.dec_layers)]
+    h, c = _start_state(model, enc)
     rows = np.arange(bsz)
     steps = []
     loss_sum = 0.0
     for t in range(t_y):
-        s_prev = h[-1]
-        ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s_prev)
-        tok = dinp[:, t]
-        xi = np.concatenate([p["embedding"][tok], ctx], axis=1)
-        cell_caches, drops = [], []
-        for l in range(hp.dec_layers):
-            h_new, c_new, cache = _cell_forward(
-                xi, h[l], c[l], p[f"dec.{l}.W"], p[f"dec.{l}.U"], p[f"dec.{l}.b"]
-            )
-            h[l] = h_new
-            c[l] = c_new
-            cell_caches.append(cache)
-            nxt = h_new
-            dm = None
-            if training and hp.dropout > 0.0 and l < hp.dec_layers - 1:
-                nxt, dm = _dropout(nxt, hp.dropout, rng)
-            drops.append(dm)
-            xi = nxt
-        cat = np.concatenate([h[-1], ctx], axis=1)
-        htilde = np.tanh(cat @ p["att.out"])
-        logits = htilde @ p["gen.W"] + p["gen.b"]
-        logits -= logits.max(axis=1, keepdims=True)
+        logits, h, c, step = _decoder_step(model, enc, h, c, dinp[:, t], training, rng)
         expl = np.exp(logits)
         norm = expl.sum(axis=1)
-        probs = expl / norm[:, None]
+        step.probs = expl / norm[:, None]
         logp_tok = logits[rows, y_ids[:, t]] - np.log(norm)
         loss_sum -= float((logp_tok * mask_y[:, t]).sum())
-        steps.append(
-            _StepCache(
-                s_prev=s_prev,
-                alpha=alpha,
-                ctx=ctx,
-                tok=tok,
-                cell_caches=cell_caches,
-                drop_masks=drops,
-                cat=cat,
-                htilde=htilde,
-                probs=probs,
-            )
-        )
+        steps.append(step)
     return loss_sum, _Tape(enc=enc, y_ids=y_ids, mask_y=mask_y, steps=steps)
 
 
@@ -423,28 +428,7 @@ def _backward_batch(model: CorrectorModel, tape: _Tape) -> dict[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# single-sequence API
-
-
-@dataclass(frozen=True)
-class EncoderStates:
-    """Top-layer encoder states for one sequence: forward-direction and
-    backward-direction, each (T, H)."""
-
-    fwd: np.ndarray
-    bwd: np.ndarray
-
-
-@dataclass
-class DecoderState:
-    """Per-layer decoder hidden and cell states for one sequence."""
-
-    h: list
-    c: list
-
-    @property
-    def top(self) -> np.ndarray:
-        return self.h[-1]
+# one-sequence entry points
 
 
 @dataclass(frozen=True)
@@ -460,93 +444,6 @@ class CorrectionResult:
     tokens: tuple[int, ...]
     hit_cap: bool
     degraded: bool
-
-
-def encode(model: CorrectorModel, token_ids) -> EncoderStates:
-    """Run the encoder stack over one token sequence."""
-    ids = _check_ids(model.vocab, token_ids, "source sequence")
-    enc = _encode_batch(model, ids[None, :])
-    return EncoderStates(fwd=enc.fwd[0], bwd=enc.bwd[0])
-
-
-def attend(model: CorrectorModel, s_prev, states: EncoderStates):
-    """Attention context and weights for one decoder query.
-
-    Parameters
-    ----------
-    s_prev : ndarray, shape (H,)
-        Previous top-layer decoder hidden state.
-    states : EncoderStates
-        Encoder output for the source sequence.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        The (H,) context vector and the (T,) weight vector.  Weights
-        are a distribution: non-negative, summing to 1.
-    """
-    s_prev = np.asarray(s_prev, dtype=np.float64)
-    hcat = np.concatenate([states.fwd, states.bwd], axis=1)
-    keys = hcat @ model.params["att.score"]
-    e = keys @ s_prev
-    e -= e.max()
-    w = np.exp(e)
-    alpha = w / w.sum()
-    ctx = alpha @ (states.fwd + states.bwd)
-    return ctx, alpha
-
-
-def init_decoder_state(model: CorrectorModel, states: EncoderStates) -> DecoderState:
-    """Decoder start state: final forward and initial-position backward
-    encoder states, mixed by the bridge projection, feed every layer."""
-    bridge_in = np.concatenate([states.fwd[-1], states.bwd[0]])
-    s0 = bridge_in @ model.params["bridge"]
-    n = model.hyper.dec_layers
-    return DecoderState(
-        h=[s0.copy() for _ in range(n)],
-        c=[np.zeros_like(s0) for _ in range(n)],
-    )
-
-
-def decode_step(model: CorrectorModel, y_prev: int, state: DecoderState, context):
-    """Advance the decoder one step.
-
-    Parameters
-    ----------
-    y_prev : int
-        Previous output token (<go> on the first step).
-    state : DecoderState
-        Decoder state from the previous step.
-    context : ndarray, shape (H,)
-        Attention context for this step.
-
-    Returns
-    -------
-    (ndarray, DecoderState)
-        The (V,) output distribution and the advanced state.
-    """
-    p = model.params
-    vb = model.vocab
-    if not 0 <= int(y_prev) < vb.size:
-        raise InputError("previous token id outside the vocabulary")
-    ctx = np.asarray(context, dtype=np.float64)[None, :]
-    xi = np.concatenate([p["embedding"][int(y_prev)][None, :], ctx], axis=1)
-    new_h, new_c = [], []
-    for l in range(model.hyper.dec_layers):
-        h_new, c_new, _ = _cell_forward(
-            xi, state.h[l][None, :], state.c[l][None, :],
-            p[f"dec.{l}.W"], p[f"dec.{l}.U"], p[f"dec.{l}.b"],
-        )
-        new_h.append(h_new[0])
-        new_c.append(c_new[0])
-        xi = h_new
-    cat = np.concatenate([new_h[-1], ctx[0]])
-    htilde = np.tanh(cat @ p["att.out"])
-    logits = htilde @ p["gen.W"] + p["gen.b"]
-    logits -= logits.max()
-    expl = np.exp(logits)
-    dist = expl / expl.sum()
-    return dist, DecoderState(h=new_h, c=new_c)
 
 
 def loss(model: CorrectorModel, x_ids, y_ids) -> float:
@@ -584,23 +481,9 @@ def backward(model: CorrectorModel, x_ids, y_ids):
 def _infer_logprobs(model, enc, h, c, tok):
     """One inference step on a batch-of-one bundle; returns log p over
     the vocabulary and the advanced per-layer states."""
-    p = model.params
-    ctx, _ = _attend_cached(enc.keys, enc.hsum, enc.mask_x, h[-1])
-    xi = np.concatenate([p["embedding"][tok][None, :], ctx], axis=1)
-    new_h, new_c = [], []
-    for l in range(model.hyper.dec_layers):
-        h_new, c_new, _ = _cell_forward(
-            xi, h[l], c[l], p[f"dec.{l}.W"], p[f"dec.{l}.U"], p[f"dec.{l}.b"]
-        )
-        new_h.append(h_new)
-        new_c.append(c_new)
-        xi = h_new
-    cat = np.concatenate([new_h[-1], ctx], axis=1)
-    htilde = np.tanh(cat @ p["att.out"])
-    logits = (htilde @ p["gen.W"] + p["gen.b"])[0]
-    logits -= logits.max()
-    logprobs = logits - np.log(np.exp(logits).sum())
-    return logprobs, new_h, new_c
+    logits, h, c, _ = _decoder_step(model, enc, h, c, np.array([tok]))
+    logits = logits[0]
+    return logits - np.log(np.exp(logits).sum()), h, c
 
 
 def correct(model: CorrectorModel, phrase: str, beam_width: int = 1) -> CorrectionResult:
@@ -621,8 +504,7 @@ def correct(model: CorrectorModel, phrase: str, beam_width: int = 1) -> Correcti
     degraded = all(i == vb.unk_id for i in content)
     cap = 4 * len(ids)
     enc = _encode_batch(model, np.asarray([ids], dtype=np.int64))
-    h0 = [enc.s0.copy() for _ in range(model.hyper.dec_layers)]
-    c0 = [np.zeros_like(enc.s0) for _ in range(model.hyper.dec_layers)]
+    h0, c0 = _start_state(model, enc)
 
     # hypotheses: (total logp, tokens, h, c); banned as first-class
     # outputs are <go> and <pad>, which carry no text

@@ -41,8 +41,14 @@ __all__ = [
 
 
 def canonical_dumps(payload) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, newline end."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON text: sorted keys, fixed separators, newline end.
+
+    NaN and infinities have no JSON spelling, so they are refused.
+    """
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FormatError(f"cannot serialize as JSON: {exc}") from exc
 
 
 def write_json_file(path, payload) -> None:
@@ -77,8 +83,7 @@ def read_jsonl(path) -> list:
 
 
 def write_jsonl(path, records) -> None:
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    Path(path).write_text("".join(canonical_dumps(r) for r in records), encoding="utf-8")
 
 
 @dataclass(frozen=True)

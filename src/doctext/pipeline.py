@@ -16,7 +16,7 @@ flagged, so correction can never lose a box.
 import unicodedata
 from dataclasses import dataclass, field
 
-from .ctc import Alphabet, beam_decode
+from .ctc import Alphabet, beam_decode, validate_frame_probs
 from .errors import FormatError, InputError, VersionError
 from .formats import BoxRecord, read_json_file, write_json_file
 from .geometry import GrayImage, Quad, rectify
@@ -169,11 +169,20 @@ class RunResult:
 
 
 def decode_words(alphabet: Alphabet, frames_by_id: dict, beam_width: int = 8) -> dict[int, str]:
-    """Beam-decode every box's frames into a word."""
-    return {
-        int(bid): alphabet.decode(beam_decode(frames, beam_width))
-        for bid, frames in frames_by_id.items()
-    }
+    """Beam-decode every box's frames into a word.
+
+    Every frame matrix must hold one distribution per row over the
+    alphabet plus blank, as :func:`doctext.ctc.validate_frame_probs`
+    checks; anything else raises ``InputError``.
+    """
+    words = {}
+    for bid, frames in frames_by_id.items():
+        try:
+            mat = validate_frame_probs(frames, n_columns=alphabet.size)
+        except InputError as exc:
+            raise InputError(f"frames of box {bid}: {exc}") from exc
+        words[int(bid)] = alphabet.decode(beam_decode(mat, beam_width))
+    return words
 
 
 def _norm(text: str) -> str:

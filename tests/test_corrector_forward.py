@@ -8,12 +8,13 @@ import pytest
 from doctext.corrector.model import CorrectorModel, Hyper, init_model, param_shapes
 from doctext.corrector.network import (
     CorrectionResult,
+    _attend_cached,
+    _decoder_step,
+    _encode_batch,
     _forward_batch,
-    attend,
+    _infer_logprobs,
+    _start_state,
     correct,
-    decode_step,
-    encode,
-    init_decoder_state,
     loss,
 )
 from doctext.corrector.vocab import Vocab
@@ -39,17 +40,66 @@ def zero_model(vocab, hyper):
     return CorrectorModel(vocab=vocab, hyper=hyper, params=params)
 
 
+def encode_one(model, ids):
+    return _encode_batch(model, np.asarray([ids], dtype=np.int64))
+
+
+# Reference decoder for one sequence, written out without the batched
+# kernel, so that teacher forcing is checked against independent code.
+
+
+def _ref_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _ref_attend(model, s_prev, fwd, bwd):
+    keys = np.concatenate([fwd, bwd], axis=1) @ model.params["att.score"]
+    e = keys @ s_prev
+    e -= e.max()
+    w = np.exp(e)
+    alpha = w / w.sum()
+    return alpha @ (fwd + bwd), alpha
+
+
+def _ref_start(model, fwd, bwd):
+    s0 = np.concatenate([fwd[-1], bwd[0]]) @ model.params["bridge"]
+    n = model.hyper.dec_layers
+    return [s0.copy() for _ in range(n)], [np.zeros_like(s0) for _ in range(n)]
+
+
+def _ref_decode_step(model, y_prev, h, c, ctx):
+    p = model.params
+    hdim = model.hyper.hidden_dim
+    xi = np.concatenate([p["embedding"][y_prev], ctx])
+    new_h, new_c = [], []
+    for l in range(model.hyper.dec_layers):
+        z = xi @ p[f"dec.{l}.W"] + h[l] @ p[f"dec.{l}.U"] + p[f"dec.{l}.b"]
+        i = _ref_sigmoid(z[:hdim])
+        f = _ref_sigmoid(z[hdim : 2 * hdim])
+        g = np.tanh(z[2 * hdim : 3 * hdim])
+        o = _ref_sigmoid(z[3 * hdim :])
+        new_c.append(f * c[l] + i * g)
+        new_h.append(o * np.tanh(new_c[-1]))
+        xi = new_h[-1]
+    htilde = np.tanh(np.concatenate([new_h[-1], ctx]) @ p["att.out"])
+    logits = htilde @ p["gen.W"] + p["gen.b"]
+    logits -= logits.max()
+    expl = np.exp(logits)
+    return expl / expl.sum(), new_h, new_c
+
+
 class TestEncode:
     def test_output_shapes(self, model, vocab):
         ids = vocab.preprocess("ab cad")
-        states = encode(model, ids)
-        assert states.fwd.shape == (len(ids), SMALL.hidden_dim)
-        assert states.bwd.shape == (len(ids), SMALL.hidden_dim)
+        enc = encode_one(model, ids)
+        assert enc.fwd.shape == (1, len(ids), SMALL.hidden_dim)
+        assert enc.bwd.shape == (1, len(ids), SMALL.hidden_dim)
+        assert enc.s0.shape == (1, SMALL.hidden_dim)
 
     def test_deterministic(self, model, vocab):
         ids = vocab.preprocess("abba")
-        a = encode(model, ids)
-        b = encode(model, ids)
+        a = encode_one(model, ids)
+        b = encode_one(model, ids)
         assert np.array_equal(a.fwd, b.fwd)
         assert np.array_equal(a.bwd, b.bwd)
 
@@ -57,9 +107,9 @@ class TestEncode:
         # With zero parameters both directions are all zeros; this pins
         # the degenerate fixed point h = o * tanh(c) = 0.5 * tanh(0).
         zm = zero_model(vocab, SMALL)
-        states = encode(zm, vocab.preprocess("abc"))
-        assert np.all(states.fwd == 0.0)
-        assert np.all(states.bwd == 0.0)
+        enc = encode_one(zm, vocab.preprocess("abc"))
+        assert np.all(enc.fwd == 0.0)
+        assert np.all(enc.bwd == 0.0)
 
     def test_prefix_locality_of_forward_direction(self, model, vocab):
         # The forward direction at position t only sees tokens <= t, so
@@ -67,69 +117,99 @@ class TestEncode:
         short = vocab.preprocess("abc")
         long = vocab.preprocess("abcd")
         assert short == long[:3]
-        s_short = encode(model, short)
-        s_long = encode(model, long)
-        assert np.allclose(s_short.fwd, s_long.fwd[:3], atol=1e-12)
+        s_short = encode_one(model, short)
+        s_long = encode_one(model, long)
+        assert np.allclose(s_short.fwd[0], s_long.fwd[0, :3], atol=1e-12)
         # ... while the backward direction may change everywhere.
 
     def test_rejects_out_of_range_ids(self, model):
         with pytest.raises(InputError):
-            encode(model, [0, 99])
+            encode_one(model, [0, 99])
 
 
 class TestAttend:
     def test_weights_are_distribution(self, model, vocab):
-        states = encode(model, vocab.preprocess("ab cad"))
+        enc = encode_one(model, vocab.preprocess("ab cad"))
         rng = np.random.default_rng(40)
         for _ in range(10):
-            s = rng.normal(size=SMALL.hidden_dim)
-            ctx, alpha = attend(model, s, states)
-            assert alpha.shape == (states.fwd.shape[0],)
+            s = rng.normal(size=(1, SMALL.hidden_dim))
+            ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s)
+            assert alpha.shape == (1, enc.fwd.shape[1])
             assert np.all(alpha >= 0)
             assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
-            assert ctx.shape == (SMALL.hidden_dim,)
+            assert ctx.shape == (1, SMALL.hidden_dim)
 
     def test_context_is_weighted_state_sum(self, model, vocab):
-        states = encode(model, vocab.preprocess("abcd"))
-        s = np.full(SMALL.hidden_dim, 0.3)
-        ctx, alpha = attend(model, s, states)
-        want = sum(a * (f + b) for a, f, b in zip(alpha, states.fwd, states.bwd))
-        assert np.allclose(ctx, want, atol=1e-12)
+        enc = encode_one(model, vocab.preprocess("abcd"))
+        s = np.full((1, SMALL.hidden_dim), 0.3)
+        ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s)
+        want = sum(a * (f + b) for a, f, b in zip(alpha[0], enc.fwd[0], enc.bwd[0]))
+        assert np.allclose(ctx[0], want, atol=1e-12)
 
     def test_uniform_when_query_is_zero(self, model, vocab):
-        states = encode(model, vocab.preprocess("abc"))
-        _, alpha = attend(model, np.zeros(SMALL.hidden_dim), states)
+        enc = encode_one(model, vocab.preprocess("abc"))
+        _, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, np.zeros((1, SMALL.hidden_dim)))
         assert np.allclose(alpha, 1.0 / 3.0, atol=1e-12)
+
+    def test_padded_positions_get_zero_weight(self, model, vocab):
+        short = vocab.preprocess("ab")
+        long = vocab.preprocess("abcd")
+        x = np.full((2, len(long)), vocab.pad_id)
+        x[0] = long
+        x[1, : len(short)] = short
+        enc = _encode_batch(model, x)
+        s = np.random.default_rng(41).normal(size=(2, SMALL.hidden_dim))
+        ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s)
+        assert np.all(alpha[1, len(short) :] == 0.0)
+        assert alpha[1].sum() == pytest.approx(1.0, abs=1e-12)
+        # the padded row attends exactly as its unpadded batch of one does
+        alone = encode_one(model, short)
+        ctx1, alpha1 = _attend_cached(alone.keys, alone.hsum, alone.mask_x, s[1:])
+        assert np.allclose(alpha[1, : len(short)], alpha1[0], atol=1e-12)
+        assert np.allclose(ctx[1], ctx1[0], atol=1e-12)
 
 
 class TestDecoderLoop:
     def test_initial_state_shared_across_layers(self, vocab):
         hyper = Hyper(emb_dim=4, hidden_dim=5, enc_layers=1, dec_layers=3)
         m = init_model(vocab, hyper, seed=4)
-        states = encode(m, vocab.preprocess("ab"))
-        st = init_decoder_state(m, states)
-        assert len(st.h) == 3
-        for layer in range(1, 3):
-            assert np.array_equal(st.h[0], st.h[layer])
-        for c in st.c:
-            assert np.all(c == 0.0)
+        enc = encode_one(m, vocab.preprocess("ab"))
+        h, c = _start_state(m, enc)
+        assert len(h) == len(c) == 3
+        for layer in range(3):
+            assert np.array_equal(h[layer], enc.s0)
+        for cell in c:
+            assert np.all(cell == 0.0)
 
     def test_step_emits_distribution(self, model, vocab):
-        states = encode(model, vocab.preprocess("ab"))
-        st = init_decoder_state(model, states)
-        ctx, _ = attend(model, st.top, states)
-        dist, st2 = decode_step(model, vocab.go_id, st, ctx)
-        assert dist.shape == (vocab.size,)
+        enc = encode_one(model, vocab.preprocess("ab"))
+        h, c = _start_state(model, enc)
+        logprobs, h2, c2 = _infer_logprobs(model, enc, h, c, vocab.go_id)
+        assert logprobs.shape == (vocab.size,)
+        dist = np.exp(logprobs)
         assert np.all(dist > 0)
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-        assert st2.top.shape == st.top.shape
+        assert h2[-1].shape == h[-1].shape
+        assert c2[-1].shape == c[-1].shape
 
-    def test_step_rejects_bad_token(self, model, vocab):
-        states = encode(model, vocab.preprocess("ab"))
-        st = init_decoder_state(model, states)
-        ctx, _ = attend(model, st.top, states)
-        with pytest.raises(InputError):
-            decode_step(model, vocab.size, st, ctx)
+    def test_batched_step_matches_rows(self, vocab):
+        # Each row of a padded batch steps as its own batch of one.
+        hyper = Hyper(emb_dim=4, hidden_dim=5, enc_layers=2, dec_layers=2)
+        m = init_model(vocab, hyper, seed=5)
+        rows = [vocab.preprocess("abcd a"), vocab.preprocess("dc")]
+        x = np.full((2, len(rows[0])), vocab.pad_id)
+        for i, r in enumerate(rows):
+            x[i, : len(r)] = r
+        tok = np.array([vocab.go_id, vocab.preprocess("a")[0]])
+        enc = _encode_batch(m, x)
+        h, c = _start_state(m, enc)
+        logits, h2, _, step = _decoder_step(m, enc, h, c, tok)
+        for i, r in enumerate(rows):
+            one = encode_one(m, r)
+            hi, ci = _start_state(m, one)
+            li, hi2, _, _ = _decoder_step(m, one, hi, ci, tok[i : i + 1])
+            assert np.allclose(logits[i], li[0], atol=1e-12)
+            assert np.allclose(h2[-1][i], hi2[-1][0], atol=1e-12)
 
 
 class TestLoss:
@@ -152,21 +232,28 @@ class TestLoss:
         with pytest.raises(InputError):
             loss(model, x + [vocab.pad_id], x + [vocab.end_id])
 
-    def test_matches_manual_step_loop(self, model, vocab):
-        # The teacher-forced loss must equal stepping the public
-        # decoder API by hand and accumulating -log p of each target.
-        x = vocab.preprocess("acb ad")
-        y = vocab.preprocess("abc ad") + [vocab.end_id]
-        states = encode(model, x)
-        st = init_decoder_state(model, states)
-        prev = vocab.go_id
-        total = 0.0
-        for target in y:
-            ctx, _ = attend(model, st.top, states)
-            dist, st = decode_step(model, prev, st, ctx)
-            total -= math.log(dist[target])
-            prev = target
-        assert loss(model, x, y) == pytest.approx(total, rel=1e-10)
+    def test_matches_manual_step_loop(self, vocab):
+        # The teacher-forced loss must equal stepping the reference
+        # decoder by hand and accumulating -log p of each target.
+        # The second model has larger weights, so that attention is far
+        # from uniform and the query and the layer stacking both matter.
+        hyper = Hyper(emb_dim=4, hidden_dim=5, enc_layers=2, dec_layers=2)
+        big = init_model(vocab, hyper, seed=6)
+        big = CorrectorModel(vocab, hyper, {k: 10.0 * v for k, v in big.params.items()})
+        for m in (init_model(vocab, SMALL, seed=3), big):
+            x = vocab.preprocess("acb ad")
+            y = vocab.preprocess("abc ad") + [vocab.end_id]
+            enc = encode_one(m, x)
+            fwd, bwd = enc.fwd[0], enc.bwd[0]
+            h, c = _ref_start(m, fwd, bwd)
+            prev = vocab.go_id
+            total = 0.0
+            for target in y:
+                ctx, _ = _ref_attend(m, h[-1], fwd, bwd)
+                dist, h, c = _ref_decode_step(m, prev, h, c, ctx)
+                total -= math.log(dist[target])
+                prev = target
+            assert loss(m, x, y) == pytest.approx(total, rel=1e-10)
 
     def test_batch_equals_sum_of_singles(self, model, vocab):
         # Tail padding must not leak into the loss: the padded batch

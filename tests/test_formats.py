@@ -55,6 +55,18 @@ class TestCanonicalJson:
         with pytest.raises(InputError):
             read_json_file(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_refused(self, bad):
+        # NaN and Infinity are not JSON; json.dumps would write them.
+        with pytest.raises(FormatError):
+            canonical_dumps({"x": bad})
+
+    def test_curve_writer_refuses_nan(self, tmp_path):
+        p = tmp_path / "curve.json"
+        with pytest.raises(FormatError):
+            write_json_file(p, [2.5, float("nan")])
+        assert not p.exists()
+
 
 class TestJsonl:
     def test_round_trip_skips_blank_lines(self, tmp_path):
@@ -72,6 +84,17 @@ class TestJsonl:
         p = tmp_path / "e.jsonl"
         write_jsonl(p, [])
         assert p.read_text() == ""
+
+    def test_lines_are_canonical(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        write_jsonl(p, [{"b": 1, "a": [1.5, None]}, {"s": "x"}])
+        assert p.read_text() == '{"a":[1.5,null],"b":1}\n{"s":"x"}\n'
+
+    def test_refuses_nan(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        with pytest.raises(FormatError):
+            write_jsonl(p, [{"a": 1}, {"x": float("nan")}])
+        assert not p.exists()
 
 
 class TestBoxes:

@@ -1,7 +1,12 @@
 """Tests for model construction and checkpointing."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doctext.corrector.model import (
     CorrectorModel,
@@ -109,6 +114,30 @@ class TestCheckpoint:
         assert back.hyper == m.hyper
         for k in m.params:
             assert np.array_equal(back.params[k], m.params[k])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        emb=st.integers(1, 4),
+        hidden=st.integers(1, 4),
+        enc_layers=st.integers(1, 2),
+        dec_layers=st.integers(1, 3),
+        dropout=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, vocab, emb, hidden, enc_layers, dec_layers, dropout, seed):
+        hyper = Hyper(emb_dim=emb, hidden_dim=hidden, enc_layers=enc_layers,
+                      dec_layers=dec_layers, dropout=dropout)
+        m = init_model(vocab, hyper, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            save_model(m, p1)
+            back = load_model(p1)
+            save_model(back, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+        assert back.hyper == hyper
+        assert set(back.params) == set(m.params)
+        for k, v in m.params.items():
+            assert back.params[k].tobytes() == v.tobytes()
 
     def test_save_is_canonical(self, vocab, tmp_path):
         m = init_model(vocab, Hyper(emb_dim=2, hidden_dim=2, enc_layers=1, dec_layers=1), seed=4)

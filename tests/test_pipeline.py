@@ -1,5 +1,7 @@
 """Tests for the end-to-end document pipeline and its reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,28 @@ class TestDecodeWords:
         words = decode_words(alpha, frames)
         for b in doc.boxes:
             assert words[b.id] == b.word
+
+    def test_rejects_frames_missing_the_blank_column(self):
+        # Three columns for three characters would read column 2 as the
+        # blank and decode to plausible text.
+        alpha = Alphabet(("a", "b", "c"))
+        frames = {0: np.array([[0.1, 0.8, 0.1], [0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])}
+        with pytest.raises(InputError, match="box 0"):
+            decode_words(alpha, frames)
+
+    def test_rejects_non_finite_frames(self):
+        alpha = Alphabet(("a", "b", "c"))
+        frames = {0: one_hot_frames(alpha, "ab"), 1: np.full((3, alpha.size), np.nan)}
+        with pytest.raises(InputError, match="box 1"):
+            decode_words(alpha, frames)
+
+    def test_run_rejects_bad_frames(self):
+        alpha = Alphabet(("a", "b"))
+        recs = line_records(["ab"])
+        with pytest.raises(InputError):
+            run(recs, alpha, {0: np.full((3, alpha.size), np.nan)})
+        with pytest.raises(InputError):
+            run(recs, alpha, {0: np.full((3, alpha.size), 5.0 / alpha.size)})
 
 
 class TestRun:
@@ -253,6 +277,14 @@ class TestReportIO:
         save_report(rep, p1)
         save_report(rep, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_nan_refused(self, tmp_path):
+        rep = self.make_report()
+        bad = dataclasses.replace(rep, baseline_correct=float("nan"))
+        p = tmp_path / "report.json"
+        with pytest.raises(FormatError):
+            save_report(bad, p)
+        assert not p.exists()
 
     def test_wrong_format_rejected(self, tmp_path):
         p = tmp_path / "x.json"
