@@ -45,7 +45,7 @@ from .formats import (
     write_json_file,
     write_jsonl,
 )
-from .geometry import Quad, read_pgm, rectify, write_pgm
+from .geometry import crop_region, read_pgm, rectify, write_pgm
 from .layout import LayoutParams, arrange_document, group, render_group_overlay
 from .pipeline import (
     PipelineParams,
@@ -93,43 +93,74 @@ def load_params(path) -> dict:
     return flat
 
 
-def _params_of(args) -> dict:
-    return load_params(args.params) if getattr(args, "params", None) else {}
+def _ints(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in value)
+
+
+def _strs(value) -> tuple[str, ...]:
+    return tuple(str(v) for v in value)
+
+
+# The keys each reader consumes, with the conversion it applies.  A
+# subcommand accepts exactly the keys of the readers it calls.
+_LAYOUT_KEYS = {"kappa_h": float, "kappa_v": float, "line_lambda": float}
+_PIPELINE_KEYS = {"beam_width": int, "correct_beam": int, "rect_height": int}
+_HYPER_KEYS = {
+    "emb_dim": int, "hidden_dim": int, "enc_layers": int, "dec_layers": int, "dropout": float,
+}
+_TRAIN_KEYS = {
+    "decay_start": int, "halve_every": int, "batch_size": int, "max_steps": int,
+    "lr0": float, "clip_norm": float,
+}
+_SYNTH_KEYS = {
+    "page_width": int, "page_height": int,
+    "blocks": _ints, "lines_per_block": _ints, "words_per_line": _ints,
+    "box_height": float, "jitter": float, "temperature": float,
+    "p_sub": float, "p_del": float, "p_ins": float,
+    "words": _strs,
+}
+
+
+def _params_of(args, *readers: dict) -> dict:
+    """The ``--params`` file of ``args`` (empty without one); a key that
+    none of ``readers`` consumes is an error."""
+    if not getattr(args, "params", None):
+        return {}
+    params = load_params(args.params)
+    unknown = sorted(set(params).difference(*readers))
+    if unknown:
+        raise InputError(
+            f"{args.params}: unknown parameter(s) for {args.command}: {', '.join(unknown)}"
+        )
+    return params
+
+
+def _pick(d: dict, reader: dict) -> dict:
+    """Convert the keys of ``d`` that ``reader`` consumes."""
+    out = {}
+    for key, convert in reader.items():
+        if key in d:
+            try:
+                out[key] = convert(d[key])
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"parameter {key}: {exc}") from exc
+    return out
 
 
 def _layout_params(d: dict) -> LayoutParams:
-    kwargs = {
-        k: float(d[k]) for k in ("kappa_h", "kappa_v", "line_lambda") if k in d
-    }
-    return LayoutParams(**kwargs)
+    return LayoutParams(**_pick(d, _LAYOUT_KEYS))
 
 
 def _pipeline_params(d: dict) -> PipelineParams:
-    kwargs = {}
-    for k in ("beam_width", "correct_beam", "rect_height"):
-        if k in d:
-            kwargs[k] = int(d[k])
-    return PipelineParams(layout=_layout_params(d), **kwargs)
+    return PipelineParams(layout=_layout_params(d), **_pick(d, _PIPELINE_KEYS))
 
 
 def _hyper(d: dict) -> Hyper:
-    kwargs = {}
-    for k in ("emb_dim", "hidden_dim", "enc_layers", "dec_layers"):
-        if k in d:
-            kwargs[k] = int(d[k])
-    if "dropout" in d:
-        kwargs["dropout"] = float(d["dropout"])
-    return Hyper(**kwargs)
+    return Hyper(**_pick(d, _HYPER_KEYS))
 
 
 def _train_config(d: dict, args) -> TrainConfig:
-    kwargs = {}
-    for k in ("decay_start", "halve_every", "batch_size", "max_steps"):
-        if k in d:
-            kwargs[k] = int(d[k])
-    for k in ("lr0", "clip_norm"):
-        if k in d:
-            kwargs[k] = float(d[k])
+    kwargs = _pick(d, _TRAIN_KEYS)
     if getattr(args, "steps", None) is not None:
         kwargs["max_steps"] = args.steps
     kwargs["seed"] = args.seed
@@ -137,20 +168,9 @@ def _train_config(d: dict, args) -> TrainConfig:
 
 
 def _synth_spec(d: dict, args) -> SynthSpec:
-    kwargs: dict = {"seed": args.seed}
-    for k in ("page_width", "page_height"):
-        if k in d:
-            kwargs[k] = int(d[k])
-    for k in ("blocks", "lines_per_block", "words_per_line"):
-        if k in d:
-            kwargs[k] = tuple(int(v) for v in d[k])
-    for k in ("box_height", "jitter", "temperature", "p_sub", "p_del", "p_ins"):
-        if k in d:
-            kwargs[k] = float(d[k])
-    if "words" in d:
-        kwargs["words"] = tuple(str(w) for w in d["words"])
+    kwargs = {"seed": args.seed, **_pick(d, _SYNTH_KEYS)}
     for k in ("jitter", "temperature", "p_sub", "p_del", "p_ins"):
-        v = getattr(args, k.replace("-", "_"), None)
+        v = getattr(args, k, None)
         if v is not None:
             kwargs[k] = v
     return SynthSpec(**kwargs)
@@ -160,7 +180,7 @@ def _synth_spec(d: dict, args) -> SynthSpec:
 
 
 def _cmd_synth_gen(args) -> int:
-    spec = _synth_spec(_params_of(args), args)
+    spec = _synth_spec(_params_of(args, _SYNTH_KEYS), args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.docs):
@@ -185,20 +205,17 @@ def _cmd_rectify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for rec in records:
-        quad = rec.quad
-        if quad is None:
-            b = rec.box
-            quad = Quad.from_rect(b.left, b.top, b.right, b.bottom)
-        height = args.height
-        width = max(1, round(rec.box.width / rec.box.height * height))
-        write_pgm(rectify(image, quad, width, height), out / f"box_{rec.box.id:04d}.pgm")
+        b = rec.box
+        rect = (b.left, b.top, b.right, b.bottom)
+        crop = rectify(image, *crop_region(rec.quad, rect, args.height))
+        write_pgm(crop, out / f"box_{b.id:04d}.pgm")
     print(f"rectified {len(records)} boxes into {out}")
     return 0
 
 
 def _cmd_group(args) -> int:
     records = read_boxes(args.boxes)
-    labels = group([r.box for r in records], _layout_params(_params_of(args)))
+    labels = group([r.box for r in records], _layout_params(_params_of(args, _LAYOUT_KEYS)))
     write_json_file(args.out, {"labels": {str(i): lab for i, lab in sorted(labels.items())}})
     print(f"grouped {len(labels)} boxes into {len(set(labels.values()))} groups")
     return 0
@@ -207,7 +224,7 @@ def _cmd_group(args) -> int:
 def _cmd_arrange(args) -> int:
     records = read_boxes(args.boxes)
     boxes = [r.box for r in records]
-    layout = arrange_document(boxes, _layout_params(_params_of(args)))
+    layout = arrange_document(boxes, _layout_params(_params_of(args, _LAYOUT_KEYS)))
     write_json_file(args.out, layout.to_dict())
     if args.dump_overlay:
         width = args.page_width or int(np.ceil(max(b.right for b in boxes))) + 4
@@ -229,7 +246,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_train_corrector(args) -> int:
-    params = _params_of(args)
+    params = _params_of(args, _HYPER_KEYS, _TRAIN_KEYS)
     pairs = read_corpus(args.corpus)
     chars = sorted({c for pair in pairs for text in pair for c in text if c != " "})
     vocab = Vocab.from_chars(chars)
@@ -267,7 +284,7 @@ def _cmd_run(args) -> int:
         alphabet,
         frames,
         model=model,
-        params=_pipeline_params(_params_of(args)),
+        params=_pipeline_params(_params_of(args, _LAYOUT_KEYS, _PIPELINE_KEYS)),
         image=image,
     )
     save_report(result.report, args.out)

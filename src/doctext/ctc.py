@@ -235,49 +235,102 @@ def beam_decode(probs, beam_width: int = 8) -> list[int]:
     -------
     list of int
         The best label sequence, possibly empty.
+
+    Raises
+    ------
+    InputError
+        For a beam width below 1, a shape other than frames x classes
+        with at least two classes, or a NaN or infinite probability.
+
+    Notes
+    -----
+    One frame is one set of array operations over the beam x characters
+    grid (Hannun et al. 2014).  Every prefix in the beam stays (a blank
+    adds its total mass to the blank score, a repeat of its last
+    character adds its non-blank mass to the non-blank score) and
+    extends by every character.  An extension by the prefix's own last
+    character needs a blank in between, so its source is the blank
+    score alone; an extension whose source is ``-inf`` is not a
+    candidate.
+
+    An extension that lands on a prefix already in the beam is found by
+    looking that prefix's parent (all but its last character) up in the
+    beam, and its mass merges into the prefix's non-blank score.  So a
+    prefix collects at most one blank term and two non-blank terms, and
+    since ``logaddexp`` of two terms does not depend on their order the
+    scores are the same, bit for bit, as those of a decoder that adds
+    the terms up one candidate at a time.
+
+    The next beam is the ``beam_width`` candidates of highest total log
+    probability; equal totals go to the lexicographically smaller
+    prefix.  ``np.partition`` finds the cut, and only the candidates at
+    or above it are sorted by ``(-total, prefix)``.
     """
     if beam_width < 1:
         raise InputError("beam width must be >= 1")
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise InputError("frame probabilities must be a 2-D array with at least two classes")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("frame probabilities must be finite")
     logp = np.log(np.maximum(arr, PROB_FLOOR))
-    n_frames, n_classes = arr.shape
-    blank = n_classes - 1
+    blank = arr.shape[1] - 1
+    chars = np.arange(blank)
 
-    # prefix -> [log p(ending in blank), log p(ending in last char)]
-    beams: dict[tuple[int, ...], list[float]] = {(): [0.0, _NEG_INF]}
-    for t in range(n_frames):
-        nxt: dict[tuple[int, ...], list[float]] = {}
+    # The beam, best first: its prefixes, their last characters (-1 for
+    # the empty prefix), log p(ending in blank), log p(ending in the last
+    # character) and log p(either).
+    prefixes: list[tuple[int, ...]] = [()]
+    last = np.array([-1])
+    pb = np.array([0.0])
+    pnb = np.array([_NEG_INF])
+    total = np.logaddexp(pb, pnb)
+    for lp in logp:
+        n = len(prefixes)
+        # Stay: a blank keeps all the mass, a repeat of the last character
+        # keeps the mass ending in it.
+        stay_pb = total + lp[blank]
+        stay_pnb = np.where(last >= 0, pnb + lp[last], _NEG_INF)
+        # Extend by every character; doubling the last one needs a blank
+        # in between, so only the blank-ending mass moves.
+        src = np.where(chars == last[:, None], pb[:, None], total[:, None])
+        ext = src + lp[:blank]
+        live = src != _NEG_INF
 
-        def bucket(prefix):
-            entry = nxt.get(prefix)
-            if entry is None:
-                entry = [_NEG_INF, _NEG_INF]
-                nxt[prefix] = entry
-            return entry
+        # An extension that is already in the beam merges into it.
+        index = {p: i for i, p in enumerate(prefixes)}
+        dest = [j for j, p in enumerate(prefixes) if p and p[:-1] in index]
+        if dest:
+            rows = [index[prefixes[j][:-1]] for j in dest]
+            cols = last[dest]
+            merged = np.where(live[rows, cols], ext[rows, cols], _NEG_INF)
+            stay_pnb[dest] = np.logaddexp(stay_pnb[dest], merged)
+            live[rows, cols] = False
 
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            # Emit a blank: prefix unchanged, now ends in blank.
-            e = bucket(prefix)
-            e[0] = np.logaddexp(e[0], total + logp[t, blank])
-            # Re-emit the final character: merges into the same prefix.
-            if prefix:
-                e[1] = np.logaddexp(e[1], pnb + logp[t, prefix[-1]])
-            for c in range(blank):
-                ext = prefix + (c,)
-                # Extending with the same character requires a blank in
-                # between, so only the blank-ending mass moves.
-                src = pb if (prefix and c == prefix[-1]) else total
-                if src == _NEG_INF:
-                    continue
-                e2 = bucket(ext)
-                e2[1] = np.logaddexp(e2[1], src + logp[t, c])
-        ranked = sorted(
-            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
-        )
-        beams = dict(ranked[:beam_width])
+        grown = np.flatnonzero(live)
+        cand_last = np.concatenate([last, grown % blank])
+        cand_pb = np.concatenate([stay_pb, np.full(len(grown), _NEG_INF)])
+        cand_pnb = np.concatenate([stay_pnb, ext.ravel()[grown]])
+        neg = -np.logaddexp(cand_pb, cand_pnb)
+        keep = min(beam_width, len(neg))
+        if keep < len(neg):
+            cut = np.partition(neg, keep - 1)[keep - 1]
+            picked = np.flatnonzero(neg <= cut).tolist()
+        else:
+            picked = range(len(neg))
 
-    best = min(beams.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
-    return list(best[0])
+        ranked = []
+        for s in picked:
+            if s < n:
+                prefix = prefixes[s]
+            else:
+                g = int(grown[s - n])
+                prefix = prefixes[g // blank] + (g % blank,)
+            ranked.append((float(neg[s]), prefix, s))
+        ranked.sort()
+        chosen = [s for _, _, s in ranked[:keep]]
+        prefixes = [p for _, p, _ in ranked[:keep]]
+        last, pb, pnb = cand_last[chosen], cand_pb[chosen], cand_pnb[chosen]
+        total = -neg[chosen]
+
+    return list(prefixes[0])

@@ -127,14 +127,15 @@ def _box_from_record(rec: dict, where: str) -> BoxRecord:
 
 
 def read_boxes(path) -> list[BoxRecord]:
-    """Load a boxes JSONL file; ids must be unique."""
-    records = [
-        _box_from_record(rec, f"{path}:{n}")
-        for n, rec in enumerate(read_jsonl(path), start=1)
-    ]
-    ids = [r.box.id for r in records]
-    if len(set(ids)) != len(ids):
-        raise InputError(f"{path}: duplicate box ids")
+    """Load a boxes JSONL file; ids must be unique (``FormatError``)."""
+    records = []
+    seen: set[int] = set()
+    for n, rec in enumerate(read_jsonl(path), start=1):
+        record = _box_from_record(rec, f"{path}:{n}")
+        if record.box.id in seen:
+            raise FormatError(f"{path}:{n}: duplicate box id {record.box.id}")
+        seen.add(record.box.id)
+        records.append(record)
     return records
 
 
@@ -156,7 +157,8 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
     """Load a frames JSONL file: alphabet header, then one record per box.
 
     Every frame matrix must have alphabet-size + 1 columns of
-    row-stochastic probabilities.
+    row-stochastic probabilities, and box ids must be unique; anything
+    else raises ``FormatError`` naming ``path:line``.
     """
     records = read_jsonl(path)
     if not records or "alphabet" not in records[0]:
@@ -174,11 +176,11 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}:{n}: box_id must be an integer") from exc
         if bid in frames:
-            raise InputError(f"{path}:{n}: duplicate frames for box {bid}")
+            raise FormatError(f"{path}:{n}: duplicate frames for box {bid}")
         try:
             mat = validate_frame_probs(rec["frames"], n_columns=alphabet.size)
         except InputError as exc:
-            raise InputError(f"{path}:{n}: {exc}") from exc
+            raise FormatError(f"{path}:{n}: {exc}") from exc
         frames[bid] = mat
     return alphabet, frames
 

@@ -31,6 +31,7 @@ __all__ = [
     "Homography",
     "GrayImage",
     "compute_homography",
+    "crop_region",
     "rectify",
     "read_pgm",
     "write_pgm",
@@ -293,6 +294,22 @@ def rectify(image: GrayImage, src: Quad, width: int, height: int) -> GrayImage:
     )
     sx, sy = hinv.apply(us, vs)
     return GrayImage(_sample_bilinear(image.pixels, sx, sy))
+
+
+def crop_region(quad: Quad | None, rect, height: int) -> tuple[Quad, int, int]:
+    """Source quad and output size for rectifying one detected box.
+
+    ``rect`` is the box's axis-aligned (left, top, right, bottom); the
+    box's own ``quad`` is the source when it has one, else the rectangle.
+    The crop is ``height`` pixels tall and keeps the box's width to
+    height ratio, rounded, at least one pixel wide.  The result is the
+    ``(src, width, height)`` tail of a :func:`rectify` call.
+    """
+    left, top, right, bottom = rect
+    if quad is None:
+        quad = Quad.from_rect(left, top, right, bottom)
+    width = max(1, round((right - left) / (bottom - top) * height))
+    return quad, width, height
 
 
 _PGM_HEADER = re.compile(rb"^P5\s")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .ctc import Alphabet, beam_decode, validate_frame_probs
 from .errors import FormatError, InputError, VersionError
 from .formats import BoxRecord, read_json_file, write_json_file
-from .geometry import GrayImage, Quad, rectify
+from .geometry import GrayImage, crop_region, rectify
 from .layout import DocumentLayout, LayoutParams, arrange_document
 from .corrector.model import CorrectorModel
 from .corrector.network import correct
@@ -240,13 +240,9 @@ def run(
     crops: dict[int, GrayImage] = {}
     if image is not None:
         for rec in records:
-            quad = rec.quad
-            if quad is None:
-                b = rec.box
-                quad = Quad.from_rect(b.left, b.top, b.right, b.bottom)
-            height = params.rect_height
-            width = max(1, round(rec.box.width / rec.box.height * height))
-            crops[rec.box.id] = rectify(image, quad, width, height)
+            b = rec.box
+            rect = (b.left, b.top, b.right, b.bottom)
+            crops[b.id] = rectify(image, *crop_region(rec.quad, rect, params.rect_height))
         notes.append(f"rectified {len(crops)} boxes")
     else:
         notes.append("rectification skipped: no page image supplied")

@@ -271,6 +271,74 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestUnknownParams:
+    """A ``--params`` key that no reader of the subcommand consumes is
+    refused with exit code 2, and the message names it."""
+
+    def _refused(self, capsys, *argv):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown parameter" in err
+        return err
+
+    @pytest.mark.parametrize("suffix,text", [
+        (".json", '{"beam": 1}'),
+        (".toml", "beam = 1\n"),
+    ])
+    def test_run_rejects_beam(self, synth_dir, tmp_path, capsys, suffix, text):
+        params = tmp_path / f"p{suffix}"
+        params.write_text(text, encoding="utf-8")
+        out = tmp_path / "report.json"
+        err = self._refused(
+            capsys, "run", "--boxes", synth_dir / "doc_0000.boxes.jsonl",
+            "--frames", synth_dir / "doc_0000.frames.jsonl", "--out", out, "--params", params,
+        )
+        assert ": beam" in err
+        assert not out.exists()
+
+    def test_run_accepts_layout_and_pipeline_keys(self, synth_dir, tmp_path):
+        params = tmp_path / "p.toml"
+        params.write_text("beam_width = 2\n[layout]\nkappa_h = 1.5\n", encoding="utf-8")
+        code = run_cli(
+            "run", "--boxes", synth_dir / "doc_0000.boxes.jsonl",
+            "--frames", synth_dir / "doc_0000.frames.jsonl",
+            "--out", tmp_path / "report.json", "--params", params,
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("command", ["group", "arrange"])
+    def test_layout_commands(self, synth_dir, tmp_path, capsys, command):
+        params = tmp_path / "p.json"
+        params.write_text('{"kappa_h": 2.0, "beam_width": 4}', encoding="utf-8")
+        err = self._refused(
+            capsys, command, "--boxes", synth_dir / "doc_0000.boxes.jsonl",
+            "--out", tmp_path / "o.json", "--params", params,
+        )
+        assert "beam_width" in err and "kappa_h" not in err
+
+    def test_train_corrector(self, synth_dir, tmp_path, capsys):
+        params = tmp_path / "p.toml"
+        params.write_text("[network]\nemb_dim = 8\n[schedule]\nlr = 0.5\n", encoding="utf-8")
+        err = self._refused(
+            capsys, "train-corrector", "--corpus", synth_dir / "corpus.jsonl",
+            "--out", tmp_path / "m.json", "--params", params,
+        )
+        assert ": lr" in err and "emb_dim" not in err
+
+    def test_synth_gen(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"temperature": 0.5, "page_size": 100}', encoding="utf-8")
+        err = self._refused(capsys, "synth-gen", "--out", tmp_path / "s", "--params", params)
+        assert ": page_size" in err and "temperature" not in err
+
+    def test_unconvertible_value(self, synth_dir, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"kappa_h": "wide"}', encoding="utf-8")
+        assert run_cli("group", "--boxes", synth_dir / "doc_0000.boxes.jsonl",
+                       "--out", tmp_path / "o.json", "--params", params) == 2
+        assert "kappa_h" in capsys.readouterr().err
+
+
 class TestParamsLoader:
     def test_json_nested_tables_flatten(self, tmp_path):
         p = tmp_path / "p.json"

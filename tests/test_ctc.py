@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from doctext.ctc import (
     PROB_FLOOR,
@@ -59,6 +60,79 @@ def enumerate_label_probs(probs):
 def random_frame_probs(rng, n_frames, n_classes):
     raw = rng.random((n_frames, n_classes)) + 1e-3
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+def _beam_decode_reference(probs, beam_width=8):
+    """Prefix beam search one candidate at a time, with a dict per frame.
+
+    This was the library's decoder before it worked on whole frames at
+    once; the array version must return exactly the same labels.
+    """
+    if beam_width < 1:
+        raise InputError("beam width must be >= 1")
+    arr = np.asarray(probs, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise InputError("frame probabilities must be a 2-D array with at least two classes")
+    logp = np.log(np.maximum(arr, PROB_FLOOR))
+    n_frames, n_classes = arr.shape
+    blank = n_classes - 1
+
+    # prefix -> [log p(ending in blank), log p(ending in last char)]
+    beams = {(): [0.0, -np.inf]}
+    for t in range(n_frames):
+        nxt = {}
+
+        def bucket(prefix):
+            entry = nxt.get(prefix)
+            if entry is None:
+                entry = [-np.inf, -np.inf]
+                nxt[prefix] = entry
+            return entry
+
+        for prefix, (pb, pnb) in beams.items():
+            total = np.logaddexp(pb, pnb)
+            # Emit a blank: prefix unchanged, now ends in blank.
+            e = bucket(prefix)
+            e[0] = np.logaddexp(e[0], total + logp[t, blank])
+            # Re-emit the final character: merges into the same prefix.
+            if prefix:
+                e[1] = np.logaddexp(e[1], pnb + logp[t, prefix[-1]])
+            for c in range(blank):
+                ext = prefix + (c,)
+                # Extending with the same character requires a blank in
+                # between, so only the blank-ending mass moves.
+                src = pb if (prefix and c == prefix[-1]) else total
+                if src == -np.inf:
+                    continue
+                e2 = bucket(ext)
+                e2[1] = np.logaddexp(e2[1], src + logp[t, c])
+        ranked = sorted(
+            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
+        )
+        beams = dict(ranked[:beam_width])
+
+    best = min(beams.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
+    return list(best[0])
+
+
+@st.composite
+def frame_matrices(draw, max_frames=14, max_classes=8, quantized=None):
+    """Row-stochastic frames-by-classes matrices, possibly with no rows.
+
+    Quantized rows (weights 0 to 3) hold exact zeros and make many
+    candidate scores tie, which exercises the prefix tie-break.
+    """
+    n_frames = draw(st.integers(0, max_frames))
+    n_classes = draw(st.integers(2, max_classes))
+    if quantized is None:
+        quantized = draw(st.booleans())
+    if quantized:
+        elements = st.integers(0, 3).map(float)
+    else:
+        elements = st.floats(1e-3, 1.0)
+    weights = draw(arrays(np.float64, (n_frames, n_classes), elements=elements))
+    weights += weights.sum(axis=1, keepdims=True) == 0.0
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------- alphabet
@@ -322,6 +396,32 @@ class TestBeamDecode:
     def test_invalid_width_rejected(self):
         with pytest.raises(InputError):
             beam_decode([[0.5, 0.5]], 0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_frames_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            beam_decode([[0.2, 0.8], [bad, 0.5]], 8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame_matrices())
+    def test_matches_reference_exactly(self, probs):
+        for width in (1, 2, 3, 8, 64):
+            got = beam_decode(probs, width)
+            assert got == _beam_decode_reference(probs, width)
+            assert all(type(v) is int for v in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_matrices(max_frames=5, max_classes=4, quantized=False))
+    def test_unpruned_beam_is_enumeration_argmax(self, probs):
+        n_frames, n_classes = probs.shape
+        oracle = enumerate_label_probs(probs)
+        ranked = sorted(oracle.values(), reverse=True)
+        assume(len(ranked) == 1 or ranked[0] - ranked[1] >= 1e-9)
+        # Fewer prefixes than this exist after the last frame, so the
+        # beam never prunes.
+        never_prunes = sum((n_classes - 1) ** n for n in range(n_frames + 1))
+        best = max(oracle, key=oracle.get)
+        assert tuple(beam_decode(probs, never_prunes)) == best
 
     def test_unpruned_beam_dominates_any_width(self):
         # Beam search is not monotone in width, but a beam wide enough

@@ -136,7 +136,7 @@ class TestBoxes:
     def test_duplicate_ids_rejected(self, tmp_path):
         p = tmp_path / "boxes.jsonl"
         p.write_text('{"id":0,"rect":[0,0,1,1]}\n{"id":0,"rect":[2,2,3,3]}\n', encoding="utf-8")
-        with pytest.raises(InputError):
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:2: duplicate box id 0"):
             read_boxes(p)
 
     def test_malformed_rect_rejected(self, tmp_path):
@@ -175,13 +175,13 @@ class TestFrames:
     def test_wrong_column_count_rejected(self, tmp_path):
         p = tmp_path / "frames.jsonl"
         p.write_text('{"alphabet":["a","b"]}\n{"box_id":0,"frames":[[0.5,0.5]]}\n', encoding="utf-8")
-        with pytest.raises(InputError):
+        with pytest.raises(FormatError, match=r"frames\.jsonl:2: expected 3 probability columns"):
             read_frames(p)
 
     def test_non_stochastic_rows_rejected(self, tmp_path):
         p = tmp_path / "frames.jsonl"
         p.write_text('{"alphabet":["a"]}\n{"box_id":0,"frames":[[0.9,0.9]]}\n', encoding="utf-8")
-        with pytest.raises(InputError):
+        with pytest.raises(FormatError, match=r"frames\.jsonl:2: every frame row must sum to 1"):
             read_frames(p)
 
     def test_duplicate_box_rejected(self, tmp_path):
@@ -192,7 +192,7 @@ class TestFrames:
             '{"box_id":0,"frames":[[0.5,0.5]]}\n',
             encoding="utf-8",
         )
-        with pytest.raises(InputError):
+        with pytest.raises(FormatError, match=r"frames\.jsonl:3: duplicate frames for box 0"):
             read_frames(p)
 
 

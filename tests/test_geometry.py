@@ -13,6 +13,7 @@ from doctext.geometry import (
     Quad,
     _sample_bilinear,
     compute_homography,
+    crop_region,
     read_pgm,
     rectify,
     write_pgm,
@@ -228,6 +229,23 @@ class TestRectify:
                 sx, sy = hinv.apply(u + 0.5, v + 0.5)
                 want = sample_bilinear_reference(img.pixels, float(sx), float(sy))
                 assert out.pixels[v, u] == pytest.approx(want, abs=1e-12)
+
+
+class TestCropRegion:
+    def test_rect_fallback_keeps_aspect(self):
+        quad, width, height = crop_region(None, (10.0, 20.0, 50.0, 30.0), 16)
+        assert quad == Quad.from_rect(10.0, 20.0, 50.0, 30.0)
+        assert (width, height) == (64, 16)
+
+    def test_own_quad_is_the_source(self):
+        q = Quad.from_points([(0, 0), (30, 2), (31, 12), (1, 10)])
+        quad, width, height = crop_region(q, (0.0, 0.0, 31.0, 12.0), 24)
+        assert quad is q
+        assert (width, height) == (round(31 / 12 * 24), 24)
+
+    def test_width_is_at_least_one(self):
+        _, width, _ = crop_region(None, (0.0, 0.0, 1.0, 100.0), 4)
+        assert width == 1
 
 
 class TestPgm:
