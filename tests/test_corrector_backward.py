@@ -13,6 +13,7 @@ import pytest
 from doctext.corrector.model import Hyper, init_model
 from doctext.corrector.network import _backward_batch, _forward_batch, backward, loss
 from doctext.corrector.vocab import Vocab
+from doctext.errors import InputError
 
 
 EPS = 1e-4
@@ -99,6 +100,34 @@ class TestBatchSemantics:
         assert batch_value == pytest.approx(total, rel=1e-10)
         for k in summed:
             np.testing.assert_allclose(batch_grads[k], summed[k], rtol=1e-9, atol=1e-12, err_msg=k)
+
+    def test_row_order_changes_nothing(self, vocab):
+        # The recurrences run on rows sorted by length; any row order of
+        # the same pairs gives the same loss and gradients.
+        model = init_model(vocab, Hyper(emb_dim=3, hidden_dim=4, enc_layers=2, dec_layers=2), seed=12)
+        pairs = [("b", "ab ba"), ("ba abb", "ab"), ("ab", "abb a"), ("a", "a")]
+        xs = self._pad(vocab, [vocab.preprocess(n) for n, _ in pairs])
+        ys = self._pad(vocab, [vocab.preprocess(c) + [vocab.end_id] for _, c in pairs])
+        value, tape = _forward_batch(model, xs, ys)
+        grads = _backward_batch(model, tape)
+        for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
+            v, t = _forward_batch(model, xs[perm], ys[perm])
+            g = _backward_batch(model, t)
+            assert v == pytest.approx(value, rel=1e-12)
+            for k in grads:
+                np.testing.assert_allclose(g[k], grads[k], rtol=1e-10, atol=1e-14, err_msg=k)
+
+    def test_interior_padding_rejected(self, vocab):
+        model = init_model(vocab, Hyper(emb_dim=2, hidden_dim=3, enc_layers=1, dec_layers=1), seed=13)
+        a, b = vocab.preprocess("ab")
+        pad, end = vocab.pad_id, vocab.end_id
+        good_x = np.array([[a, b, a]])
+        good_y = np.array([[a, b, end]])
+        _forward_batch(model, good_x, good_y)
+        with pytest.raises(InputError, match="source padding"):
+            _forward_batch(model, np.array([[a, pad, b]]), good_y)
+        with pytest.raises(InputError, match="target padding"):
+            _forward_batch(model, good_x, np.array([[a, pad, end]]))
 
     def test_duplicated_pair_doubles_everything(self, vocab):
         model = init_model(vocab, Hyper(emb_dim=3, hidden_dim=4, enc_layers=1, dec_layers=1), seed=9)
