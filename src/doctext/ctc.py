@@ -86,6 +86,16 @@ class Alphabet:
         return "".join(out)
 
 
+def _as_frames(probs) -> np.ndarray:
+    """``probs`` as float64 frames x classes (two or more), all finite."""
+    arr = np.asarray(probs, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise InputError("frame probabilities must be a 2-D array with at least two classes")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("frame probabilities must be finite")
+    return arr
+
+
 def validate_frame_probs(probs, n_columns: int | None = None, tol: float = 1e-9) -> np.ndarray:
     """Check a frames-by-classes probability matrix and return it as float64.
 
@@ -93,13 +103,11 @@ def validate_frame_probs(probs, n_columns: int | None = None, tol: float = 1e-9)
     1 within ``tol``.  ``n_columns``, when given, pins the expected
     number of classes (alphabet size plus blank).
     """
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
-        raise InputError("frame probabilities must be a 2-D array with at least two classes")
+    arr = _as_frames(probs)
+    if arr.shape[0] < 1:
+        raise InputError("frame probabilities need at least one frame")
     if n_columns is not None and arr.shape[1] != n_columns:
         raise InputError(f"expected {n_columns} probability columns, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("frame probabilities must be finite")
     if arr.min() < -tol or arr.max() > 1.0 + tol:
         raise InputError("frame probabilities must lie in [0, 1]")
     sums = arr.sum(axis=1)
@@ -143,6 +151,13 @@ def log_prob(probs, labels: Sequence[int]) -> float:
     float
         log p(labels | probs), at most 0.0; ``-inf`` when no frame path
         collapses to the labels (for example more labels than frames).
+        With zero frames only the empty label has a path: 0.0.
+
+    Raises
+    ------
+    InputError
+        For frames that :func:`beam_decode` refuses or a label outside
+        the alphabet.
 
     Notes
     -----
@@ -150,12 +165,12 @@ def log_prob(probs, labels: Sequence[int]) -> float:
     sequence in log space.  Frame probabilities are floored at
     ``PROB_FLOOR`` before taking logs.
     """
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InputError("frame probabilities must be a 2-D array")
+    arr = _as_frames(probs)
     n_frames, n_classes = arr.shape
     blank = n_classes - 1
     labels = _check_labels(labels, blank)
+    if n_frames == 0:
+        return 0.0 if not labels else float(_NEG_INF)
     logp = np.log(np.maximum(arr, PROB_FLOOR))
 
     # Interleave blanks around the labels: blank y1 blank y2 ... blank.
@@ -205,11 +220,10 @@ def loss(batch: Sequence[tuple]) -> float:
 def greedy_decode(probs) -> list[int]:
     """Best-path decode: collapse the per-frame argmax sequence.
 
-    Frame ties break toward the lower class index.
+    Frame ties break toward the lower class index.  Raises
+    ``InputError`` for the same frames as :func:`beam_decode`.
     """
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise InputError("frame probabilities must be a 2-D array with at least two classes")
+    arr = _as_frames(probs)
     path = np.argmax(arr, axis=1)
     return collapse(path.tolist(), blank=arr.shape[1] - 1)
 
@@ -268,11 +282,7 @@ def beam_decode(probs, beam_width: int = 8) -> list[int]:
     """
     if beam_width < 1:
         raise InputError("beam width must be >= 1")
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise InputError("frame probabilities must be a 2-D array with at least two classes")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("frame probabilities must be finite")
+    arr = _as_frames(probs)
     logp = np.log(np.maximum(arr, PROB_FLOOR))
     blank = arr.shape[1] - 1
     chars = np.arange(blank)

@@ -66,7 +66,8 @@ def read_json_file(path):
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def read_jsonl(path) -> list:
+def _numbered_records(path) -> list[tuple[int, object]]:
+    """Each record of a JSONL file with its line number; blank lines count."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -76,10 +77,14 @@ def read_jsonl(path) -> list:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            records.append((n, json.loads(line)))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{n}: bad JSON line: {exc}") from exc
     return records
+
+
+def read_jsonl(path) -> list:
+    return [rec for _, rec in _numbered_records(path)]
 
 
 def write_jsonl(path, records) -> None:
@@ -120,9 +125,11 @@ def _box_from_record(rec: dict, where: str) -> BoxRecord:
             xs = [p.x for p in quad.corners]
             ys = [p.y for p in quad.corners]
             left, top, right, bottom = min(xs), min(ys), max(xs), max(ys)
+        box = TextBox(id=bid, left=left, top=top, right=right, bottom=bottom, word=word)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{where}: malformed geometry: {exc}") from exc
-    box = TextBox(id=bid, left=left, top=top, right=right, bottom=bottom, word=word)
+    except InputError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
     return BoxRecord(box=box, quad=quad)
 
 
@@ -130,7 +137,7 @@ def read_boxes(path) -> list[BoxRecord]:
     """Load a boxes JSONL file; ids must be unique (``FormatError``)."""
     records = []
     seen: set[int] = set()
-    for n, rec in enumerate(read_jsonl(path), start=1):
+    for n, rec in _numbered_records(path):
         record = _box_from_record(rec, f"{path}:{n}")
         if record.box.id in seen:
             raise FormatError(f"{path}:{n}: duplicate box id {record.box.id}")
@@ -160,15 +167,16 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
     row-stochastic probabilities, and box ids must be unique; anything
     else raises ``FormatError`` naming ``path:line``.
     """
-    records = read_jsonl(path)
-    if not records or "alphabet" not in records[0]:
+    records = _numbered_records(path)
+    header = records[0][1] if records else {}
+    if not isinstance(header, dict) or "alphabet" not in header:
         raise FormatError(f"{path}: first line must be an alphabet header")
     try:
-        alphabet = Alphabet(tuple(records[0]["alphabet"]))
+        alphabet = Alphabet(tuple(header["alphabet"]))
     except (TypeError, InputError) as exc:
         raise FormatError(f"{path}: bad alphabet header: {exc}") from exc
     frames: dict[int, np.ndarray] = {}
-    for n, rec in enumerate(records[1:], start=2):
+    for n, rec in records[1:]:
         if not isinstance(rec, dict) or "box_id" not in rec or "frames" not in rec:
             raise FormatError(f"{path}:{n}: frame record needs 'box_id' and 'frames'")
         try:
@@ -195,7 +203,7 @@ def write_frames(path, alphabet: Alphabet, frames_by_id: dict[int, np.ndarray]) 
 def read_corpus(path) -> list[tuple[str, str]]:
     """Load a (noisy, clean) phrase-pair corpus."""
     pairs = []
-    for n, rec in enumerate(read_jsonl(path), start=1):
+    for n, rec in _numbered_records(path):
         if not isinstance(rec, dict) or "noisy" not in rec or "clean" not in rec:
             raise FormatError(f"{path}:{n}: corpus record needs 'noisy' and 'clean'")
         noisy, clean = rec["noisy"], rec["clean"]

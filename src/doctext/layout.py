@@ -194,55 +194,36 @@ def find_next_text(current: TextBox, boxes, params: LayoutParams | None = None) 
 def arrange(boxes, params: LayoutParams | None = None) -> list[int]:
     """Reading order for the boxes of one group.
 
-    A chain is grown from every box by repeatedly following
-    :func:`find_next_text`.  Chains that are proper suffixes of another
-    chain are partial lines and are dropped; the surviving chains are
-    sorted by mean vertical centre (ties by head id) and concatenated.
-    A box appearing in more than one surviving chain is kept at its
-    first occurrence, so the result is a permutation of the input ids.
+    Every box points to its successor, :func:`find_next_text`, computed
+    once per box.  A chain starts at each root, a box that no other box
+    points to, and follows the pointers to the end of its line; a chain
+    from any other box would be a proper suffix of the chain through
+    its predecessor, a partial line.  The chains are sorted by mean
+    vertical centre (ties by root id) and concatenated.  Two roots can
+    share a tail, so a box is kept at its first occurrence and the
+    result is a permutation of the input ids.
     """
     params = params or LayoutParams()
-    boxes = list(boxes)
+    boxes = sorted(boxes, key=lambda t: t.id)
     _check_unique_ids(boxes)
     if not boxes:
         return []
 
-    chains: list[tuple[int, ...]] = []
-    for b in sorted(boxes, key=lambda t: t.id):
-        chain = [b.id]
-        cur = b
-        while True:
-            nxt = find_next_text(cur, boxes, params)
-            if nxt is None:
-                break
-            # Candidates start at or past the current horizontal centre,
-            # which lies right of the candidate's own centre test going
-            # forward, so centres strictly increase and chains are finite.
-            chain.append(nxt.id)
-            cur = nxt
-        chains.append(tuple(chain))
-
-    suffixes = set()
-    for c in chains:
-        for i in range(1, len(c)):
-            suffixes.add(c[i:])
-    kept = [c for c in chains if c not in suffixes]
-
-    by_id = {b.id: b for b in boxes}
-
-    def mean_vc(chain):
-        return sum(by_id[i].vcenter for i in chain) / len(chain)
-
-    kept.sort(key=lambda c: (mean_vc(c), c[0]))
-
-    order: list[int] = []
-    seen: set[int] = set()
-    for c in kept:
-        for i in c:
-            if i not in seen:
-                seen.add(i)
-                order.append(i)
-    return order
+    nxt = {b.id: find_next_text(b, boxes, params) for b in boxes}
+    pointed = {s.id for s in nxt.values() if s is not None}
+    chains: list[list[TextBox]] = []
+    for b in boxes:
+        if b.id in pointed:
+            continue
+        chain, cur = [b], nxt[b.id]
+        # A successor starts at or past the current horizontal centre,
+        # so centres strictly increase and chains cannot loop.
+        while cur is not None:
+            chain.append(cur)
+            cur = nxt[cur.id]
+        chains.append(chain)
+    chains.sort(key=lambda c: (sum(b.vcenter for b in c) / len(c), c[0].id))
+    return list(dict.fromkeys(b.id for c in chains for b in c))
 
 
 @dataclass(frozen=True)

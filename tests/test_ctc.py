@@ -196,6 +196,38 @@ class TestValidateFrameProbs:
             validate_frame_probs([0.5, 0.5])
 
 
+FRAME_READERS = [
+    pytest.param(lambda p: beam_decode(p, 8), id="beam_decode"),
+    pytest.param(greedy_decode, id="greedy_decode"),
+    pytest.param(lambda p: log_prob(p, []), id="log_prob"),
+]
+
+
+class TestFrameCheck:
+    """The scorer and both decoders refuse the same frame matrices."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("read", FRAME_READERS)
+    def test_non_finite_frames_rejected(self, read, bad):
+        with pytest.raises(InputError, match="finite"):
+            read([[0.2, 0.8], [bad, 0.5]])
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [[1.0], [1.0]]], ids=["1-D", "one-column"])
+    @pytest.mark.parametrize("read", FRAME_READERS)
+    def test_shape_rejected(self, read, probs):
+        with pytest.raises(InputError, match="at least two classes"):
+            read(probs)
+
+    def test_zero_frames(self):
+        # Only the empty frame path exists, and it collapses to the
+        # empty label.
+        empty = np.zeros((0, 3))
+        assert log_prob(empty, []) == 0.0
+        assert log_prob(empty, [0]) == float("-inf")
+        assert greedy_decode(empty) == []
+        assert beam_decode(empty) == []
+
+
 # --------------------------------------------------------------- collapse
 
 
@@ -396,11 +428,6 @@ class TestBeamDecode:
     def test_invalid_width_rejected(self):
         with pytest.raises(InputError):
             beam_decode([[0.5, 0.5]], 0)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_frames_rejected(self, bad):
-        with pytest.raises(InputError, match="finite"):
-            beam_decode([[0.2, 0.8], [bad, 0.5]], 8)
 
     @settings(max_examples=150, deadline=None)
     @given(frame_matrices())

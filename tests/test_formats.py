@@ -145,6 +145,19 @@ class TestBoxes:
         with pytest.raises(FormatError):
             read_boxes(p)
 
+    def test_error_names_the_file_line(self, tmp_path):
+        # Blank lines hold no record but still count as lines.
+        p = tmp_path / "boxes.jsonl"
+        p.write_text('{"id":0,"rect":[0,0,1,1]}\n\n{"id":1,"rect":[0,0,"wide",1]}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:3: malformed geometry"):
+            read_boxes(p)
+
+    def test_inverted_rect_names_the_file_line(self, tmp_path):
+        p = tmp_path / "boxes.jsonl"
+        p.write_text('{"id":0,"rect":[0,0,1,1]}\n{"id":7,"rect":[5,0,1,1]}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:2: box 7 must have left < right"):
+            read_boxes(p)
+
     def test_truth_from_boxes(self):
         recs = [
             BoxRecord(box=TextBox(id=0, left=0, top=0, right=1, bottom=1, word="w")),
@@ -168,9 +181,10 @@ class TestFrames:
 
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "frames.jsonl"
-        p.write_text('{"box_id":0,"frames":[[0.5,0.5]]}\n', encoding="utf-8")
-        with pytest.raises(FormatError):
-            read_frames(p)
+        for first in ('{"box_id":0,"frames":[[0.5,0.5]]}', "5"):
+            p.write_text(first + "\n", encoding="utf-8")
+            with pytest.raises(FormatError, match="alphabet header"):
+                read_frames(p)
 
     def test_wrong_column_count_rejected(self, tmp_path):
         p = tmp_path / "frames.jsonl"
@@ -195,6 +209,15 @@ class TestFrames:
         with pytest.raises(FormatError, match=r"frames\.jsonl:3: duplicate frames for box 0"):
             read_frames(p)
 
+    def test_error_names_the_file_line(self, tmp_path):
+        p = tmp_path / "frames.jsonl"
+        p.write_text(
+            '\n{"alphabet":["a"]}\n\n{"box_id":0,"frames":[[0.9,0.9]]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError, match=r"frames\.jsonl:4: every frame row must sum to 1"):
+            read_frames(p)
+
 
 class TestCorpus:
     def test_round_trip(self, tmp_path):
@@ -213,6 +236,12 @@ class TestCorpus:
         p = tmp_path / "corpus.jsonl"
         p.write_text("", encoding="utf-8")
         with pytest.raises(InputError):
+            read_corpus(p)
+
+    def test_error_names_the_file_line(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text('{"noisy":"a","clean":"a"}\n\n\n{"noisy":"x"}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=r"corpus\.jsonl:4: corpus record needs"):
             read_corpus(p)
 
     def test_non_string_fields_rejected(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import doctext.layout
 from doctext.errors import InputError
 from doctext.layout import (
     DocumentLayout,
@@ -18,6 +19,7 @@ from doctext.layout import (
     render_group_overlay,
     same_group,
 )
+from doctext.layout import _check_unique_ids
 
 
 # ---------------------------------------------------------------- helpers
@@ -73,6 +75,88 @@ def random_boxes(rng, n, scale=1000.0, max_h=40.0):
         h = float(rng.uniform(5.0, max_h))
         boxes.append(TextBox(id=i, left=left, top=top, right=left + w, bottom=top + h))
     return boxes
+
+
+@st.composite
+def box_sets(draw, max_boxes=25):
+    """Boxes with distinct, shuffled ids, possibly none.
+
+    Quantized boxes sit on a coarse integer grid with two heights, so
+    many share a left edge, a vertical centre or a whole geometry, and
+    the tie-breaks of the chaining decide the order.
+    """
+    n = draw(st.integers(0, max_boxes))
+    ids = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        coords = st.tuples(
+            st.integers(0, 12).map(lambda v: 5.0 * v),
+            st.integers(0, 8).map(lambda v: 4.0 * v),
+            st.integers(1, 4).map(lambda v: 10.0 * v),
+            st.sampled_from([8.0, 12.0]),
+        )
+    else:
+        coords = st.tuples(
+            st.floats(0.0, 300.0),
+            st.floats(0.0, 300.0),
+            st.floats(1.0, 80.0),
+            st.floats(1.0, 20.0),
+        )
+    return [
+        TextBox(id=i, left=x, top=y, right=x + w, bottom=y + h)
+        for i, (x, y, w, h) in zip(ids, draw(st.lists(coords, min_size=n, max_size=n)))
+    ]
+
+
+def _arrange_reference(boxes, params=None):
+    """Reading order by growing a chain from every box.
+
+    This was the library's ``arrange`` before it followed one pointer
+    per box from the roots only: it re-walks the chain from each box,
+    calling ``find_next_text`` at every hop, and then drops the chains
+    that are proper suffixes of others.
+    """
+    params = params or LayoutParams()
+    boxes = list(boxes)
+    _check_unique_ids(boxes)
+    if not boxes:
+        return []
+
+    chains: list[tuple[int, ...]] = []
+    for b in sorted(boxes, key=lambda t: t.id):
+        chain = [b.id]
+        cur = b
+        while True:
+            nxt = find_next_text(cur, boxes, params)
+            if nxt is None:
+                break
+            # Candidates start at or past the current horizontal centre,
+            # which lies right of the candidate's own centre test going
+            # forward, so centres strictly increase and chains are finite.
+            chain.append(nxt.id)
+            cur = nxt
+        chains.append(tuple(chain))
+
+    suffixes = set()
+    for c in chains:
+        for i in range(1, len(c)):
+            suffixes.add(c[i:])
+    kept = [c for c in chains if c not in suffixes]
+
+    by_id = {b.id: b for b in boxes}
+
+    def mean_vc(chain):
+        return sum(by_id[i].vcenter for i in chain) / len(chain)
+
+    kept.sort(key=lambda c: (mean_vc(c), c[0]))
+
+    order: list[int] = []
+    seen: set[int] = set()
+    for c in kept:
+        for i in c:
+            if i not in seen:
+                seen.add(i)
+                order.append(i)
+    return order
 
 
 def make_line(ids, y=0.0, h=10.0, x0=0.0, gap=4.0, w=30.0):
@@ -265,6 +349,33 @@ class TestArrange:
         boxes = random_boxes(np.random.default_rng(seed), n)
         order = arrange(boxes)
         assert sorted(order) == list(range(n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_sets(), st.sampled_from([0.2, 0.5, 1.0]))
+    def test_matches_reference(self, boxes, lam):
+        params = LayoutParams(line_lambda=lam)
+        assert arrange(boxes, params) == _arrange_reference(boxes, params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(box_sets(), st.randoms(use_true_random=False))
+    def test_input_order_does_not_matter(self, boxes, rnd):
+        shuffled = list(boxes)
+        rnd.shuffle(shuffled)
+        assert arrange(shuffled) == arrange(boxes)
+
+    @settings(max_examples=50, deadline=None)
+    @given(box_sets())
+    def test_one_successor_lookup_per_box(self, boxes):
+        calls = []
+
+        def counting(current, *args):
+            calls.append(current.id)
+            return find_next_text(current, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(doctext.layout, "find_next_text", counting)
+            arrange(boxes)
+        assert sorted(calls) == sorted(b.id for b in boxes)
 
 
 class TestDocumentLayout:

@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doctext.corrector import Hyper, TrainConfig, Vocab, init_model, train
+import doctext.pipeline
+from doctext.corrector import CorrectionResult, Hyper, TrainConfig, Vocab, init_model, train
 from doctext.ctc import Alphabet
 from doctext.errors import FormatError, InputError, VersionError
 from doctext.formats import BoxRecord
@@ -205,6 +208,49 @@ class TestRun:
         g = res.report.groups[0]
         assert not g.realigned
         assert res.corrected_by_id == res.baseline_by_id
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_correction_length_keeps_every_box(self, data):
+        # Lines 14 apart join one group, lines 200 apart stay separate;
+        # "" decodes to nothing, and boxes without frames are unreadable.
+        alpha = Alphabet("ab")
+        recs, frames = [], {}
+        y = 0.0
+        for _ in range(data.draw(st.integers(1, 4))):
+            y += data.draw(st.sampled_from([14.0, 200.0]))
+            words = data.draw(st.lists(st.sampled_from(["", "a", "ab", "ba"]), min_size=1, max_size=5))
+            for k, w in enumerate(words):
+                box = TextBox(id=len(recs), left=40.0 * k, top=y, right=40.0 * k + 30.0, bottom=y + 10.0)
+                if data.draw(st.integers(0, 4)):
+                    frames[box.id] = one_hot_frames(alpha, w)
+                recs.append(BoxRecord(box=box))
+        calls = []
+
+        def fake_correct(model, text, beam_width=1):
+            n_out = data.draw(st.integers(0, len(text.split()) + 2))
+            out = tuple(f"w{i}" for i in range(n_out))
+            calls.append(out)
+            return CorrectionResult(text=" ".join(out), tokens=(), hit_cap=False, degraded=False)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(doctext.pipeline, "correct", fake_correct)
+            res = run(recs, alpha, frames, model=object())
+
+        seen = [i for g in res.report.groups for i in g.box_ids]
+        assert sorted(seen) == [r.box.id for r in recs]
+        assert set(res.corrected_by_id) == set(res.baseline_by_id) == set(frames)
+        outs = iter(calls)
+        for g in res.report.groups:
+            present = [i for i in g.box_ids if res.baseline_by_id.get(i)]
+            if not present:
+                assert not g.realigned and g.corrected_text == ""
+                continue
+            out = next(outs)
+            assert g.realigned == (len(out) == len(present))
+            want = out if g.realigned else tuple(res.baseline_by_id[i] for i in present)
+            assert tuple(res.corrected_by_id[i] for i in present) == want
+        assert next(outs, None) is None
 
     def test_rectifies_when_image_supplied(self):
         alpha = Alphabet("ab")
