@@ -22,7 +22,9 @@ import argparse
 import json
 import sys
 import tomllib
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -93,41 +95,21 @@ def load_params(path) -> dict:
     return flat
 
 
-def _ints(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in value)
+def _reader_fields(reader) -> dict:
+    """The fields of the parameter dataclass ``reader`` that ``--params``
+    sets, by name: all but ``seed``, which comes from ``--seed``, and
+    nested parameter objects, whose own fields are read instead."""
+    return {f.name: f for f in fields(reader) if f.name != "seed" and not is_dataclass(f.type)}
 
 
-def _strs(value) -> tuple[str, ...]:
-    return tuple(str(v) for v in value)
-
-
-# The keys each reader consumes, with the conversion it applies.  A
-# subcommand accepts exactly the keys of the readers it calls.
-_LAYOUT_KEYS = {"kappa_h": float, "kappa_v": float, "line_lambda": float}
-_PIPELINE_KEYS = {"beam_width": int, "correct_beam": int, "rect_height": int}
-_HYPER_KEYS = {
-    "emb_dim": int, "hidden_dim": int, "enc_layers": int, "dec_layers": int, "dropout": float,
-}
-_TRAIN_KEYS = {
-    "decay_start": int, "halve_every": int, "batch_size": int, "max_steps": int,
-    "lr0": float, "clip_norm": float,
-}
-_SYNTH_KEYS = {
-    "page_width": int, "page_height": int,
-    "blocks": _ints, "lines_per_block": _ints, "words_per_line": _ints,
-    "box_height": float, "jitter": float, "temperature": float,
-    "p_sub": float, "p_del": float, "p_ins": float,
-    "words": _strs,
-}
-
-
-def _params_of(args, *readers: dict) -> dict:
+def _params_of(args, *readers) -> dict:
     """The ``--params`` file of ``args`` (empty without one); a key that
-    none of ``readers`` consumes is an error."""
+    none of the parameter dataclasses ``readers`` consumes is an error.
+    A subcommand passes exactly the readers it calls."""
     if not getattr(args, "params", None):
         return {}
     params = load_params(args.params)
-    unknown = sorted(set(params).difference(*readers))
+    unknown = sorted(set(params).difference(*map(_reader_fields, readers)))
     if unknown:
         raise InputError(
             f"{args.params}: unknown parameter(s) for {args.command}: {', '.join(unknown)}"
@@ -135,32 +117,37 @@ def _params_of(args, *readers: dict) -> dict:
     return params
 
 
-def _pick(d: dict, reader: dict) -> dict:
-    """Convert the keys of ``d`` that ``reader`` consumes."""
+def _pick(d: dict, reader) -> dict:
+    """Convert the keys of ``d`` that ``reader`` consumes to its field
+    types; a ``tuple[...]`` field converts each item to the first
+    element type."""
     out = {}
-    for key, convert in reader.items():
+    for key, f in _reader_fields(reader).items():
         if key in d:
             try:
-                out[key] = convert(d[key])
+                if get_origin(f.type) is tuple:
+                    out[key] = tuple(get_args(f.type)[0](v) for v in d[key])
+                else:
+                    out[key] = f.type(d[key])
             except (TypeError, ValueError) as exc:
                 raise InputError(f"parameter {key}: {exc}") from exc
     return out
 
 
 def _layout_params(d: dict) -> LayoutParams:
-    return LayoutParams(**_pick(d, _LAYOUT_KEYS))
+    return LayoutParams(**_pick(d, LayoutParams))
 
 
 def _pipeline_params(d: dict) -> PipelineParams:
-    return PipelineParams(layout=_layout_params(d), **_pick(d, _PIPELINE_KEYS))
+    return PipelineParams(layout=_layout_params(d), **_pick(d, PipelineParams))
 
 
 def _hyper(d: dict) -> Hyper:
-    return Hyper(**_pick(d, _HYPER_KEYS))
+    return Hyper(**_pick(d, Hyper))
 
 
 def _train_config(d: dict, args) -> TrainConfig:
-    kwargs = _pick(d, _TRAIN_KEYS)
+    kwargs = _pick(d, TrainConfig)
     if getattr(args, "steps", None) is not None:
         kwargs["max_steps"] = args.steps
     kwargs["seed"] = args.seed
@@ -168,7 +155,7 @@ def _train_config(d: dict, args) -> TrainConfig:
 
 
 def _synth_spec(d: dict, args) -> SynthSpec:
-    kwargs = {"seed": args.seed, **_pick(d, _SYNTH_KEYS)}
+    kwargs = {"seed": args.seed, **_pick(d, SynthSpec)}
     for k in ("jitter", "temperature", "p_sub", "p_del", "p_ins"):
         v = getattr(args, k, None)
         if v is not None:
@@ -180,7 +167,7 @@ def _synth_spec(d: dict, args) -> SynthSpec:
 
 
 def _cmd_synth_gen(args) -> int:
-    spec = _synth_spec(_params_of(args, _SYNTH_KEYS), args)
+    spec = _synth_spec(_params_of(args, SynthSpec), args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.docs):
@@ -215,7 +202,7 @@ def _cmd_rectify(args) -> int:
 
 def _cmd_group(args) -> int:
     records = read_boxes(args.boxes)
-    labels = group([r.box for r in records], _layout_params(_params_of(args, _LAYOUT_KEYS)))
+    labels = group([r.box for r in records], _layout_params(_params_of(args, LayoutParams)))
     write_json_file(args.out, {"labels": {str(i): lab for i, lab in sorted(labels.items())}})
     print(f"grouped {len(labels)} boxes into {len(set(labels.values()))} groups")
     return 0
@@ -224,11 +211,12 @@ def _cmd_group(args) -> int:
 def _cmd_arrange(args) -> int:
     records = read_boxes(args.boxes)
     boxes = [r.box for r in records]
-    layout = arrange_document(boxes, _layout_params(_params_of(args, _LAYOUT_KEYS)))
+    layout = arrange_document(boxes, _layout_params(_params_of(args, LayoutParams)))
     write_json_file(args.out, layout.to_dict())
     if args.dump_overlay:
-        width = args.page_width or int(np.ceil(max(b.right for b in boxes))) + 4
-        height = args.page_height or int(np.ceil(max(b.bottom for b in boxes))) + 4
+        # an empty page keeps only the margin
+        width = args.page_width or int(np.ceil(max((b.right for b in boxes), default=0))) + 4
+        height = args.page_height or int(np.ceil(max((b.bottom for b in boxes), default=0))) + 4
         write_pgm(render_group_overlay(boxes, layout.labels, width, height), args.dump_overlay)
     print(f"arranged {len(boxes)} boxes into {len(layout.order)} groups")
     return 0
@@ -246,7 +234,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_train_corrector(args) -> int:
-    params = _params_of(args, _HYPER_KEYS, _TRAIN_KEYS)
+    params = _params_of(args, Hyper, TrainConfig)
     pairs = read_corpus(args.corpus)
     chars = sorted({c for pair in pairs for text in pair for c in text if c != " "})
     vocab = Vocab.from_chars(chars)
@@ -284,7 +272,7 @@ def _cmd_run(args) -> int:
         alphabet,
         frames,
         model=model,
-        params=_pipeline_params(_params_of(args, _LAYOUT_KEYS, _PIPELINE_KEYS)),
+        params=_pipeline_params(_params_of(args, LayoutParams, PipelineParams)),
         image=image,
     )
     save_report(result.report, args.out)

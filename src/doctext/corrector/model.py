@@ -168,8 +168,11 @@ def model_from_dict(payload: dict) -> CorrectorModel:
     try:
         hyper = Hyper(**payload["hyper"])
         vocab = Vocab(tuple(payload["vocab"]))
+        if not isinstance(payload["params"], dict):
+            raise FormatError("malformed checkpoint: params must be an object")
         params = {name: np.asarray(v, dtype=np.float64) for name, v in payload["params"].items()}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError: a parameter that is not numeric or is ragged
         raise FormatError(f"malformed checkpoint: {exc}") from exc
     return CorrectorModel(vocab=vocab, hyper=hyper, params=params)
 

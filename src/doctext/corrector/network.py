@@ -16,10 +16,13 @@ and padded target positions contribute zero loss and zero gradient.
 The recurrences run on rows sorted longest first, so a step advances
 only the leading rows that have not ended, and every product that does
 not feed a recurrence (input projections, the output layer, weight
-gradients) is one matrix product over all steps.  One decoder-step
-kernel, ``_decoder_advance``, serves both teacher-forced training and
-inference.  The public ``loss``, ``backward`` and ``correct`` take one
-sequence and run it as a batch of one.
+gradients) is one matrix product over all steps.  One check,
+``_check_batch``, validates source and target batches, and one
+decoder-step kernel, ``_decoder_advance``, serves both teacher-forced
+training and inference.  Dropout applies between stacked layers exactly
+when a random generator is passed, which only training does.  The
+public ``loss``, ``backward`` and ``correct`` take one sequence and run
+it as a batch of one.
 
 All (probs, labels) style losses are sums over tokens, so gradients of
 a batch are the sums of the per-pair gradients.
@@ -135,17 +138,29 @@ def _scan_backward(dstates, caches, counts, u, reverse):
     return dz
 
 
-def _lengths(mask, what: str) -> np.ndarray:
-    """Row lengths of a (B, T) padding mask; the padding must trail."""
+def _check_batch(vocab: Vocab, ids, what: str):
+    """Check a tail-padded (B, T) token id batch (``what`` names it).
+
+    It must be 2-D and non-empty, every id must be in the vocabulary,
+    every row must hold a non-padding token and the padding must trail.
+    Returns the ids, the (B, T) float mask of real tokens, the stable
+    longest-first row order and, for the rows in that order, how many
+    reach each position.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or ids.size == 0:
+        raise InputError(f"{what} batch must be a non-empty 2-D token id array")
+    if ids.min() < 0 or ids.max() >= vocab.size:
+        raise InputError(f"{what} contains token ids outside the vocabulary")
+    mask = (ids != vocab.pad_id).astype(np.float64)
     lengths = mask.sum(axis=1).astype(np.int64)
-    if not np.array_equal(mask > 0, np.arange(mask.shape[1]) < lengths[:, None]):
+    if np.any(lengths == 0):
+        raise InputError(f"every {what} row needs at least one non-padding token")
+    if not np.array_equal(mask > 0, np.arange(ids.shape[1]) < lengths[:, None]):
         raise InputError(f"{what} padding must trail every row")
-    return lengths
-
-
-def _step_counts(lengths: np.ndarray, t_len: int) -> np.ndarray:
-    """For rows sorted longest first: how many rows reach each position."""
-    return (lengths[:, None] > np.arange(t_len)).sum(axis=0)
+    order = np.argsort(-lengths, kind="stable")
+    counts = (lengths[order][:, None] > np.arange(ids.shape[1])).sum(axis=0)
+    return ids, mask, order, counts
 
 
 def _stack_steps(parts, bsz: int) -> np.ndarray:
@@ -158,8 +173,6 @@ def _stack_steps(parts, bsz: int) -> np.ndarray:
 
 
 def _dropout(a, rate, rng):
-    if rng is None:
-        raise InputError("dropout needs a random generator")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return a * mask, mask
 
@@ -186,9 +199,7 @@ class _EncBundle:
     inputs: list            # per layer: input tensor (post-dropout), sorted rows
     drop_masks: list        # per layer: dropout mask on its output, or None
     scans: list             # per layer: {direction: (states, caches)}, sorted rows
-    fwd: np.ndarray         # (B, Tx, H) top layer forward states
-    bwd: np.ndarray         # (B, Tx, H) top layer backward states
-    hcat: np.ndarray        # (B, Tx, 2H)
+    hcat: np.ndarray        # (B, Tx, 2H) top layer forward then backward states
     hsum: np.ndarray        # (B, Tx, H)
     keys: np.ndarray        # (B, Tx, H) attention keys
     bridge_in: np.ndarray   # (B, 2H)
@@ -197,10 +208,9 @@ class _EncBundle:
 
 @dataclass
 class _StepCache:
-    s_prev: np.ndarray      # attention query: the top state before the step
     alpha: np.ndarray       # attention weights
-    tok: np.ndarray         # input tokens
-    h_in: list              # per layer: hidden state before the step
+    h_in: list              # per layer: hidden state before the step; the
+                            # top layer's is the attention query
     inputs: list            # per layer: cell input (post-dropout below it)
     cell_caches: list
     drop_masks: list
@@ -217,6 +227,7 @@ class _Tape:
     keys: np.ndarray        # (B, Tx, H) enc.keys, sorted rows
     hsum: np.ndarray        # (B, Tx, H) enc.hsum, sorted rows
     y_ids: np.ndarray       # (B, Ty) sorted rows
+    y_in: np.ndarray        # (B, Ty) decoder input tokens, sorted rows
     mask_y: np.ndarray      # (B, Ty) sorted rows
     steps: list             # per step: the cache of its leading rows
     cat: np.ndarray         # (B, Ty, 2H) state/context pairs, zero past a row's end
@@ -224,24 +235,14 @@ class _Tape:
     probs: np.ndarray       # (B, Ty, V)
 
 
-def _encode_batch(model: CorrectorModel, x_ids: np.ndarray, training=False, rng=None) -> _EncBundle:
+def _encode_batch(model: CorrectorModel, x_ids, rng=None) -> _EncBundle:
+    """Encode a tail-padded source batch; with a generator ``rng``,
+    dropout applies between the layers."""
     p = model.params
     hp = model.hyper
-    pad = model.vocab.pad_id
-    x_ids = np.asarray(x_ids, dtype=np.int64)
-    if x_ids.ndim != 2 or x_ids.shape[0] == 0 or x_ids.shape[1] == 0:
-        raise InputError("source batch must be a non-empty 2-D token id array")
-    if x_ids.min() < 0 or x_ids.max() >= model.vocab.size:
-        raise InputError("source contains token ids outside the vocabulary")
-    mask_x = (x_ids != pad).astype(np.float64)
-    if np.any(mask_x.sum(axis=1) == 0):
-        raise InputError("every source row needs at least one non-padding token")
-    lengths = _lengths(mask_x, "source")
-
     # The layers run on rows sorted longest first, so that the rows one
     # step advances are a leading slice.
-    order = np.argsort(-lengths, kind="stable")
-    counts = _step_counts(lengths[order], x_ids.shape[1])
+    x_ids, mask_x, order, counts = _check_batch(model.vocab, x_ids, "source")
     inp = p["embedding"][x_ids[order]]
     inputs, drop_masks, scans = [], [], []
     for l in range(hp.enc_layers):
@@ -253,18 +254,16 @@ def _encode_batch(model: CorrectorModel, x_ids: np.ndarray, training=False, rng=
             scan[name] = _scan_forward(xw, counts, p[f"enc.{l}.{name}.U"], reverse)
         out = np.concatenate([scan["fwd"][0], scan["bwd"][0]], axis=2)
         dm = None
-        if training and hp.dropout > 0.0 and l < hp.enc_layers - 1:
+        if rng is not None and l < hp.enc_layers - 1:
             out, dm = _dropout(out, hp.dropout, rng)
         drop_masks.append(dm)
         scans.append(scan)
         inp = out
-    unsort = np.argsort(order)
-    fwd = scans[-1]["fwd"][0][unsort]
-    bwd = scans[-1]["bwd"][0][unsort]
-    hcat = np.concatenate([fwd, bwd], axis=2)
-    hsum = fwd + bwd
+    hdim = hp.hidden_dim
+    hcat = inp[np.argsort(order)]
+    hsum = hcat[:, :, :hdim] + hcat[:, :, hdim:]
     keys = _mm(hcat, p["att.score"])
-    bridge_in = np.concatenate([fwd[:, -1], bwd[:, 0]], axis=1)
+    bridge_in = np.concatenate([hcat[:, -1, :hdim], hcat[:, 0, hdim:]], axis=1)
     s0 = bridge_in @ p["bridge"]
     return _EncBundle(
         x_ids=x_ids,
@@ -274,8 +273,6 @@ def _encode_batch(model: CorrectorModel, x_ids: np.ndarray, training=False, rng=
         inputs=inputs,
         drop_masks=drop_masks,
         scans=scans,
-        fwd=fwd,
-        bwd=bwd,
         hcat=hcat,
         hsum=hsum,
         keys=keys,
@@ -304,20 +301,19 @@ def _start_state(model: CorrectorModel, enc: _EncBundle):
     return [enc.s0.copy() for _ in range(n)], [np.zeros_like(enc.s0) for _ in range(n)]
 
 
-def _decoder_advance(model: CorrectorModel, att, h, c, tok, training=False, rng=None):
+def _decoder_advance(model: CorrectorModel, att, h, c, tok, rng=None):
     """Advance the decoder one batched step from the previous tokens
     ``tok`` (B,).
 
     ``att`` is the (keys, hsum, mask_x) of the encoder rows being
     decoded.  Attends with the top layer's state and advances every
-    layer (dropout between layers only while training).  Returns the
-    new per-layer states and the step's cache; ``cache.cat`` pairs the
-    new top state with the context for :func:`_output_logits`.
+    layer (with a generator ``rng``, dropout between layers).  Returns
+    the new per-layer states and the step's cache; ``cache.cat`` pairs
+    the new top state with the context for :func:`_output_logits`.
     """
     p = model.params
     hp = model.hyper
-    s_prev = h[-1]
-    ctx, alpha = _attend_cached(*att, s_prev)
+    ctx, alpha = _attend_cached(*att, h[-1])
     xi = np.concatenate([p["embedding"][tok], ctx], axis=1)
     new_h, new_c, inputs, cell_caches, drops = [], [], [], [], []
     for l in range(hp.dec_layers):
@@ -328,14 +324,12 @@ def _decoder_advance(model: CorrectorModel, att, h, c, tok, training=False, rng=
         new_c.append(c_new)
         cell_caches.append(cache)
         dm = None
-        if training and hp.dropout > 0.0 and l < hp.dec_layers - 1:
+        if rng is not None and l < hp.dec_layers - 1:
             h_new, dm = _dropout(h_new, hp.dropout, rng)
         drops.append(dm)
         xi = h_new
     step = _StepCache(
-        s_prev=s_prev,
         alpha=alpha,
-        tok=tok,
         h_in=list(h),
         inputs=inputs,
         cell_caches=cell_caches,
@@ -356,18 +350,10 @@ def _output_logits(model: CorrectorModel, cat):
     return logits, htilde
 
 
-def _decoder_step(model: CorrectorModel, enc: _EncBundle, h, c, tok):
-    """One batched inference step: :func:`_decoder_advance`, then the
-    output layer.  Returns the max-shifted (B, V) logits, the new
-    per-layer states and the step's cache."""
-    h, c, step = _decoder_advance(model, (enc.keys, enc.hsum, enc.mask_x), h, c, tok)
-    logits, _ = _output_logits(model, step.cat)
-    return logits, h, c, step
-
-
-def _forward_batch(model, x_ids, y_ids, training=False, rng=None):
+def _forward_batch(model, x_ids, y_ids, rng=None):
     """Summed cross-entropy of tail-padded target rows given tail-padded
-    source rows, with the tape needed for the backward pass.
+    source rows, with the tape needed for the backward pass.  With a
+    generator ``rng``, dropout applies between stacked layers.
 
     The decoder runs on rows sorted longest target first, and a row
     leaves the batch after its last target token.  Teacher forcing fixes
@@ -375,24 +361,15 @@ def _forward_batch(model, x_ids, y_ids, training=False, rng=None):
     step; the output layer is one product over all steps.
     """
     vb = model.vocab
-    enc = _encode_batch(model, x_ids, training, rng)
-    y_ids = np.asarray(y_ids, dtype=np.int64)
-    if y_ids.ndim != 2 or y_ids.shape[0] != enc.x_ids.shape[0] or y_ids.shape[1] == 0:
-        raise InputError("target batch must be 2-D and row-aligned with the source batch")
+    enc = _encode_batch(model, x_ids, rng)
+    y_ids, mask_y, order, counts = _check_batch(vb, y_ids, "target")
+    if y_ids.shape[0] != enc.x_ids.shape[0]:
+        raise InputError("target batch must be row-aligned with the source batch")
     bsz, t_y = y_ids.shape
-    if y_ids.min() < 0 or y_ids.max() >= vb.size:
-        raise InputError("target contains token ids outside the vocabulary")
-    mask_y = (y_ids != vb.pad_id).astype(np.float64)
-    if np.any(mask_y.sum(axis=1) == 0):
-        raise InputError("every target row needs at least one non-padding token")
-    lengths = _lengths(mask_y, "target")
-
-    order = np.argsort(-lengths, kind="stable")
-    counts = _step_counts(lengths[order], t_y)
     y_ids, mask_y = y_ids[order], mask_y[order]
     keys, hsum, mask_x = enc.keys[order], enc.hsum[order], enc.mask_x[order]
     # Teacher forcing: the decoder reads <go> then the target shifted right.
-    dinp = np.concatenate(
+    y_in = np.concatenate(
         [np.full((bsz, 1), vb.go_id, dtype=np.int64), y_ids[:, :-1]], axis=1
     )
     h = [enc.s0[order] for _ in range(model.hyper.dec_layers)]
@@ -405,8 +382,7 @@ def _forward_batch(model, x_ids, y_ids, training=False, rng=None):
             (keys[:n], hsum[:n], mask_x[:n]),
             [a[:n] for a in h],
             [a[:n] for a in c],
-            dinp[:n, t],
-            training,
+            y_in[:n, t],
             rng,
         )
         steps.append(step)
@@ -424,6 +400,7 @@ def _forward_batch(model, x_ids, y_ids, training=False, rng=None):
         keys=keys,
         hsum=hsum,
         y_ids=y_ids,
+        y_in=y_in,
         mask_y=mask_y,
         steps=steps,
         cat=cat,
@@ -490,18 +467,20 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
         dh_carry[n_dec - 1][:n] += (de[:n, t, None, :] @ tape.keys[:n])[:, 0]
 
     for l in range(n_dec):
+        h_in = _stack_steps([st.h_in[l] for st in steps], bsz)
         grads[f"dec.{l}.W"] += _gram(_stack_steps([st.inputs[l] for st in steps], bsz), dz[l])
-        grads[f"dec.{l}.U"] += _gram(_stack_steps([st.h_in[l] for st in steps], bsz), dz[l])
+        grads[f"dec.{l}.U"] += _gram(h_in, dz[l])
         grads[f"dec.{l}.b"] += dz[l].sum(axis=(0, 1))
-    np.add.at(grads["embedding"], _stack_steps([st.tok for st in steps], bsz), demb)
+    # past a row's end demb is zero, so the padded inputs add nothing
+    np.add.at(grads["embedding"], tape.y_in, demb)
     alpha = _stack_steps([st.alpha for st in steps], bsz)
-    s_prev = _stack_steps([st.s_prev for st in steps], bsz)
 
-    # back to the encoder's batch rows
+    # back to the encoder's batch rows; the top layer's h_in, the last
+    # one stacked, holds the attention queries
     dhsum = np.empty_like(enc.hsum)
     dhsum[tape.order] = alpha.transpose(0, 2, 1) @ dctx
     dkeys = np.empty_like(enc.keys)
-    dkeys[tape.order] = de.transpose(0, 2, 1) @ s_prev
+    dkeys[tape.order] = de.transpose(0, 2, 1) @ h_in
     # Every decoder layer starts from s0, so its grad is the sum of the
     # leftover initial-state carries.  Initial cells are constants.
     ds0 = np.empty_like(enc.s0)
@@ -589,18 +568,23 @@ class CorrectionResult:
     degraded: bool
 
 
+def _forward_pair(model: CorrectorModel, x_ids, y_ids):
+    """:func:`_forward_batch` of one checked, unpadded pair whose target
+    ends with the <end> token."""
+    x = _check_ids(model.vocab, x_ids, "source sequence")
+    y = _check_ids(model.vocab, y_ids, "target sequence")
+    if y[-1] != model.vocab.end_id:
+        raise InputError("target sequence must end with the <end> token")
+    return _forward_batch(model, x[None, :], y[None, :])
+
+
 def loss(model: CorrectorModel, x_ids, y_ids) -> float:
     """Teacher-forced cross-entropy, summed over target tokens.
 
     The target must end with the <end> token and neither sequence may
     contain padding.
     """
-    x = _check_ids(model.vocab, x_ids, "source sequence")
-    y = _check_ids(model.vocab, y_ids, "target sequence")
-    if y[-1] != model.vocab.end_id:
-        raise InputError("target sequence must end with the <end> token")
-    value, _ = _forward_batch(model, x[None, :], y[None, :])
-    return float(value)
+    return float(_forward_pair(model, x_ids, y_ids)[0])
 
 
 def backward(model: CorrectorModel, x_ids, y_ids):
@@ -613,19 +597,15 @@ def backward(model: CorrectorModel, x_ids, y_ids):
         parameter, matching shapes.  Gradients of a batch are sums of
         these per-pair gradients.
     """
-    x = _check_ids(model.vocab, x_ids, "source sequence")
-    y = _check_ids(model.vocab, y_ids, "target sequence")
-    if y[-1] != model.vocab.end_id:
-        raise InputError("target sequence must end with the <end> token")
-    value, tape = _forward_batch(model, x[None, :], y[None, :])
+    value, tape = _forward_pair(model, x_ids, y_ids)
     return float(value), _backward_batch(model, tape)
 
 
 def _infer_logprobs(model, enc, h, c, tok):
     """One inference step on a batch-of-one bundle; returns log p over
     the vocabulary and the advanced per-layer states."""
-    logits, h, c, _ = _decoder_step(model, enc, h, c, np.array([tok]))
-    logits = logits[0]
+    h, c, step = _decoder_advance(model, (enc.keys, enc.hsum, enc.mask_x), h, c, np.array([tok]))
+    logits = _output_logits(model, step.cat)[0][0]
     return logits - np.log(np.exp(logits).sum()), h, c
 
 

@@ -99,13 +99,13 @@ def train(model: CorrectorModel, corpus: Sequence[tuple[str, str]], cfg: TrainCo
         return model, []
     rng = np.random.default_rng(cfg.seed)
     pad = model.vocab.pad_id
-    use_dropout = model.hyper.dropout > 0.0
+    drop_rng = rng if model.hyper.dropout > 0.0 else None
     curve: list[float] = []
     for step in range(1, cfg.max_steps + 1):
         idx = rng.integers(0, len(pairs), size=cfg.batch_size)
         xs = _pad_batch([pairs[i][0] for i in idx], pad)
         ys = _pad_batch([pairs[i][1] for i in idx], pad)
-        loss_sum, tape = _forward_batch(model, xs, ys, training=use_dropout, rng=rng)
+        loss_sum, tape = _forward_batch(model, xs, ys, rng=drop_rng)
         mean_loss = loss_sum / cfg.batch_size
         if not np.isfinite(mean_loss):
             raise DivergenceError(f"non-finite loss {mean_loss!r} at step {step}")

@@ -174,28 +174,21 @@ def log_prob(probs, labels: Sequence[int]) -> float:
     logp = np.log(np.maximum(arr, PROB_FLOOR))
 
     # Interleave blanks around the labels: blank y1 blank y2 ... blank.
-    ext = [blank]
-    for y in labels:
-        ext.append(y)
-        ext.append(blank)
-    s = len(ext)
+    s = 2 * len(labels) + 1
+    ext = np.full(s, blank)
+    ext[1::2] = labels
+    emit = logp[:, ext]
+    # A skip over the separating blank is allowed only between distinct
+    # non-blank labels: the states j >= 2 listed here.
+    skip = 2 + np.flatnonzero((ext[2:] != blank) & (ext[2:] != ext[:-2]))
 
     alpha = np.full(s, _NEG_INF)
-    alpha[0] = logp[0, ext[0]]
-    if s > 1:
-        alpha[1] = logp[0, ext[1]]
+    alpha[:2] = emit[0, :2]
     for t in range(1, n_frames):
-        prev = alpha
-        alpha = np.full(s, _NEG_INF)
-        for j in range(s):
-            a = prev[j]
-            if j >= 1:
-                a = np.logaddexp(a, prev[j - 1])
-            # A skip over the separating blank is allowed only between
-            # distinct non-blank labels.
-            if j >= 2 and ext[j] != blank and ext[j] != ext[j - 2]:
-                a = np.logaddexp(a, prev[j - 2])
-            alpha[j] = a + logp[t, ext[j]]
+        a = alpha.copy()
+        a[1:] = np.logaddexp(alpha[1:], alpha[:-1])
+        a[skip] = np.logaddexp(a[skip], alpha[skip - 2])
+        alpha = a + emit[t]
     total = alpha[s - 1]
     if s > 1:
         total = np.logaddexp(total, alpha[s - 2])

@@ -67,10 +67,11 @@ CONFUSIONS = _load_confusions()
 
 
 def _check_range(name: str, rng_pair) -> tuple[int, int]:
-    lo, hi = rng_pair
-    if int(lo) != lo or int(hi) != hi or lo < 1 or hi < lo:
-        raise InputError(f"{name} must be an integer range with 1 <= lo <= hi")
-    return int(lo), int(hi)
+    if len(rng_pair) == 2:
+        lo, hi = rng_pair
+        if int(lo) == lo and int(hi) == hi and 1 <= lo <= hi:
+            return int(lo), int(hi)
+    raise InputError(f"{name} must be an integer range with 1 <= lo <= hi")
 
 
 @dataclass(frozen=True)

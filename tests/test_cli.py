@@ -1,13 +1,18 @@
 """End-to-end tests of the command line driven through main(argv)."""
 
+import dataclasses
 import json
 
 import pytest
 
 from doctext.cli import load_params, main
+from doctext.corrector import Hyper, TrainConfig
 from doctext.errors import FormatError, InputError
 from doctext.formats import read_boxes, read_corpus, read_frames, read_jsonl
 from doctext.geometry import read_pgm
+from doctext.layout import LayoutParams
+from doctext.pipeline import PipelineParams
+from doctext.synth import SynthSpec
 
 
 def run_cli(*argv):
@@ -73,6 +78,16 @@ class TestLayoutCommands:
         ordered = [i for seq in payload["order"].values() for i in seq]
         assert sorted(ordered) == sorted(int(k) for k in payload["labels"])
         assert read_pgm(overlay).width > 0
+
+    def test_empty_page_overlay_is_margin_only(self, tmp_path):
+        boxes = tmp_path / "empty.boxes.jsonl"
+        boxes.write_text("", encoding="utf-8")
+        overlay = tmp_path / "overlay.pgm"
+        assert run_cli("arrange", "--boxes", boxes, "--out", tmp_path / "layout.json",
+                       "--dump-overlay", overlay) == 0
+        assert json.loads((tmp_path / "layout.json").read_text()) == {"labels": {}, "order": {}}
+        page = read_pgm(overlay)
+        assert (page.height, page.width) == (4, 4)
 
     def test_group_respects_params_file(self, synth_dir, tmp_path):
         # An enormous horizontal reach merges everything into one group.
@@ -330,6 +345,44 @@ class TestUnknownParams:
         params.write_text('{"temperature": 0.5, "page_size": 100}', encoding="utf-8")
         err = self._refused(capsys, "synth-gen", "--out", tmp_path / "s", "--params", params)
         assert ": page_size" in err and "temperature" not in err
+
+    # Every key each subcommand accepts, written out so that a new field
+    # of a parameter dataclass cannot become a key without notice.
+    ACCEPTED = {
+        "synth-gen": [
+            "page_width", "page_height", "blocks", "lines_per_block", "words_per_line",
+            "box_height", "jitter", "temperature", "p_sub", "p_del", "p_ins", "words",
+        ],
+        "group": ["kappa_h", "kappa_v", "line_lambda"],
+        "arrange": ["kappa_h", "kappa_v", "line_lambda"],
+        "train-corrector": [
+            "emb_dim", "hidden_dim", "enc_layers", "dec_layers", "dropout",
+            "lr0", "decay_start", "halve_every", "batch_size", "clip_norm", "max_steps",
+        ],
+        "run": ["kappa_h", "kappa_v", "line_lambda", "beam_width", "correct_beam", "rect_height"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ACCEPTED))
+    def test_accepted_keys_are_pinned(self, synth_dir, tmp_path, capsys, command):
+        # A file with every field name of every parameter dataclass (plus
+        # seed and layout, which stay refused) is refused for exactly the
+        # keys outside the subcommand's list.
+        candidates = {"seed", "layout"}
+        for cls in (LayoutParams, PipelineParams, Hyper, TrainConfig, SynthSpec):
+            candidates.update(f.name for f in dataclasses.fields(cls))
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({name: 1 for name in sorted(candidates)}), encoding="utf-8")
+        inputs = {
+            "synth-gen": [],
+            "group": ["--boxes", synth_dir / "doc_0000.boxes.jsonl"],
+            "arrange": ["--boxes", synth_dir / "doc_0000.boxes.jsonl"],
+            "train-corrector": ["--corpus", synth_dir / "corpus.jsonl"],
+            "run": ["--boxes", synth_dir / "doc_0000.boxes.jsonl",
+                    "--frames", synth_dir / "doc_0000.frames.jsonl"],
+        }[command]
+        err = self._refused(capsys, command, *inputs, "--out", tmp_path / "o", "--params", params)
+        refused = err.strip().split(f"for {command}: ")[1].split(", ")
+        assert sorted(refused) == sorted(candidates - set(self.ACCEPTED[command]))
 
     def test_unconvertible_value(self, synth_dir, tmp_path, capsys):
         params = tmp_path / "p.json"

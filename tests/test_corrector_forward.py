@@ -1,6 +1,7 @@
 """Forward-pass tests for the attention encoder-decoder."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from doctext.corrector.model import CorrectorModel, Hyper, init_model, param_sha
 from doctext.corrector.network import (
     CorrectionResult,
     _attend_cached,
-    _decoder_step,
+    _decoder_advance,
     _encode_batch,
     _forward_batch,
     _infer_logprobs,
+    _output_logits,
     _start_state,
     correct,
     loss,
@@ -42,6 +44,18 @@ def zero_model(vocab, hyper):
 
 def encode_one(model, ids):
     return _encode_batch(model, np.asarray([ids], dtype=np.int64))
+
+
+def directions(enc):
+    """The top encoder layer's (forward, backward) states of a bundle."""
+    hdim = enc.hsum.shape[2]
+    return enc.hcat[:, :, :hdim], enc.hcat[:, :, hdim:]
+
+
+def decode_step(model, enc, h, c, tok):
+    """One batched decoder step and its max-shifted logits."""
+    h, c, step = _decoder_advance(model, (enc.keys, enc.hsum, enc.mask_x), h, c, tok)
+    return _output_logits(model, step.cat)[0], h
 
 
 # Reference decoder for one sequence, written out without the batched
@@ -92,24 +106,22 @@ class TestEncode:
     def test_output_shapes(self, model, vocab):
         ids = vocab.preprocess("ab cad")
         enc = encode_one(model, ids)
-        assert enc.fwd.shape == (1, len(ids), SMALL.hidden_dim)
-        assert enc.bwd.shape == (1, len(ids), SMALL.hidden_dim)
+        assert enc.hcat.shape == (1, len(ids), 2 * SMALL.hidden_dim)
+        assert enc.hsum.shape == (1, len(ids), SMALL.hidden_dim)
         assert enc.s0.shape == (1, SMALL.hidden_dim)
 
     def test_deterministic(self, model, vocab):
         ids = vocab.preprocess("abba")
         a = encode_one(model, ids)
         b = encode_one(model, ids)
-        assert np.array_equal(a.fwd, b.fwd)
-        assert np.array_equal(a.bwd, b.bwd)
+        assert np.array_equal(a.hcat, b.hcat)
 
     def test_directions_mirror_on_palindrome_weights(self, vocab):
         # With zero parameters both directions are all zeros; this pins
         # the degenerate fixed point h = o * tanh(c) = 0.5 * tanh(0).
         zm = zero_model(vocab, SMALL)
         enc = encode_one(zm, vocab.preprocess("abc"))
-        assert np.all(enc.fwd == 0.0)
-        assert np.all(enc.bwd == 0.0)
+        assert np.all(enc.hcat == 0.0)
 
     def test_prefix_locality_of_forward_direction(self, model, vocab):
         # The forward direction at position t only sees tokens <= t, so
@@ -119,7 +131,8 @@ class TestEncode:
         assert short == long[:3]
         s_short = encode_one(model, short)
         s_long = encode_one(model, long)
-        assert np.allclose(s_short.fwd[0], s_long.fwd[0, :3], atol=1e-12)
+        fwd_short, fwd_long = directions(s_short)[0], directions(s_long)[0]
+        assert np.allclose(fwd_short[0], fwd_long[0, :3], atol=1e-12)
         # ... while the backward direction may change everywhere.
 
     def test_rejects_out_of_range_ids(self, model):
@@ -134,7 +147,7 @@ class TestAttend:
         for _ in range(10):
             s = rng.normal(size=(1, SMALL.hidden_dim))
             ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s)
-            assert alpha.shape == (1, enc.fwd.shape[1])
+            assert alpha.shape == (1, enc.hcat.shape[1])
             assert np.all(alpha >= 0)
             assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
             assert ctx.shape == (1, SMALL.hidden_dim)
@@ -143,7 +156,8 @@ class TestAttend:
         enc = encode_one(model, vocab.preprocess("abcd"))
         s = np.full((1, SMALL.hidden_dim), 0.3)
         ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s)
-        want = sum(a * (f + b) for a, f, b in zip(alpha[0], enc.fwd[0], enc.bwd[0]))
+        fwd, bwd = directions(enc)
+        want = sum(a * (f + b) for a, f, b in zip(alpha[0], fwd[0], bwd[0]))
         assert np.allclose(ctx[0], want, atol=1e-12)
 
     def test_uniform_when_query_is_zero(self, model, vocab):
@@ -203,11 +217,11 @@ class TestDecoderLoop:
         tok = np.array([vocab.go_id, vocab.preprocess("a")[0]])
         enc = _encode_batch(m, x)
         h, c = _start_state(m, enc)
-        logits, h2, _, step = _decoder_step(m, enc, h, c, tok)
+        logits, h2 = decode_step(m, enc, h, c, tok)
         for i, r in enumerate(rows):
             one = encode_one(m, r)
             hi, ci = _start_state(m, one)
-            li, hi2, _, _ = _decoder_step(m, one, hi, ci, tok[i : i + 1])
+            li, hi2 = decode_step(m, one, hi, ci, tok[i : i + 1])
             assert np.allclose(logits[i], li[0], atol=1e-12)
             assert np.allclose(h2[-1][i], hi2[-1][0], atol=1e-12)
 
@@ -244,7 +258,7 @@ class TestLoss:
             x = vocab.preprocess("acb ad")
             y = vocab.preprocess("abc ad") + [vocab.end_id]
             enc = encode_one(m, x)
-            fwd, bwd = enc.fwd[0], enc.bwd[0]
+            fwd, bwd = (d[0] for d in directions(enc))
             h, c = _ref_start(m, fwd, bwd)
             prev = vocab.go_id
             total = 0.0
@@ -280,6 +294,51 @@ class TestLoss:
             yb[i, : len(y)] = y
         batch_loss, _ = _forward_batch(model, xb, yb)
         assert batch_loss == pytest.approx(singles, rel=1e-10)
+
+
+def _batch(vocab, rows):
+    out = np.full((len(rows), max(len(r) for r in rows)), vocab.pad_id)
+    for i, r in enumerate(rows):
+        out[i, : len(r)] = r
+    return out
+
+
+class TestBatchCheck:
+    @pytest.mark.parametrize("what", ["source", "target"])
+    @pytest.mark.parametrize("case", ["out_of_range", "all_padding", "interior_padding", "not_2d"])
+    def test_malformed_batch_rejected(self, model, vocab, what, case):
+        a, b, c = vocab.preprocess("abc")
+        pad, end = vocab.pad_id, vocab.end_id
+        good = {
+            "source": np.array([[a, b, c], [a, b, pad]]),
+            "target": np.array([[a, end, pad], [b, c, end]]),
+        }
+        _forward_batch(model, good["source"], good["target"])
+        bad = good[what].copy()
+        if case == "out_of_range":
+            bad[1, 0] = vocab.size
+        elif case == "all_padding":
+            bad[1] = pad
+        elif case == "interior_padding":
+            bad[0] = [a, pad, b]
+        else:
+            bad = bad[0]
+        batch = {**good, what: bad}
+        with pytest.raises(InputError, match=what):
+            _forward_batch(model, batch["source"], batch["target"])
+
+
+class TestDropout:
+    def test_applies_only_with_a_generator(self, vocab):
+        hyper = Hyper(emb_dim=4, hidden_dim=5, enc_layers=2, dec_layers=2, dropout=0.5)
+        m = init_model(vocab, hyper, seed=7)
+        plain = CorrectorModel(vocab, replace(hyper, dropout=0.0), m.params)
+        x = _batch(vocab, [vocab.preprocess("acb ad"), vocab.preprocess("db")])
+        y = _batch(vocab, [vocab.preprocess("abc ad") + [vocab.end_id],
+                           vocab.preprocess("dab") + [vocab.end_id]])
+        value, _ = _forward_batch(m, x, y)
+        assert value == _forward_batch(plain, x, y)[0]
+        assert _forward_batch(m, x, y, rng=np.random.default_rng(0))[0] != value
 
 
 class TestCorrect:

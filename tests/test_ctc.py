@@ -115,6 +115,44 @@ def _beam_decode_reference(probs, beam_width=8):
     return list(best[0])
 
 
+def _log_prob_reference(probs, labels):
+    """CTC forward recursion one extended state at a time.
+
+    This was the library's ``log_prob`` before it stepped each frame as
+    arrays; the array version must return exactly the same value.
+    """
+    arr = np.asarray(probs, dtype=np.float64)
+    n_frames, n_classes = arr.shape
+    blank = n_classes - 1
+    if n_frames == 0:
+        return 0.0 if not labels else float(-np.inf)
+    logp = np.log(np.maximum(arr, PROB_FLOOR))
+    ext = [blank]
+    for y in labels:
+        ext.append(y)
+        ext.append(blank)
+    s = len(ext)
+
+    alpha = np.full(s, -np.inf)
+    alpha[0] = logp[0, ext[0]]
+    if s > 1:
+        alpha[1] = logp[0, ext[1]]
+    for t in range(1, n_frames):
+        prev = alpha
+        alpha = np.full(s, -np.inf)
+        for j in range(s):
+            a = prev[j]
+            if j >= 1:
+                a = np.logaddexp(a, prev[j - 1])
+            if j >= 2 and ext[j] != blank and ext[j] != ext[j - 2]:
+                a = np.logaddexp(a, prev[j - 2])
+            alpha[j] = a + logp[t, ext[j]]
+    total = alpha[s - 1]
+    if s > 1:
+        total = np.logaddexp(total, alpha[s - 2])
+    return float(min(total, 0.0))
+
+
 @st.composite
 def frame_matrices(draw, max_frames=14, max_classes=8, quantized=None):
     """Row-stochastic frames-by-classes matrices, possibly with no rows.
@@ -345,6 +383,18 @@ class TestLogProb:
             log_prob([[0.5, 0.5]], [1])  # 1 is the blank column
         with pytest.raises(InputError):
             log_prob([[0.5, 0.5]], [-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame_matrices(), st.data())
+    def test_matches_reference_exactly(self, probs, data):
+        # Peaked frames put nearly all mass on one class, so that most
+        # paths sit at the probability floor.
+        if data.draw(st.booleans()):
+            probs = probs**8 / (probs**8).sum(axis=1, keepdims=True)
+        # Few distinct labels make repeats, which forbid the skip.
+        n_chars = min(probs.shape[1] - 1, data.draw(st.integers(1, 3)))
+        labels = data.draw(st.lists(st.integers(0, n_chars - 1), max_size=probs.shape[0] + 2))
+        assert log_prob(probs, labels) == _log_prob_reference(probs, labels)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -165,6 +165,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             model_from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("params", [[], {"embedding": "wide"}, {"embedding": [[0.1, 0.2], [0.3]]}],
+                             ids=["params_not_object", "non_numeric", "ragged"])
+    def test_malformed_params(self, vocab, params):
+        payload = model_to_dict(init_model(vocab, Hyper(emb_dim=2, hidden_dim=2, enc_layers=1, dec_layers=1)))
+        payload["params"] = params
+        with pytest.raises(FormatError):
+            model_from_dict(payload)
+
     def test_corrupt_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json", encoding="utf-8")

@@ -41,6 +41,9 @@ class TestSpecValidation:
             SynthSpec(blocks=(3, 1))
         with pytest.raises(InputError):
             SynthSpec(lines_per_block=(0, 2))
+        for pair in [(1,), (1, 2, 3)]:
+            with pytest.raises(InputError):
+                SynthSpec(words_per_line=pair)
 
     def test_bad_words(self):
         with pytest.raises(InputError):
