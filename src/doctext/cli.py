@@ -24,7 +24,6 @@ import sys
 import tomllib
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .ctc import greedy_decode
 from .errors import DivergenceError, DoctextError, FormatError, InputError
 from .formats import (
     BoxRecord,
+    from_json_value,
     read_boxes,
     read_corpus,
     read_frames,
@@ -65,8 +65,23 @@ __all__ = ["main"]
 # ----------------------------------------------------------------- params
 
 
+def _unique_keys(pairs, path) -> dict:
+    """A dict of key-value pairs; a repeated key is an ``InputError``."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"params file {path} gives {key} twice")
+        out[key] = value
+    return out
+
+
 def load_params(path) -> dict:
-    """Load a flat parameter dict from a JSON or TOML file."""
+    """Load a flat parameter dict from a JSON or TOML file.
+
+    The keys of a table (a nested object) count as top-level keys, so a
+    key may appear once in the whole file: given twice, at top level
+    and in a table or in two tables, it is an ``InputError``.
+    """
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -74,7 +89,7 @@ def load_params(path) -> dict:
         raise InputError(f"cannot read params file {path}: {exc}") from exc
     if p.suffix.lower() == ".json":
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     elif p.suffix.lower() == ".toml":
@@ -86,13 +101,10 @@ def load_params(path) -> dict:
         raise InputError(f"params file {path} must end in .json or .toml")
     if not isinstance(payload, dict):
         raise FormatError(f"params file {path} must hold an object")
-    flat: dict = {}
+    pairs: list = []
     for key, value in payload.items():
-        if isinstance(value, dict):
-            flat.update(value)
-        else:
-            flat[key] = value
-    return flat
+        pairs.extend(value.items() if isinstance(value, dict) else [(key, value)])
+    return _unique_keys(pairs, path)
 
 
 def _reader_fields(reader) -> dict:
@@ -117,57 +129,31 @@ def _params_of(args, *readers) -> dict:
     return params
 
 
-def _pick(d: dict, reader) -> dict:
-    """Convert the keys of ``d`` that ``reader`` consumes to its field
-    types; a ``tuple[...]`` field converts each item to the first
-    element type."""
-    out = {}
+def _build(reader, d: dict, **given):
+    """The parameter dataclass ``reader`` built from the flat ``--params``
+    dict ``d``: each field it reads is converted from ``d`` by its type,
+    a nested parameter object is built from the same ``d``, and the
+    values of ``given`` (command-line flags) that are not None override
+    the file's."""
+    kwargs = {f.name: _build(f.type, d) for f in fields(reader) if is_dataclass(f.type)}
     for key, f in _reader_fields(reader).items():
         if key in d:
             try:
-                if get_origin(f.type) is tuple:
-                    out[key] = tuple(get_args(f.type)[0](v) for v in d[key])
-                else:
-                    out[key] = f.type(d[key])
+                kwargs[key] = from_json_value(f.type, d[key])
             except (TypeError, ValueError) as exc:
                 raise InputError(f"parameter {key}: {exc}") from exc
-    return out
-
-
-def _layout_params(d: dict) -> LayoutParams:
-    return LayoutParams(**_pick(d, LayoutParams))
-
-
-def _pipeline_params(d: dict) -> PipelineParams:
-    return PipelineParams(layout=_layout_params(d), **_pick(d, PipelineParams))
-
-
-def _hyper(d: dict) -> Hyper:
-    return Hyper(**_pick(d, Hyper))
-
-
-def _train_config(d: dict, args) -> TrainConfig:
-    kwargs = _pick(d, TrainConfig)
-    if getattr(args, "steps", None) is not None:
-        kwargs["max_steps"] = args.steps
-    kwargs["seed"] = args.seed
-    return TrainConfig(**kwargs)
-
-
-def _synth_spec(d: dict, args) -> SynthSpec:
-    kwargs = {"seed": args.seed, **_pick(d, SynthSpec)}
-    for k in ("jitter", "temperature", "p_sub", "p_del", "p_ins"):
-        v = getattr(args, k, None)
-        if v is not None:
-            kwargs[k] = v
-    return SynthSpec(**kwargs)
+    kwargs.update((k, v) for k, v in given.items() if v is not None)
+    return reader(**kwargs)
 
 
 # ------------------------------------------------------------- subcommands
 
 
 def _cmd_synth_gen(args) -> int:
-    spec = _synth_spec(_params_of(args, SynthSpec), args)
+    spec = _build(
+        SynthSpec, _params_of(args, SynthSpec), seed=args.seed, jitter=args.jitter,
+        temperature=args.temperature, p_sub=args.p_sub, p_del=args.p_del, p_ins=args.p_ins,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.docs):
@@ -202,7 +188,7 @@ def _cmd_rectify(args) -> int:
 
 def _cmd_group(args) -> int:
     records = read_boxes(args.boxes)
-    labels = group([r.box for r in records], _layout_params(_params_of(args, LayoutParams)))
+    labels = group([r.box for r in records], _build(LayoutParams, _params_of(args, LayoutParams)))
     write_json_file(args.out, {"labels": {str(i): lab for i, lab in sorted(labels.items())}})
     print(f"grouped {len(labels)} boxes into {len(set(labels.values()))} groups")
     return 0
@@ -211,7 +197,7 @@ def _cmd_group(args) -> int:
 def _cmd_arrange(args) -> int:
     records = read_boxes(args.boxes)
     boxes = [r.box for r in records]
-    layout = arrange_document(boxes, _layout_params(_params_of(args, LayoutParams)))
+    layout = arrange_document(boxes, _build(LayoutParams, _params_of(args, LayoutParams)))
     write_json_file(args.out, layout.to_dict())
     if args.dump_overlay:
         # an empty page keeps only the margin
@@ -238,8 +224,8 @@ def _cmd_train_corrector(args) -> int:
     pairs = read_corpus(args.corpus)
     chars = sorted({c for pair in pairs for text in pair for c in text if c != " "})
     vocab = Vocab.from_chars(chars)
-    model = init_model(vocab, _hyper(params), seed=args.seed)
-    cfg = _train_config(params, args)
+    model = init_model(vocab, _build(Hyper, params), seed=args.seed)
+    cfg = _build(TrainConfig, params, max_steps=args.steps, seed=args.seed)
     model, curve = train(model, pairs, cfg)
     save_model(model, args.out)
     if args.curve:
@@ -272,7 +258,7 @@ def _cmd_run(args) -> int:
         alphabet,
         frames,
         model=model,
-        params=_pipeline_params(_params_of(args, LayoutParams, PipelineParams)),
+        params=_build(PipelineParams, _params_of(args, LayoutParams, PipelineParams)),
         image=image,
     )
     save_report(result.report, args.out)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError, InputError, VersionError
-from ..formats import read_json_file, write_json_file
+from ..formats import read_json_file, to_json_value, write_json_file
 from .vocab import Vocab
 
 __all__ = [
@@ -143,13 +143,7 @@ def model_to_dict(model: CorrectorModel) -> dict:
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "hyper": {
-            "emb_dim": model.hyper.emb_dim,
-            "hidden_dim": model.hyper.hidden_dim,
-            "enc_layers": model.hyper.enc_layers,
-            "dec_layers": model.hyper.dec_layers,
-            "dropout": model.hyper.dropout,
-        },
+        "hyper": to_json_value(model.hyper),
         "vocab": list(model.vocab.tokens),
         "params": {name: arr.tolist() for name, arr in sorted(model.params.items())},
     }

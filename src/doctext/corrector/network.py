@@ -177,17 +177,6 @@ def _dropout(a, rate, rng):
     return a * mask, mask
 
 
-def _check_ids(vocab: Vocab, ids, what: str) -> np.ndarray:
-    arr = np.asarray(ids, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InputError(f"{what} must be a non-empty 1-D token sequence")
-    if arr.min() < 0 or arr.max() >= vocab.size:
-        raise InputError(f"{what} contains token ids outside the vocabulary")
-    if np.any(arr == vocab.pad_id):
-        raise InputError(f"{what} must not contain padding tokens")
-    return arr
-
-
 @dataclass
 class _EncBundle:
     """Everything the decoder and the backward pass need from the encoder."""
@@ -569,11 +558,16 @@ class CorrectionResult:
 
 
 def _forward_pair(model: CorrectorModel, x_ids, y_ids):
-    """:func:`_forward_batch` of one checked, unpadded pair whose target
-    ends with the <end> token."""
-    x = _check_ids(model.vocab, x_ids, "source sequence")
-    y = _check_ids(model.vocab, y_ids, "target sequence")
-    if y[-1] != model.vocab.end_id:
+    """:func:`_forward_batch` of one pair as a one-row batch, which
+    :func:`_check_batch` checks.  Both sequences must be 1-D without
+    padding, and the target must end with the <end> token."""
+    x, y = np.asarray(x_ids, dtype=np.int64), np.asarray(y_ids, dtype=np.int64)
+    for arr, what in ((x, "source sequence"), (y, "target sequence")):
+        if arr.ndim != 1:
+            raise InputError(f"{what} must be a 1-D token sequence")
+        if np.any(arr == model.vocab.pad_id):
+            raise InputError(f"{what} must not contain padding tokens")
+    if y.size and y[-1] != model.vocab.end_id:
         raise InputError("target sequence must end with the <end> token")
     return _forward_batch(model, x[None, :], y[None, :])
 

@@ -13,8 +13,10 @@ bytes, which makes reproducibility checks a file compare.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .layout import TextBox
 __all__ = [
     "BoxRecord",
     "canonical_dumps",
+    "to_json_value",
+    "from_json_value",
     "write_json_file",
     "read_json_file",
     "read_jsonl",
@@ -49,6 +53,44 @@ def canonical_dumps(payload) -> str:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except ValueError as exc:
         raise FormatError(f"cannot serialize as JSON: {exc}") from exc
+
+
+def to_json_value(obj):
+    """``obj`` as JSON values: a dataclass becomes an object of its
+    fields and tuples and lists become lists, recursively; anything
+    else is returned as it is."""
+    if is_dataclass(obj):
+        return {f.name: to_json_value(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [to_json_value(v) for v in obj]
+    return obj
+
+
+def from_json_value(tp, value):
+    """A value of type ``tp`` from JSON values, inverting :func:`to_json_value`.
+
+    A dataclass is built from the object's keys for its fields, and a
+    field with a default may be absent (``KeyError`` otherwise); a tuple
+    converts each item of a list to its first element type; ``X | None``
+    is None or X; any other type is converted by calling it.
+    """
+    if is_dataclass(tp):
+        kwargs = {}
+        for f in fields(tp):
+            if f.name in value:
+                kwargs[f.name] = from_json_value(f.type, value[f.name])
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise KeyError(f"{tp.__name__} needs {f.name!r}")
+        return tp(**kwargs)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, not {type(value).__name__}")
+        return tuple(from_json_value(get_args(tp)[0], v) for v in value)
+    if isinstance(tp, UnionType):
+        if value is None:
+            return None
+        return from_json_value(get_args(tp)[0], value)
+    return tp(value)
 
 
 def write_json_file(path, payload) -> None:

@@ -230,30 +230,25 @@ def arrange(boxes, params: LayoutParams | None = None) -> list[int]:
 class DocumentLayout:
     """Grouping and per-group reading order for one document's boxes.
 
-    ``labels`` maps box id to group label; ``order`` maps group label
-    to box ids in reading order.  Together they cover every box exactly
-    once.
+    ``order`` maps group label to box ids in reading order; the orders
+    list every box exactly once.  ``labels`` maps box id to group label
+    and is derived from ``order``.
     """
 
     boxes: tuple[TextBox, ...]
-    labels: dict[int, int] = field(compare=False)
     order: dict[int, list[int]] = field(compare=False)
 
     def __post_init__(self):
         boxes = tuple(self.boxes)
         object.__setattr__(self, "boxes", boxes)
         _check_unique_ids(boxes)
-        ids = {b.id for b in boxes}
-        if set(self.labels) != ids:
-            raise InputError("layout labels must cover exactly the document's box ids")
-        covered: list[int] = []
-        for lab, seq in self.order.items():
-            for i in seq:
-                covered.append(i)
-            if any(self.labels[i] != lab for i in seq):
-                raise InputError(f"group {lab} order lists a box with a different label")
-        if sorted(covered) != sorted(ids):
+        covered = [i for seq in self.order.values() for i in seq]
+        if sorted(covered) != sorted(b.id for b in boxes):
             raise InputError("group orders must cover every box exactly once")
+
+    @property
+    def labels(self) -> dict[int, int]:
+        return {i: lab for lab, seq in self.order.items() for i in seq}
 
     def ordered_boxes(self, label: int) -> list[TextBox]:
         by_id = {b.id: b for b in self.boxes}
@@ -275,7 +270,7 @@ def arrange_document(boxes, params: LayoutParams | None = None) -> DocumentLayou
     for lab in sorted(set(labels.values())):
         members = [b for b in boxes if labels[b.id] == lab]
         order[lab] = arrange(members, params)
-    return DocumentLayout(boxes=boxes, labels=labels, order=order)
+    return DocumentLayout(boxes=boxes, order=order)
 
 
 def render_group_overlay(boxes, labels: dict[int, int], width: int, height: int) -> GrayImage:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .ctc import Alphabet, beam_decode, validate_frame_probs
 from .errors import FormatError, InputError, VersionError
-from .formats import BoxRecord, read_json_file, write_json_file
+from .formats import BoxRecord, from_json_value, read_json_file, to_json_value, write_json_file
 from .geometry import GrayImage, crop_region, rectify
 from .layout import DocumentLayout, LayoutParams, arrange_document
 from .corrector.model import CorrectorModel
@@ -109,26 +109,10 @@ class EvalReport:
         return {
             "format": REPORT_FORMAT,
             "version": REPORT_VERSION,
-            "n_boxes": self.n_boxes,
-            "n_readable": self.n_readable,
-            "n_unreadable": self.n_unreadable,
-            "n_truth": self.n_truth,
-            "baseline_correct": self.baseline_correct,
-            "corrected_correct": self.corrected_correct,
+            **to_json_value(self),
             "baseline_accuracy": self.baseline_accuracy,
             "corrected_accuracy": self.corrected_accuracy,
             "delta": self.delta,
-            "groups": [
-                {
-                    "label": g.label,
-                    "box_ids": list(g.box_ids),
-                    "baseline_text": g.baseline_text,
-                    "corrected_text": g.corrected_text,
-                    "realigned": g.realigned,
-                }
-                for g in self.groups
-            ],
-            "notes": list(self.notes),
         }
 
     def summary(self) -> str:
@@ -326,6 +310,14 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def load_report(path) -> EvalReport:
+    """Read a report written by :func:`save_report`.
+
+    Each field of :class:`EvalReport` and :class:`GroupReport` is
+    converted to its annotated type by
+    :func:`doctext.formats.from_json_value`.  A missing field, a value
+    that does not convert or a file of another format raises
+    ``FormatError``; another version raises ``VersionError``.
+    """
     payload = read_json_file(path)
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
         raise FormatError(f"{path} is not a report file")
@@ -334,25 +326,6 @@ def load_report(path) -> EvalReport:
             f"unsupported report version {payload.get('version')!r}, expected {REPORT_VERSION}"
         )
     try:
-        groups = tuple(
-            GroupReport(
-                label=int(g["label"]),
-                box_ids=tuple(int(i) for i in g["box_ids"]),
-                baseline_text=g["baseline_text"],
-                corrected_text=g["corrected_text"],
-                realigned=bool(g["realigned"]),
-            )
-            for g in payload["groups"]
-        )
-        return EvalReport(
-            n_boxes=int(payload["n_boxes"]),
-            n_readable=int(payload["n_readable"]),
-            n_unreadable=int(payload["n_unreadable"]),
-            n_truth=int(payload["n_truth"]),
-            baseline_correct=payload["baseline_correct"],
-            corrected_correct=payload["corrected_correct"],
-            groups=groups,
-            notes=tuple(payload.get("notes", ())),
-        )
+        return from_json_value(EvalReport, payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed report {path}: {exc}") from exc

@@ -141,9 +141,9 @@ def gen_document(spec: SynthSpec, rng=None) -> DocumentLayout:
     Blocks stack top to bottom, lines within a block advance by 1.4
     box heights, words advance left to right with gaps of 0.25 to 0.6
     heights, and every box's vertical position is jittered inside the
-    spec's band.  The returned layout carries the generation order as
-    its labels and per-group order, and each box's ``word`` field holds
-    the truth.  The same spec and seed always generate the same page.
+    spec's band.  The returned layout's groups are the blocks, each
+    ordered as generated, and each box's ``word`` field holds the
+    truth.  The same spec and seed always generate the same page.
 
     Raises InputError if a sampled page cannot fit its words.
     """
@@ -153,7 +153,6 @@ def gen_document(spec: SynthSpec, rng=None) -> DocumentLayout:
     margin = h
     n_blocks = int(rng.integers(spec.blocks[0], spec.blocks[1] + 1))
     boxes: list[TextBox] = []
-    labels: dict[int, int] = {}
     order: dict[int, list[int]] = {}
     next_id = 0
     y = margin
@@ -183,7 +182,6 @@ def gen_document(spec: SynthSpec, rng=None) -> DocumentLayout:
                         "infeasible page: a sampled line does not fit the page width"
                     )
                 boxes.append(box)
-                labels[next_id] = blk
                 order[blk].append(next_id)
                 next_id += 1
                 x = box.right
@@ -191,7 +189,7 @@ def gen_document(spec: SynthSpec, rng=None) -> DocumentLayout:
         y += 4.0 * h - 1.4 * h  # inter-block gap on top of the last line pitch
     if y - 4.0 * h + 1.4 * h + spec.jitter * h > spec.page_height - margin:
         raise InputError("infeasible page: sampled blocks do not fit the page height")
-    return DocumentLayout(boxes=tuple(boxes), labels=labels, order=order)
+    return DocumentLayout(boxes=tuple(boxes), order=order)
 
 
 def render_page(layout: DocumentLayout, spec: SynthSpec) -> GrayImage:

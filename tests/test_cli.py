@@ -391,12 +391,37 @@ class TestUnknownParams:
                        "--out", tmp_path / "o.json", "--params", params) == 2
         assert "kappa_h" in capsys.readouterr().err
 
+    def test_text_for_a_tuple_field(self, tmp_path, capsys):
+        # A tuple field takes a list; "13" is not split into "1" and "3".
+        params = tmp_path / "p.json"
+        params.write_text('{"blocks": "13"}', encoding="utf-8")
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--params", params) == 2
+        assert "blocks" in capsys.readouterr().err
+
 
 class TestParamsLoader:
     def test_json_nested_tables_flatten(self, tmp_path):
         p = tmp_path / "p.json"
         p.write_text('{"layout": {"kappa_h": 2.0}, "beam_width": 4}', encoding="utf-8")
         assert load_params(p) == {"kappa_h": 2.0, "beam_width": 4}
+
+    @pytest.mark.parametrize("name, text", [
+        ("p.json", '{"layout": {"kappa_h": 100.0}, "kappa_h": 0.1}'),
+        ("p.json", '{"kappa_h": 0.1, "layout": {"kappa_h": 100.0}}'),
+        ("p.json", '{"layout": {"kappa_h": 100.0}, "grouping": {"kappa_h": 0.1}}'),
+        ("p.json", '{"kappa_h": 100.0, "kappa_h": 0.1}'),
+        ("p.toml", "kappa_h = 0.1\n[layout]\nkappa_h = 100.0\n"),
+        ("p.toml", "layout = { kappa_h = 100.0 }\nkappa_h = 0.1\n"),
+        ("p.toml", "[layout]\nkappa_h = 100.0\n[grouping]\nkappa_h = 0.1\n"),
+    ], ids=["json_table_first", "json_top_first", "json_two_tables", "json_same_object",
+            "toml_top_first", "toml_table_first", "toml_two_tables"])
+    def test_key_given_twice_rejected(self, tmp_path, name, text):
+        # Flattening by overwriting would make the value depend on the
+        # order of the file; a key may appear once.
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match="kappa_h"):
+            load_params(p)
 
     def test_toml_subset(self, tmp_path):
         p = tmp_path / "p.toml"

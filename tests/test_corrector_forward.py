@@ -246,6 +246,13 @@ class TestLoss:
         with pytest.raises(InputError):
             loss(model, x + [vocab.pad_id], x + [vocab.end_id])
 
+    def test_rejects_two_dimensional_sequence(self, model, vocab):
+        x = vocab.preprocess("ab")
+        y = x + [vocab.end_id]
+        for src, tgt in (([x], y), (x, [y])):
+            with pytest.raises(InputError, match="1-D"):
+                loss(model, src, tgt)
+
     def test_matches_manual_step_loop(self, vocab):
         # The teacher-forced loss must equal stepping the reference
         # decoder by hand and accumulating -log p of each target.

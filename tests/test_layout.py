@@ -1,5 +1,7 @@
 """Tests for box grouping and reading-order recovery."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import doctext.layout
 from doctext.errors import InputError
+from doctext.formats import canonical_dumps
 from doctext.layout import (
     DocumentLayout,
     LayoutParams,
@@ -382,15 +385,13 @@ class TestDocumentLayout:
     def test_validates_label_coverage(self):
         b = TextBox(id=0, left=0, top=0, right=1, bottom=1)
         with pytest.raises(InputError):
-            DocumentLayout(boxes=(b,), labels={}, order={})
+            DocumentLayout(boxes=(b,), order={})
 
     def test_validates_order_is_permutation_per_group(self):
         b0 = TextBox(id=0, left=0, top=0, right=1, bottom=1)
         b1 = TextBox(id=1, left=2, top=0, right=3, bottom=1)
         with pytest.raises(InputError):
-            DocumentLayout(
-                boxes=(b0, b1), labels={0: 0, 1: 0}, order={0: [0, 0]}
-            )
+            DocumentLayout(boxes=(b0, b1), order={0: [0, 0]})
 
     def test_ordered_boxes(self):
         boxes = make_line([0, 1, 2])
@@ -402,6 +403,7 @@ class TestDocumentLayout:
         boxes = make_line([0, 1], y=0.0) + make_line([2, 3], y=200.0)
         doc = arrange_document(boxes)
         d = doc.to_dict()
+        assert json.loads(canonical_dumps(d)) == d
         assert set(d) == {"labels", "order"}
         # Keys are stringified for JSON.
         assert set(d["labels"]) == {"0", "1", "2", "3"}
@@ -410,6 +412,7 @@ class TestDocumentLayout:
         a = make_line([0, 1], y=0.0)
         b = make_line([2, 3], y=500.0)
         doc = arrange_document(a + b)
+        assert doc.labels == group(a + b)
         assert doc.labels[0] == doc.labels[1]
         assert doc.labels[2] == doc.labels[3]
         assert doc.labels[0] != doc.labels[2]

@@ -1,5 +1,6 @@
 """Tests for model construction and checkpointing."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from doctext.corrector.model import (
 )
 from doctext.corrector.vocab import Vocab
 from doctext.errors import FormatError, InputError, VersionError
+from doctext.formats import canonical_dumps
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +130,8 @@ class TestCheckpoint:
         hyper = Hyper(emb_dim=emb, hidden_dim=hidden, enc_layers=enc_layers,
                       dec_layers=dec_layers, dropout=dropout)
         m = init_model(vocab, hyper, seed=seed)
+        payload = model_to_dict(m)
+        assert json.loads(canonical_dumps(payload)) == payload
         with tempfile.TemporaryDirectory() as tmp:
             p1, p2 = Path(tmp) / "a.json", Path(tmp) / "b.json"
             save_model(m, p1)

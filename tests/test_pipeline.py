@@ -1,6 +1,9 @@
 """Tests for the end-to-end document pipeline and its reports."""
 
 import dataclasses
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ import doctext.pipeline
 from doctext.corrector import CorrectionResult, Hyper, TrainConfig, Vocab, init_model, train
 from doctext.ctc import Alphabet
 from doctext.errors import FormatError, InputError, VersionError
-from doctext.formats import BoxRecord
+from doctext.formats import BoxRecord, canonical_dumps
 from doctext.geometry import GrayImage, Quad
 from doctext.layout import TextBox
 from doctext.pipeline import (
@@ -290,6 +293,31 @@ class TestRun:
         assert rep.baseline_accuracy is None
 
 
+def reports():
+    """Random reports: 0-4 groups, None or int counts, non-ASCII text."""
+    count = st.integers(0, 10**6)
+    text = st.text(st.characters(codec="utf-8"), max_size=12)
+    group = st.builds(
+        GroupReport,
+        label=st.integers(0, 99),
+        box_ids=st.lists(count, max_size=5).map(tuple),
+        baseline_text=text,
+        corrected_text=text,
+        realigned=st.booleans(),
+    )
+    return st.builds(
+        EvalReport,
+        n_boxes=count,
+        n_readable=count,
+        n_unreadable=count,
+        n_truth=count,
+        baseline_correct=st.none() | count,
+        corrected_correct=st.none() | count,
+        groups=st.lists(group, max_size=4).map(tuple),
+        notes=st.lists(text, max_size=3).map(tuple),
+    )
+
+
 class TestReportIO:
     def make_report(self):
         return EvalReport(
@@ -342,13 +370,40 @@ class TestReportIO:
         rep = self.make_report()
         p = tmp_path / "report.json"
         save_report(rep, p)
-        import json
-
         payload = json.loads(p.read_text())
         payload["version"] = 2
         p.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(VersionError):
             load_report(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(baseline_correct="x"),
+        lambda p: p.update(groups=5),
+        lambda p: p["groups"][0].pop("realigned"),
+        lambda p: p.update(n_boxes="many"),
+    ], ids=["baseline_correct_text", "groups_not_list", "group_without_realigned", "n_boxes_text"])
+    def test_mistyped_field_rejected(self, tmp_path, edit):
+        p = tmp_path / "report.json"
+        save_report(self.make_report(), p)
+        payload = json.loads(p.read_text(encoding="utf-8"))
+        edit(payload)
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_report(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(reports())
+    def test_json_shape_property(self, rep):
+        # to_dict() must hold JSON values only (lists, never tuples), so
+        # that the written file reads back equal to it.
+        d = rep.to_dict()
+        assert json.loads(canonical_dumps(d)) == d
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            save_report(rep, p1)
+            save_report(rep, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+            assert load_report(p1) == rep
 
     def test_summary_mentions_accuracies(self):
         rep = self.make_report()
