@@ -72,7 +72,10 @@ def from_json_value(tp, value):
     A dataclass is built from the object's keys for its fields, and a
     field with a default may be absent (``KeyError`` otherwise); a tuple
     converts each item of a list to its first element type; ``X | None``
-    is None or X; any other type is converted by calling it.
+    is None or X.  Scalars are taken as JSON typed them: a ``bool`` only
+    from true or false, a ``str`` only from a string, an ``int`` from an
+    integral number and a ``float`` from any number, but neither from a
+    bool.  Anything else raises ``TypeError`` or ``ValueError``.
     """
     if is_dataclass(tp):
         kwargs = {}
@@ -90,7 +93,22 @@ def from_json_value(tp, value):
         if value is None:
             return None
         return from_json_value(get_args(tp)[0], value)
-    return tp(value)
+    if tp in (bool, str):
+        if not isinstance(value, tp):
+            raise TypeError(f"expected a {tp.__name__}, not {type(value).__name__}")
+        return value
+    if tp not in (int, float):
+        raise TypeError(f"cannot read a {tp} from JSON")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {type(value).__name__}")
+    if tp is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, not {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{type(value).__name__} out of float range") from exc
 
 
 def write_json_file(path, payload) -> None:
@@ -168,7 +186,7 @@ def _box_from_record(rec: dict, where: str) -> BoxRecord:
             ys = [p.y for p in quad.corners]
             left, top, right, bottom = min(xs), min(ys), max(xs), max(ys)
         box = TextBox(id=bid, left=left, top=top, right=right, bottom=bottom, word=word)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{where}: malformed geometry: {exc}") from exc
     except InputError as exc:
         raise FormatError(f"{where}: {exc}") from exc

@@ -1,17 +1,20 @@
 """Grouping detected text boxes into blocks and ordering them for reading.
 
 Box detectors return an unordered bag of axis-aligned boxes.  Two
-passes turn that bag into readable text: a flood fill joins boxes whose
-expanded extents overlap into paragraph-like groups, and a chaining
-pass inside each group strings boxes into lines and stacks the lines
-top to bottom.
+passes turn that bag into readable text: the connected components of
+the "expanded extents overlap" relation become paragraph-like groups,
+labelled in order of their smallest box id, and a chaining pass inside
+each group strings boxes into lines and stacks the lines top to bottom.
+Both passes run as array programs over the whole document or group;
+:func:`same_group` and :func:`find_next_text` state, box by box, what
+they compute.
 
 All distance thresholds scale with the median box height of the
 document, so the same parameters work across resolutions.
 """
 
+import math
 import statistics
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +51,13 @@ class TextBox:
     word: str | None = None
 
     def __post_init__(self):
-        if self.id < 0:
-            raise InputError("box id must be non-negative")
-        for v in (self.left, self.top, self.right, self.bottom):
-            if not np.isfinite(v):
+        try:
+            if self.id < 0:
+                raise InputError("box id must be non-negative")
+            if not all(map(math.isfinite, (self.left, self.top, self.right, self.bottom))):
                 raise InputError("box coordinates must be finite")
+        except (TypeError, OverflowError) as exc:
+            raise InputError(f"box id and coordinates must be numbers: {exc}") from exc
         if not (self.left < self.right and self.top < self.bottom):
             raise InputError(
                 f"box {self.id} must have left < right and top < bottom"
@@ -93,8 +98,17 @@ class LayoutParams:
     def __post_init__(self):
         for name in ("kappa_h", "kappa_v", "line_lambda"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
+            try:
+                ok = math.isfinite(v) and v > 0.0
+            except (TypeError, OverflowError):
+                ok = False
+            if not ok:
                 raise InputError(f"{name} must be positive and finite")
+
+
+# Rows per block in the overlap and successor kernels: their temporaries
+# are block x n, so even a group of thousands of boxes needs a few MB.
+_ROW_BLOCK = 256
 
 
 def _check_unique_ids(boxes) -> None:
@@ -127,42 +141,84 @@ def same_group(a: TextBox, b: TextBox, median_h: float, params: LayoutParams) ->
 
 
 def group(boxes, params: LayoutParams | None = None) -> dict[int, int]:
-    """Partition boxes into groups by flood fill over ``same_group``.
+    """Partition boxes into the connected components of :func:`same_group`.
 
-    Boxes are visited in ascending id order; each not-yet-labelled box
-    seeds a new group, which then absorbs every pending box judged
-    same-group with any box already absorbed.  Labels are dense,
-    starting at 0 in order of seeding, so the grouping of a document
-    is deterministic.
+    Labels are dense, starting at 0 in ascending order of each
+    component's smallest box id, so the grouping of a document is
+    deterministic: box 0, when present, is in group 0.
+
+    Every box is expanded once, with the offsets ``same_group`` uses,
+    so the overlap tests compare the same floats.  A sweep over the
+    boxes sorted by expanded top edge pairs each box only with the
+    later boxes whose expanded top edge is at or above its expanded
+    bottom edge, and keeps the pairs whose horizontal extents meet.
+    The sweep runs down the page because text lines are wide and
+    short: a box's vertical reach takes in a few lines, its horizontal
+    reach every line of its column.
 
     Returns a map from box id to group label; empty input gives an
     empty map.
     """
     params = params or LayoutParams()
-    boxes = list(boxes)
+    boxes = sorted(boxes, key=lambda b: b.id)
     _check_unique_ids(boxes)
     if not boxes:
         return {}
     med = median_height(boxes)
-    pending = sorted(boxes, key=lambda b: b.id)
-    labels: dict[int, int] = {}
-    label = -1
-    while pending:
-        label += 1
-        seed = pending.pop(0)
-        labels[seed.id] = label
-        queue = deque([seed])
-        while queue:
-            cur = queue.popleft()
-            still = []
-            for b in pending:
-                if same_group(cur, b, med, params):
-                    labels[b.id] = label
-                    queue.append(b)
-                else:
-                    still.append(b)
-            pending = still
-    return labels
+    dx = params.kappa_h * med
+    dy = params.kappa_v * med
+    edges = np.array([(b.left, b.top, b.right, b.bottom) for b in boxes], dtype=float)
+    with np.errstate(over="ignore"):  # as in Python floats, overflow gives inf
+        lo = edges[:, :2] - (dx, dy)
+        hi = edges[:, 2:] + (dx, dy)
+    # In top order an earlier box p starts at or above a later box q, and
+    # q starts at or above its own bottom, so p's top never passes q's
+    # bottom; they meet vertically exactly when q < reach[p].
+    by_top = np.argsort(lo[:, 1])
+    lo, hi = lo[by_top], hi[by_top]
+    reach = np.searchsorted(lo[:, 1], hi[:, 1], side="right")
+    us, vs = [], []
+    for s in range(0, len(boxes), _ROW_BLOCK):
+        rows = np.arange(s, min(s + _ROW_BLOCK, len(boxes)))
+        cols = np.arange(s + 1, reach[rows].max())
+        near = (
+            (cols > rows[:, None])
+            & (cols < reach[rows, None])
+            & (lo[cols, 0] <= hi[rows, None, 0])
+            & (lo[rows, None, 0] <= hi[cols, 0])
+        )
+        r, c = np.nonzero(near)
+        us.append(by_top[rows[r]])
+        vs.append(by_top[cols[c]])
+    # positions follow ids, so a component's smallest position is its smallest id
+    smallest = _smallest_member(len(boxes), np.concatenate(us), np.concatenate(vs))
+    is_first = smallest == np.arange(len(boxes))
+    labels = (np.cumsum(is_first) - 1)[smallest]
+    return dict(zip([b.id for b in boxes], labels.tolist()))
+
+
+def _smallest_member(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each of nodes ``0..n-1``, the smallest node of its connected
+    component in the undirected graph with edges ``(u[k], v[k])``.
+
+    Every node points at a smaller node of its component or at itself.
+    Each round hooks the larger root of every edge whose ends have
+    different roots under the smaller root, then jumps pointers until
+    every node points at a root; it ends when no edge joins two roots,
+    and then each component's root is its smallest node.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 def find_next_text(current: TextBox, boxes, params: LayoutParams | None = None) -> TextBox | None:
@@ -191,17 +247,44 @@ def find_next_text(current: TextBox, boxes, params: LayoutParams | None = None) 
     return best
 
 
+def _successors(boxes, params: LayoutParams) -> np.ndarray:
+    """:func:`find_next_text` of every box of ``boxes``, sorted by id, as
+    an index into ``boxes`` (-1 for none), computed for all boxes at once.
+
+    The candidates are sorted once by ``(left, vcenter, id)``, and a
+    box's successor is the first candidate that passes both tests of
+    ``find_next_text``, written with the same float expressions.  Rows
+    go in blocks of ``_ROW_BLOCK``, so the temporaries stay block x n.
+    """
+    geo = np.array([(b.left, b.hcenter, b.vcenter, b.height) for b in boxes], dtype=float)
+    left, hc, vc, h = geo.T
+    # lexsort is stable and the boxes are in id order, so ties fall to the id
+    by_key = np.lexsort((vc, left))
+    c_left, c_vc, c_h = left[by_key], vc[by_key], h[by_key]
+    nxt = np.empty(len(boxes), dtype=np.intp)
+    for s in range(0, len(boxes), _ROW_BLOCK):
+        r = slice(s, s + _ROW_BLOCK)
+        # Python floats overflow to inf and subtract inf from inf to nan
+        # silently; "not >=" keeps find_next_text's verdict on a nan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = (c_left >= hc[r, None]) & ~(
+                np.abs(c_vc - vc[r, None]) >= params.line_lambda * np.minimum(h[r, None], c_h)
+            )
+        nxt[r] = np.where(ok.any(axis=1), by_key[ok.argmax(axis=1)], -1)
+    return nxt
+
+
 def arrange(boxes, params: LayoutParams | None = None) -> list[int]:
     """Reading order for the boxes of one group.
 
-    Every box points to its successor, :func:`find_next_text`, computed
-    once per box.  A chain starts at each root, a box that no other box
-    points to, and follows the pointers to the end of its line; a chain
-    from any other box would be a proper suffix of the chain through
-    its predecessor, a partial line.  The chains are sorted by mean
-    vertical centre (ties by root id) and concatenated.  Two roots can
-    share a tail, so a box is kept at its first occurrence and the
-    result is a permutation of the input ids.
+    Every box points to its successor, :func:`find_next_text`, all of
+    them computed in one array program.  A chain starts at each root, a
+    box that no other box points to, and follows the pointers to the
+    end of its line; a chain from any other box would be a proper
+    suffix of the chain through its predecessor, a partial line.  The
+    chains are sorted by mean vertical centre (ties by root id) and
+    concatenated.  Two roots can share a tail, so a box is kept at its
+    first occurrence and the result is a permutation of the input ids.
     """
     params = params or LayoutParams()
     boxes = sorted(boxes, key=lambda t: t.id)
@@ -209,21 +292,23 @@ def arrange(boxes, params: LayoutParams | None = None) -> list[int]:
     if not boxes:
         return []
 
-    nxt = {b.id: find_next_text(b, boxes, params) for b in boxes}
-    pointed = {s.id for s in nxt.values() if s is not None}
-    chains: list[list[TextBox]] = []
-    for b in boxes:
-        if b.id in pointed:
+    nxt = _successors(boxes, params).tolist()
+    pointed = set(nxt)
+    vc = [b.vcenter for b in boxes]
+    chains: list[list[int]] = []
+    for i in range(len(boxes)):
+        if i in pointed:
             continue
-        chain, cur = [b], nxt[b.id]
+        chain, cur = [i], nxt[i]
         # A successor starts at or past the current horizontal centre,
         # so centres strictly increase and chains cannot loop.
-        while cur is not None:
+        while cur >= 0:
             chain.append(cur)
-            cur = nxt[cur.id]
+            cur = nxt[cur]
         chains.append(chain)
-    chains.sort(key=lambda c: (sum(b.vcenter for b in c) / len(c), c[0].id))
-    return list(dict.fromkeys(b.id for c in chains for b in c))
+    # indices follow ids, so the root index breaks ties as the root id does
+    chains.sort(key=lambda c: (sum(vc[i] for i in c) / len(c), c[0]))
+    return list(dict.fromkeys(boxes[i].id for c in chains for i in c))
 
 
 @dataclass(frozen=True)
@@ -266,10 +351,10 @@ def arrange_document(boxes, params: LayoutParams | None = None) -> DocumentLayou
     params = params or LayoutParams()
     boxes = tuple(boxes)
     labels = group(boxes, params)
-    order: dict[int, list[int]] = {}
-    for lab in sorted(set(labels.values())):
-        members = [b for b in boxes if labels[b.id] == lab]
-        order[lab] = arrange(members, params)
+    members: dict[int, list[TextBox]] = {}
+    for b in boxes:
+        members.setdefault(labels[b.id], []).append(b)
+    order = {lab: arrange(members[lab], params) for lab in sorted(members)}
     return DocumentLayout(boxes=boxes, order=order)
 
 

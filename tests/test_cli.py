@@ -391,6 +391,41 @@ class TestUnknownParams:
                        "--out", tmp_path / "o.json", "--params", params) == 2
         assert "kappa_h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("train-corrector", '{"hidden_dim": 8.5}'),
+        ("train-corrector", '{"batch_size": true}'),
+        ("train-corrector", '{"dropout": false}'),
+        ("group", '{"kappa_h": "1.5"}'),
+        ("synth-gen", '{"blocks": [1, 2.5]}'),
+        ("synth-gen", '{"words": ["alpha", 7]}'),
+        ("synth-gen", '{"box_height": 1' + "0" * 400 + "}"),
+    ], ids=["int_from_fraction", "int_from_bool", "float_from_bool", "float_from_text",
+            "tuple_item_fraction", "str_from_number", "float_overflow"])
+    def test_mistyped_value_refused(self, synth_dir, tmp_path, capsys, command, text):
+        # Converting by calling the field's type would train with
+        # hidden_dim 8 or read false as 0.0; a value must have its type.
+        params = tmp_path / "p.json"
+        params.write_text(text, encoding="utf-8")
+        inputs = {
+            "group": ["--boxes", synth_dir / "doc_0000.boxes.jsonl"],
+            "train-corrector": ["--corpus", synth_dir / "corpus.jsonl"],
+            "synth-gen": [],
+        }[command]
+        out = tmp_path / "o"
+        assert run_cli(command, *inputs, "--out", out, "--params", params) == 2
+        assert f"parameter {next(iter(json.loads(text)))}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_toml_integer_for_a_float_field(self, synth_dir, tmp_path):
+        boxes = synth_dir / "doc_0000.boxes.jsonl"
+        outs = []
+        for text in ("kappa_h = 1\n", "kappa_h = 1.0\n"):
+            params = tmp_path / "p.toml"
+            params.write_text(text, encoding="utf-8")
+            outs.append(tmp_path / f"o{len(outs)}.json")
+            assert run_cli("group", "--boxes", boxes, "--out", outs[-1], "--params", params) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_text_for_a_tuple_field(self, tmp_path, capsys):
         # A tuple field takes a list; "13" is not split into "1" and "3".
         params = tmp_path / "p.json"

@@ -144,6 +144,10 @@ class TestBoxes:
         p.write_text('{"id":0,"rect":[0,0,"wide",1]}\n', encoding="utf-8")
         with pytest.raises(FormatError):
             read_boxes(p)
+        # an integer too large for a float
+        p.write_text('{"id":0,"rect":[0,0,1' + "0" * 400 + ',1]}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match="malformed geometry"):
+            read_boxes(p)
 
     def test_error_names_the_file_line(self, tmp_path):
         # Blank lines hold no record but still count as lines.

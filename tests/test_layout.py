@@ -1,6 +1,7 @@
 """Tests for box grouping and reading-order recovery."""
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from doctext.layout import (
     render_group_overlay,
     same_group,
 )
-from doctext.layout import _check_unique_ids
+from doctext.layout import _ROW_BLOCK, _check_unique_ids, _successors
 
 
 # ---------------------------------------------------------------- helpers
@@ -60,6 +61,41 @@ def group_reference(boxes, params):
     for b in boxes:
         parts.setdefault(uf.find(b.id), set()).add(b.id)
     return sorted((frozenset(p) for p in parts.values()), key=lambda s: min(s))
+
+
+def _group_reference(boxes, params=None):
+    """Grouping by flood fill over ``same_group``, labels included.
+
+    This was the library's ``group`` before it swept sorted boxes: each
+    not-yet-labelled box, in ascending id order, seeds a new group, which
+    then absorbs every pending box judged same-group with any box
+    already absorbed.
+    """
+    params = params or LayoutParams()
+    boxes = list(boxes)
+    _check_unique_ids(boxes)
+    if not boxes:
+        return {}
+    med = median_height(boxes)
+    pending = sorted(boxes, key=lambda b: b.id)
+    labels: dict[int, int] = {}
+    label = -1
+    while pending:
+        label += 1
+        seed = pending.pop(0)
+        labels[seed.id] = label
+        queue = deque([seed])
+        while queue:
+            cur = queue.popleft()
+            still = []
+            for b in pending:
+                if same_group(cur, b, med, params):
+                    labels[b.id] = label
+                    queue.append(b)
+                else:
+                    still.append(b)
+            pending = still
+    return labels
 
 
 def partition_of(labels):
@@ -187,6 +223,12 @@ class TestTextBox:
             TextBox(id=-1, left=0, top=0, right=1, bottom=1)
         with pytest.raises(InputError):
             TextBox(id=0, left=0, top=float("inf"), right=1, bottom=1)
+        with pytest.raises(InputError):
+            TextBox(id=0, left="0", top=0, right=1, bottom=1)
+        with pytest.raises(InputError):
+            TextBox(id=None, left=0, top=0, right=1, bottom=1)
+        with pytest.raises(InputError):
+            TextBox(id=0, left=0, top=0, right=10**400, bottom=1)
 
 
 class TestLayoutParams:
@@ -199,6 +241,12 @@ class TestLayoutParams:
             LayoutParams(kappa_h=0.0)
         with pytest.raises(InputError):
             LayoutParams(line_lambda=-1.0)
+
+    def test_non_numbers_rejected(self):
+        with pytest.raises(InputError):
+            LayoutParams(kappa_v="0.7")
+        with pytest.raises(InputError):
+            LayoutParams(kappa_h=10**400)
 
 
 class TestSameGroup:
@@ -250,7 +298,7 @@ class TestGroup:
         assert values == set(range(len(values)))
 
     def test_labels_follow_lowest_id(self):
-        # Seeds flood in ascending id order, so group 0 contains box 0.
+        # Labels follow each group's smallest id, so group 0 contains box 0.
         rng = np.random.default_rng(34)
         boxes = random_boxes(rng, 25)
         labels = group(boxes)
@@ -266,6 +314,51 @@ class TestGroup:
         b = TextBox(id=1, left=0, top=0, right=1, bottom=1)
         with pytest.raises(InputError):
             group([b, b])
+
+    # Kappas from 0.01 (almost every box alone) to 50 (one page-wide
+    # group).  On the quantized grid of box_sets, 0.25 and 0.5 expand
+    # boxes by exact binary fractions that make expanded edges touch.
+    @settings(max_examples=300, deadline=None)
+    @given(box_sets(), st.sampled_from([0.01, 0.25, 0.5, 1.0, 50.0]),
+           st.sampled_from([0.01, 0.25, 0.5, 0.7, 50.0]))
+    def test_matches_flood_fill(self, boxes, kappa_h, kappa_v):
+        params = LayoutParams(kappa_h=kappa_h, kappa_v=kappa_v)
+        assert group(boxes, params) == _group_reference(boxes, params)
+
+    @pytest.mark.parametrize("dx, dy", [(20.0, 0.0), (0.0, 20.0), (20.0, 20.0), (-20.0, 20.0)])
+    def test_touching_expansions_join(self, dx, dy):
+        # Expanded by 5 on each side, boxes 10 apart touch: same_group
+        # compares with <=, and so must the sweep, in both directions.
+        p = LayoutParams(kappa_h=0.5, kappa_v=0.5)
+        boxes = [TextBox(id=i, left=i * dx, top=i * dy, right=i * dx + 10, bottom=i * dy + 10)
+                 for i in range(3)]
+        assert same_group(boxes[0], boxes[1], 10.0, p)
+        assert group(boxes, p) == {0: 0, 1: 0, 2: 0}
+        apart = [TextBox(id=b.id, left=b.left * 1.01, top=b.top * 1.01,
+                         right=b.left * 1.01 + 10, bottom=b.top * 1.01 + 10) for b in boxes]
+        assert group(apart, p) == {0: 0, 1: 1, 2: 2}
+
+    def test_beyond_one_row_block(self):
+        # More than two row blocks: a long run of lines sharing one left
+        # margin, whose reading order is known, and two stray boxes far
+        # to the right that join nothing.
+        lines = [
+            make_line(range(8 * k, 8 * k + 8), y=14.0 * k)
+            for k in range((2 * _ROW_BLOCK + 40) // 8)
+        ]
+        strays = [TextBox(id=9000 + k, left=5000.0, top=3000.0 * k, right=5030.0,
+                          bottom=3000.0 * k + 10) for k in range(2)]
+        boxes = [b for line in lines for b in line] + strays
+        assert len(boxes) > 2 * _ROW_BLOCK
+        p = LayoutParams()
+        labels = group(boxes, p)
+        assert labels == _group_reference(boxes, p)
+        assert sorted(set(labels.values())) == [0, 1, 2]
+        ordered = sorted(boxes, key=lambda b: b.id)
+        got = [None if j < 0 else ordered[j] for j in _successors(ordered, p)]
+        assert got == [find_next_text(b, boxes, p) for b in ordered]
+        text = [b for b in boxes if labels[b.id] == 0]
+        assert arrange(text, p) == [b.id for line in lines for b in line]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**31))
@@ -366,19 +459,37 @@ class TestArrange:
         rnd.shuffle(shuffled)
         assert arrange(shuffled) == arrange(boxes)
 
+    @settings(max_examples=300, deadline=None)
+    @given(box_sets(), st.sampled_from([0.2, 0.5, 1.0]))
+    def test_successors_match_find_next_text(self, boxes, lam):
+        params = LayoutParams(line_lambda=lam)
+        ordered = sorted(boxes, key=lambda b: b.id)
+        if not ordered:
+            return
+        got = [None if j < 0 else ordered[j] for j in _successors(ordered, params)]
+        assert got == [find_next_text(b, boxes, params) for b in ordered]
+
     @settings(max_examples=50, deadline=None)
     @given(box_sets())
     def test_one_successor_lookup_per_box(self, boxes):
-        calls = []
+        # All successors of a group come from one kernel call that sees
+        # every box; no box is looked up on its own.
+        kernel_calls, lookups = [], []
 
-        def counting(current, *args):
-            calls.append(current.id)
+        def counting(group_boxes, params):
+            kernel_calls.append([b.id for b in group_boxes])
+            return _successors(group_boxes, params)
+
+        def lookup(current, *args):
+            lookups.append(current.id)
             return find_next_text(current, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(doctext.layout, "find_next_text", counting)
+            mp.setattr(doctext.layout, "_successors", counting)
+            mp.setattr(doctext.layout, "find_next_text", lookup)
             arrange(boxes)
-        assert sorted(calls) == sorted(b.id for b in boxes)
+        assert kernel_calls == ([sorted(b.id for b in boxes)] if boxes else [])
+        assert lookups == []
 
 
 class TestDocumentLayout:

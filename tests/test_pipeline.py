@@ -381,7 +381,15 @@ class TestReportIO:
         lambda p: p.update(groups=5),
         lambda p: p["groups"][0].pop("realigned"),
         lambda p: p.update(n_boxes="many"),
-    ], ids=["baseline_correct_text", "groups_not_list", "group_without_realigned", "n_boxes_text"])
+        lambda p: p.update(n_boxes=2.5),
+        lambda p: p.update(n_truth=True),
+        lambda p: p["groups"][0].update(realigned="false"),
+        lambda p: p["groups"][0].update(realigned=0),
+        lambda p: p["groups"][0].update(baseline_text=7),
+        lambda p: p["groups"][0].update(box_ids=[0, 1.5]),
+    ], ids=["baseline_correct_text", "groups_not_list", "group_without_realigned", "n_boxes_text",
+            "n_boxes_fraction", "n_truth_bool", "realigned_text", "realigned_number",
+            "baseline_text_number", "box_id_fraction"])
     def test_mistyped_field_rejected(self, tmp_path, edit):
         p = tmp_path / "report.json"
         save_report(self.make_report(), p)
