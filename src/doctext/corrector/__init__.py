@@ -9,7 +9,7 @@ the test suite.
 """
 
 from .model import CorrectorModel, Hyper, init_model, load_model, model_from_dict, model_to_dict, save_model
-from .network import CorrectionResult, backward, correct, loss
+from .network import CorrectionResult, backward, correct, correct_batch, loss
 from .training import TrainConfig, build_pairs, learning_rate, train
 from .vocab import GO, END, PAD, SEP, UNK, SPECIAL_TOKENS, Vocab
 
@@ -32,6 +32,7 @@ __all__ = [
     "loss",
     "backward",
     "correct",
+    "correct_batch",
     "TrainConfig",
     "learning_rate",
     "build_pairs",

@@ -21,8 +21,18 @@ gradients) is one matrix product over all steps.  One check,
 decoder-step kernel, ``_decoder_advance``, serves both teacher-forced
 training and inference.  Dropout applies between stacked layers exactly
 when a random generator is passed, which only training does.  The
-public ``loss``, ``backward`` and ``correct`` take one sequence and run
-it as a batch of one.
+public ``loss`` and ``backward`` take one pair and run it as a batch of
+one.  ``correct_batch`` runs every phrase of a document through one
+beam search: one encoder call, then one decoder step per output
+position for every live hypothesis of every unfinished phrase, and
+``correct`` is its one-phrase form.
+
+Inference outputs do not depend on which phrases share a batch.  Every
+2-D inference product runs on at least two rows, and attention runs
+once per run of rows with equal source length, on unpadded keys.  That
+relies on the rows of ``x @ W`` being bit-identical for any row count
+from two up, and on the rows of a batched 3-D ``matmul`` equalling the
+rows computed alone; the tests pin both for the bundled network sizes.
 
 All (probs, labels) style losses are sums over tokens, so gradients of
 a batch are the sums of the per-pair gradients.
@@ -30,6 +40,7 @@ a batch are the sums of the per-pair gradients.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -37,7 +48,7 @@ from ..errors import InputError
 from .model import CorrectorModel
 from .vocab import Vocab
 
-__all__ = ["CorrectionResult", "loss", "backward", "correct"]
+__all__ = ["CorrectionResult", "loss", "backward", "correct", "correct_batch"]
 
 _ATT_MASK = 1e30  # additive pre-softmax penalty for padded positions
 
@@ -197,7 +208,7 @@ class _EncBundle:
 
 @dataclass
 class _StepCache:
-    alpha: np.ndarray       # attention weights
+    alphas: list            # attention weights, one array per run of rows
     h_in: list              # per layer: hidden state before the step; the
                             # top layer's is the attention query
     inputs: list            # per layer: cell input (post-dropout below it)
@@ -290,19 +301,27 @@ def _start_state(model: CorrectorModel, enc: _EncBundle):
     return [enc.s0.copy() for _ in range(n)], [np.zeros_like(enc.s0) for _ in range(n)]
 
 
-def _decoder_advance(model: CorrectorModel, att, h, c, tok, rng=None):
+def _decoder_advance(model: CorrectorModel, runs, h, c, tok, rng=None):
     """Advance the decoder one batched step from the previous tokens
     ``tok`` (B,).
 
-    ``att`` is the (keys, hsum, mask_x) of the encoder rows being
-    decoded.  Attends with the top layer's state and advances every
-    layer (with a generator ``rng``, dropout between layers).  Returns
-    the new per-layer states and the step's cache; ``cache.cat`` pairs
-    the new top state with the context for :func:`_output_logits`.
+    ``runs`` splits the rows into consecutive runs, each given as the
+    (keys, hsum, mask_x) of the encoder rows it decodes; training passes
+    one run.  Attends each run with the top layer's state, then advances
+    every layer over all rows (with a generator ``rng``, dropout between
+    layers).  Returns the new per-layer states and the step's cache;
+    ``cache.cat`` pairs the new top state with the context for
+    :func:`_output_logits`.
     """
     p = model.params
     hp = model.hyper
-    ctx, alpha = _attend_cached(*att, h[-1])
+    ctxs, alphas, start = [], [], 0
+    for keys, hsum, mask_x in runs:
+        ctx, alpha = _attend_cached(keys, hsum, mask_x, h[-1][start : start + len(keys)])
+        ctxs.append(ctx)
+        alphas.append(alpha)
+        start += len(keys)
+    ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs)
     xi = np.concatenate([p["embedding"][tok], ctx], axis=1)
     new_h, new_c, inputs, cell_caches, drops = [], [], [], [], []
     for l in range(hp.dec_layers):
@@ -318,7 +337,7 @@ def _decoder_advance(model: CorrectorModel, att, h, c, tok, rng=None):
         drops.append(dm)
         xi = h_new
     step = _StepCache(
-        alpha=alpha,
+        alphas=alphas,
         h_in=list(h),
         inputs=inputs,
         cell_caches=cell_caches,
@@ -368,7 +387,7 @@ def _forward_batch(model, x_ids, y_ids, rng=None):
         n = counts[t]
         h, c, step = _decoder_advance(
             model,
-            (keys[:n], hsum[:n], mask_x[:n]),
+            [(keys[:n], hsum[:n], mask_x[:n])],
             [a[:n] for a in h],
             [a[:n] for a in c],
             y_in[:n, t],
@@ -413,6 +432,7 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
     edim = hp.emb_dim
     n_dec = hp.dec_layers
     steps = tape.steps
+    alphas = [st.alphas[0] for st in steps]  # training attends in one run
     bsz, t_y = tape.y_ids.shape
 
     # output layer over every step at once
@@ -451,7 +471,7 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
 
         # attention backward: context -> weights -> scores -> query
         dalpha = (tape.hsum[:n] @ dctx[:n, t, :, None])[:, :, 0]
-        de[:n, t] = st.alpha * (dalpha - (st.alpha * dalpha).sum(axis=1, keepdims=True))
+        de[:n, t] = alphas[t] * (dalpha - (alphas[t] * dalpha).sum(axis=1, keepdims=True))
         # the query is the previous step's top hidden state (s0 at t=0)
         dh_carry[n_dec - 1][:n] += (de[:n, t, None, :] @ tape.keys[:n])[:, 0]
 
@@ -462,7 +482,7 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
         grads[f"dec.{l}.b"] += dz[l].sum(axis=(0, 1))
     # past a row's end demb is zero, so the padded inputs add nothing
     np.add.at(grads["embedding"], tape.y_in, demb)
-    alpha = _stack_steps([st.alpha for st in steps], bsz)
+    alpha = _stack_steps(alphas, bsz)
 
     # back to the encoder's batch rows; the top layer's h_in, the last
     # one stacked, holds the attention queries
@@ -595,12 +615,131 @@ def backward(model: CorrectorModel, x_ids, y_ids):
     return float(value), _backward_batch(model, tape)
 
 
-def _infer_logprobs(model, enc, h, c, tok):
-    """One inference step on a batch-of-one bundle; returns log p over
-    the vocabulary and the advanced per-layer states."""
-    h, c, step = _decoder_advance(model, (enc.keys, enc.hsum, enc.mask_x), h, c, np.array([tok]))
-    logits = _output_logits(model, step.cat)[0][0]
-    return logits - np.log(np.exp(logits).sum()), h, c
+def _infer_logprobs(model, runs, h, c, tok):
+    """One inference step of every row, with attention ``runs`` as in
+    :func:`_decoder_advance`; returns the (B, V) log p over the
+    vocabulary and the advanced per-layer states."""
+    h, c, step = _decoder_advance(model, runs, h, c, tok)
+    logits = _output_logits(model, step.cat)[0]
+    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True)), h, c
+
+
+def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
+    """Beam search over every token sequence of ``seqs`` at once.
+
+    Returns, per sequence, its final live and closed hypotheses as
+    (total logp, tokens) lists; the live list is sorted best first.
+    Each sequence follows the rules :func:`correct` documents, with its
+    own cap and early stop.  The encoder runs once, on the sequences
+    and a copy of the longest, so every encoder step advances at least
+    two rows.  The decoder rows are the live hypotheses of the
+    unfinished sequences, ordered by (source length, sequence index),
+    so attention runs once per source length on unpadded keys; a lone
+    row is stepped twice over, so no product runs on one row.
+    """
+    vb = model.vocab
+    longest = max(seqs, key=len)
+    x = np.full((len(seqs) + 1, len(longest)), vb.pad_id, dtype=np.int64)
+    for row, ids in enumerate(seqs + [longest]):
+        x[row, : len(ids)] = ids
+    enc = _encode_batch(model, x)
+    by_len = sorted(range(len(seqs)), key=lambda q: (len(seqs[q]), q))
+    # the attention inputs of each source length, unpadded, each
+    # sequence's slot among those of its length, and the inputs gathered
+    # for each run of rows seen, by length and slots
+    att, slot, run_att = {}, {}, {}
+    for length, group in groupby(by_len, key=lambda q: len(seqs[q])):
+        group = list(group)
+        att[length] = (enc.keys[group, :length], enc.hsum[group, :length], enc.mask_x[group, :length])
+        slot.update((q, k) for k, q in enumerate(group))
+
+    caps = [4 * len(ids) for ids in seqs]
+    live: list[list[tuple[float, tuple[int, ...]]]] = [[(0.0, ())] for _ in seqs]
+    closed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in seqs]
+    # banned as first-class outputs are <go> and <pad>, which carry no text
+    go, end, banned = vb.go_id, vb.end_id, (vb.go_id, vb.pad_id)
+    width = beam_width + len(banned) + 1
+    h, c = _start_state(model, enc)
+    active, sel, t = by_len, by_len, 0
+    while active:
+        # each row's sequence and the state row it continues
+        row_seq = [q for q in active for _ in live[q]]
+        prev = [toks[-1] if toks else go for q in active for _, toks in live[q]]
+        if len(sel) == 1:
+            row_seq, prev, sel = 2 * row_seq, 2 * prev, 2 * sel
+        runs = []
+        for length, group in groupby(row_seq, key=lambda q: len(seqs[q])):
+            key = (length, tuple(slot[q] for q in group))
+            if key not in run_att:
+                run_att[key] = tuple(a[list(key[1])] for a in att[length])
+            runs.append(run_att[key])
+        logp, h, c = _infer_logprobs(
+            model, runs, [a[sel] for a in h], [a[sel] for a in c], np.array(prev)
+        )
+        top = np.argsort(-logp, axis=1, kind="stable")[:, :width].tolist()
+        logp = logp.tolist()
+
+        t += 1
+        next_active, sel, row = [], [], 0
+        for q in active:
+            expanded = []
+            for score, toks in live[q]:
+                for cand in top[row]:
+                    if cand in banned:
+                        continue
+                    if cand == end:
+                        closed[q].append((score + logp[row][cand], toks))
+                    else:
+                        expanded.append((score + logp[row][cand], toks + (cand,), row))
+                row += 1
+            if not expanded:
+                continue
+            expanded.sort(key=lambda e: (-e[0], e[1]))
+            kept = expanded[:beam_width]
+            live[q] = [(score, toks) for score, toks, _ in kept]
+            if closed[q] and live[q][0][0] <= max(cs for cs, _ in closed[q]):
+                continue
+            if t < caps[q]:
+                next_active.append(q)
+                sel.extend(r for _, _, r in kept)
+        active = next_active
+    return list(zip(live, closed))
+
+
+def _pick(live, closed) -> tuple[tuple[int, ...], bool]:
+    """The tokens of the best hypothesis and whether the output was cut
+    at the cap: the best closed one, unless none closed or the best
+    live one scores higher."""
+    score, toks = live[0]
+    if closed:
+        best_score, best_toks = min(closed, key=lambda e: (-e[0], e[1]))
+        if best_score >= score:
+            return best_toks, False
+    return toks, True
+
+
+def correct_batch(model: CorrectorModel, phrases, beam_width: int) -> list[CorrectionResult]:
+    """:func:`correct` of every phrase of ``phrases``, all decoded by
+    one beam search; each result equals that phrase's :func:`correct`.
+    """
+    if beam_width < 1:
+        raise InputError("beam width must be >= 1")
+    if not phrases:
+        return []
+    vb = model.vocab
+    seqs = [vb.preprocess(phrase) for phrase in phrases]
+    results = []
+    for ids, (live, closed) in zip(seqs, _beam_search(model, seqs, beam_width)):
+        toks, hit_cap = _pick(live, closed)
+        results.append(
+            CorrectionResult(
+                text=vb.render(toks),
+                tokens=toks,
+                hit_cap=hit_cap,
+                degraded=all(i == vb.unk_id for i in ids if i != vb.sep_id),
+            )
+        )
+    return results
 
 
 def correct(model: CorrectorModel, phrase: str, beam_width: int = 1) -> CorrectionResult:
@@ -613,58 +752,4 @@ def correct(model: CorrectorModel, phrase: str, beam_width: int = 1) -> Correcti
     deterministically toward the lexicographically smaller token
     sequence.
     """
-    if beam_width < 1:
-        raise InputError("beam width must be >= 1")
-    vb = model.vocab
-    ids = vb.preprocess(phrase)
-    content = [i for i in ids if i != vb.sep_id]
-    degraded = all(i == vb.unk_id for i in content)
-    cap = 4 * len(ids)
-    enc = _encode_batch(model, np.asarray([ids], dtype=np.int64))
-    h0, c0 = _start_state(model, enc)
-
-    # hypotheses: (total logp, tokens, h, c); banned as first-class
-    # outputs are <go> and <pad>, which carry no text
-    live = [(0.0, (), h0, c0)]
-    closed: list[tuple[float, tuple[int, ...]]] = []
-    banned = (vb.go_id, vb.pad_id)
-    for _ in range(cap):
-        expanded = []
-        for score, toks, h, c in live:
-            prev = toks[-1] if toks else vb.go_id
-            logprobs, nh, nc = _infer_logprobs(model, enc, h, c, prev)
-            order = np.argsort(-logprobs, kind="stable")[: beam_width + len(banned) + 1]
-            for cand in order:
-                cand = int(cand)
-                if cand in banned:
-                    continue
-                cand_score = score + float(logprobs[cand])
-                if cand == vb.end_id:
-                    closed.append((cand_score, toks))
-                else:
-                    expanded.append((cand_score, toks + (cand,), nh, nc))
-        if not expanded:
-            break
-        expanded.sort(key=lambda e: (-e[0], e[1]))
-        live = expanded[:beam_width]
-        if closed and all(s <= max(cs for cs, _ in closed) for s, _, _, _ in live):
-            break
-    if closed:
-        closed.sort(key=lambda e: (-e[0], e[1]))
-        best_score, best_toks = closed[0]
-        hit_cap = False
-        if live:
-            top_live = max(live, key=lambda e: e[0])
-            if top_live[0] > best_score:
-                best_toks = top_live[1]
-                hit_cap = True
-    else:
-        live.sort(key=lambda e: (-e[0], e[1]))
-        best_toks = live[0][1]
-        hit_cap = True
-    return CorrectionResult(
-        text=vb.render(best_toks),
-        tokens=tuple(int(t) for t in best_toks),
-        hit_cap=hit_cap,
-        degraded=degraded,
-    )
+    return correct_batch(model, [phrase], beam_width)[0]

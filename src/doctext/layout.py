@@ -62,6 +62,11 @@ class TextBox:
             raise InputError(
                 f"box {self.id} must have left < right and top < bottom"
             )
+        # arrange relies on it: see the comment on its chain walk
+        if not self.hcenter > self.left:
+            raise InputError(
+                f"box {self.id} is too narrow for its position: its centre rounds to its left edge"
+            )
 
     @property
     def width(self) -> float:
@@ -300,8 +305,10 @@ def arrange(boxes, params: LayoutParams | None = None) -> list[int]:
         if i in pointed:
             continue
         chain, cur = [i], nxt[i]
-        # A successor starts at or past the current horizontal centre,
-        # so centres strictly increase and chains cannot loop.
+        # A successor starts at or past the current box's horizontal
+        # centre, and every box's centre lies strictly right of its left
+        # edge (TextBox refuses any other), so centres strictly increase
+        # along a chain and chains cannot loop.
         while cur >= 0:
             chain.append(cur)
             cur = nxt[cur]

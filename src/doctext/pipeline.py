@@ -4,9 +4,10 @@ One document comes in as detected boxes plus per-box recognition
 frames (and optionally the page image).  The pipeline rectifies quads
 when pixels are available, groups boxes and orders them for reading,
 decodes every box's frames, joins each group into a phrase, runs the
-spelling corrector over the phrase, and maps corrected words back onto
-boxes.  When ground truth is present the result carries word accuracy
-before and after correction.
+spelling corrector over all the phrases of the document in one batch,
+and maps each group's corrected words back onto its boxes.  When ground
+truth is present the result carries word accuracy before and after
+correction.
 
 Corrected text realigns to boxes only when the corrector preserved the
 word count; otherwise the group keeps its baseline words and is
@@ -22,7 +23,8 @@ from .formats import BoxRecord, from_json_value, read_json_file, to_json_value, 
 from .geometry import GrayImage, crop_region, rectify
 from .layout import DocumentLayout, LayoutParams, arrange_document
 from .corrector.model import CorrectorModel
-from .corrector.network import correct
+# ``correct`` is not called here; perfbench/tracing.py looks it up in this module
+from .corrector.network import correct, correct_batch  # noqa: F401
 
 __all__ = [
     "PipelineParams",
@@ -204,8 +206,8 @@ def run(
     Every input box appears in the result exactly once: boxes without
     frames are reported as unreadable and keep empty text, the rest are
     decoded, grouped, ordered, and (when a corrector is given) spell
-    corrected per group.  Box ids present in the frames but not among
-    the boxes are an error.
+    corrected, the phrases of all groups in one batch.  Box ids present
+    in the frames but not among the boxes are an error.
 
     When ``image`` is given, quad boxes are rectified into axis-aligned
     crops at ``params.rect_height``; recognition still consumes the
@@ -238,26 +240,29 @@ def run(
         notes.append(f"{n_unreadable} boxes had no frames and were skipped by decoding")
 
     corrected_by_id = dict(baseline_by_id)
+    # each group's boxes that decoded to a word, in reading order; the
+    # groups go in label order
+    present = {
+        label: [i for i in order if baseline_by_id.get(i)] for label, order in sorted(layout.order.items())
+    }
+    phrases = {label: " ".join(baseline_by_id[i] for i in ids) for label, ids in present.items()}
+    results = {}
+    if model is not None:
+        batch = [label for label, phrase in phrases.items() if phrase]
+        corrected = correct_batch(model, [phrases[label] for label in batch], params.correct_beam)
+        results = dict(zip(batch, corrected))
     groups: list[GroupReport] = []
-    for label in sorted(layout.order):
-        order = layout.order[label]
-        readable = [i for i in order if i in baseline_by_id]
-        words = [baseline_by_id[i] for i in readable]
-        present = [w for w in words if w]
-        baseline_text = " ".join(present)
-        corrected_text = baseline_text
+    for label, phrase in phrases.items():
+        corrected_text = phrase
         realigned = False
-        if model is not None and baseline_text:
-            result = correct(model, baseline_text, beam_width=params.correct_beam)
+        result = results.get(label)
+        if result is not None:
             corrected_text = result.text
             out_words = corrected_text.split()
-            # map words back onto boxes only when the count is preserved,
-            # counting the empty decodes the corrector never saw
-            if len(out_words) == len(present):
-                it = iter(out_words)
-                for i in readable:
-                    if baseline_by_id[i]:
-                        corrected_by_id[i] = next(it)
+            # map words back onto boxes only when the count is preserved;
+            # boxes that decoded to nothing never reached the corrector
+            if len(out_words) == len(present[label]):
+                corrected_by_id.update(zip(present[label], out_words))
                 realigned = True
             if result.hit_cap:
                 notes.append(f"group {label}: correction hit the output length cap")
@@ -266,8 +271,8 @@ def run(
         groups.append(
             GroupReport(
                 label=label,
-                box_ids=tuple(order),
-                baseline_text=baseline_text,
+                box_ids=tuple(layout.order[label]),
+                baseline_text=phrase,
                 corrected_text=corrected_text,
                 realigned=realigned,
             )

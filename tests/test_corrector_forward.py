@@ -10,11 +10,9 @@ from doctext.corrector.model import CorrectorModel, Hyper, init_model, param_sha
 from doctext.corrector.network import (
     CorrectionResult,
     _attend_cached,
-    _decoder_advance,
     _encode_batch,
     _forward_batch,
     _infer_logprobs,
-    _output_logits,
     _start_state,
     correct,
     loss,
@@ -50,12 +48,6 @@ def directions(enc):
     """The top encoder layer's (forward, backward) states of a bundle."""
     hdim = enc.hsum.shape[2]
     return enc.hcat[:, :, :hdim], enc.hcat[:, :, hdim:]
-
-
-def decode_step(model, enc, h, c, tok):
-    """One batched decoder step and its max-shifted logits."""
-    h, c, step = _decoder_advance(model, (enc.keys, enc.hsum, enc.mask_x), h, c, tok)
-    return _output_logits(model, step.cat)[0], h
 
 
 # Reference decoder for one sequence, written out without the batched
@@ -196,13 +188,15 @@ class TestDecoderLoop:
             assert np.all(cell == 0.0)
 
     def test_step_emits_distribution(self, model, vocab):
-        enc = encode_one(model, vocab.preprocess("ab"))
+        ids = vocab.preprocess("ab")
+        enc = _encode_batch(model, np.asarray([ids, ids]))
         h, c = _start_state(model, enc)
-        logprobs, h2, c2 = _infer_logprobs(model, enc, h, c, vocab.go_id)
-        assert logprobs.shape == (vocab.size,)
+        tok = np.array([vocab.go_id, ids[0]])
+        logprobs, h2, c2 = _infer_logprobs(model, [(enc.keys, enc.hsum, enc.mask_x)], h, c, tok)
+        assert logprobs.shape == (2, vocab.size)
         dist = np.exp(logprobs)
         assert np.all(dist > 0)
-        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dist.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
         assert h2[-1].shape == h[-1].shape
         assert c2[-1].shape == c[-1].shape
 
@@ -217,12 +211,12 @@ class TestDecoderLoop:
         tok = np.array([vocab.go_id, vocab.preprocess("a")[0]])
         enc = _encode_batch(m, x)
         h, c = _start_state(m, enc)
-        logits, h2 = decode_step(m, enc, h, c, tok)
+        logp, h2, _ = _infer_logprobs(m, [(enc.keys, enc.hsum, enc.mask_x)], h, c, tok)
         for i, r in enumerate(rows):
             one = encode_one(m, r)
             hi, ci = _start_state(m, one)
-            li, hi2 = decode_step(m, one, hi, ci, tok[i : i + 1])
-            assert np.allclose(logits[i], li[0], atol=1e-12)
+            li, hi2, _ = _infer_logprobs(m, [(one.keys, one.hsum, one.mask_x)], hi, ci, tok[i : i + 1])
+            assert np.allclose(logp[i], li[0], atol=1e-12)
             assert np.allclose(h2[-1][i], hi2[-1][0], atol=1e-12)
 
 

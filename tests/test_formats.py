@@ -162,6 +162,13 @@ class TestBoxes:
         with pytest.raises(FormatError, match=r"boxes\.jsonl:2: box 7 must have left < right"):
             read_boxes(p)
 
+    def test_box_narrower_than_a_float_step_names_the_file_line(self, tmp_path):
+        p = tmp_path / "boxes.jsonl"
+        p.write_text('{"id":0,"rect":[0,0,1,1]}\n{"id":3,"rect":[1e16,0,10000000000000002,10]}\n',
+                     encoding="utf-8")
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:2: box 3 is too narrow"):
+            read_boxes(p)
+
     def test_truth_from_boxes(self):
         recs = [
             BoxRecord(box=TextBox(id=0, left=0, top=0, right=1, bottom=1, word="w")),

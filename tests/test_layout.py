@@ -229,6 +229,10 @@ class TestTextBox:
             TextBox(id=None, left=0, top=0, right=1, bottom=1)
         with pytest.raises(InputError):
             TextBox(id=0, left=0, top=0, right=10**400, bottom=1)
+        # the centre rounds to the left edge, so the box would be its own
+        # successor in arrange
+        with pytest.raises(InputError, match="too narrow"):
+            TextBox(id=0, left=1e16, top=0, right=1e16 + 2, bottom=10)
 
 
 class TestLayoutParams:

@@ -228,18 +228,27 @@ class TestRun:
                 if data.draw(st.integers(0, 4)):
                     frames[box.id] = one_hot_frames(alpha, w)
                 recs.append(BoxRecord(box=box))
-        calls = []
+        calls, batches = [], []
 
-        def fake_correct(model, text, beam_width=1):
-            n_out = data.draw(st.integers(0, len(text.split()) + 2))
-            out = tuple(f"w{i}" for i in range(n_out))
-            calls.append(out)
-            return CorrectionResult(text=" ".join(out), tokens=(), hit_cap=False, degraded=False)
+        def fake_correct_batch(model, phrases, beam_width):
+            batches.append(list(phrases))
+            results = []
+            for text in phrases:
+                n_out = data.draw(st.integers(0, len(text.split()) + 2))
+                out = tuple(f"w{i}" for i in range(n_out))
+                calls.append(out)
+                results.append(CorrectionResult(text=" ".join(out), tokens=(), hit_cap=False, degraded=False))
+            return results
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(doctext.pipeline, "correct", fake_correct)
+            mp.setattr(doctext.pipeline, "correct_batch", fake_correct_batch)
             res = run(recs, alpha, frames, model=object())
 
+        # one call, with the non-empty group phrases in label order
+        labels = [g.label for g in res.report.groups]
+        assert labels == sorted(labels)
+        phrases = [" ".join(filter(None, map(res.baseline_by_id.get, g.box_ids))) for g in res.report.groups]
+        assert batches == [[p for p in phrases if p]]
         seen = [i for g in res.report.groups for i in g.box_ids]
         assert sorted(seen) == [r.box.id for r in recs]
         assert set(res.corrected_by_id) == set(res.baseline_by_id) == set(frames)
