@@ -30,6 +30,7 @@ __all__ = [
     "loss",
     "greedy_decode",
     "beam_decode",
+    "beam_decode_batch",
 ]
 
 PROB_FLOOR = 1e-12
@@ -88,8 +89,12 @@ class Alphabet:
 
 def _as_frames(probs) -> np.ndarray:
     """``probs`` as float64 frames x classes (two or more), all finite."""
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] < 2:
+    try:
+        arr = np.asarray(probs, dtype=np.float64)
+    except (TypeError, ValueError):
+        # ragged rows, or entries that are not numbers
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] < 2:
         raise InputError("frame probabilities must be a 2-D array with at least two classes")
     if not np.all(np.isfinite(arr)):
         raise InputError("frame probabilities must be finite")
@@ -251,18 +256,21 @@ def beam_decode(probs, beam_width: int = 8) -> list[int]:
 
     Notes
     -----
-    One frame is one set of array operations over the beam x characters
-    grid (Hannun et al. 2014).  Every prefix in the beam stays (a blank
-    adds its total mass to the blank score, a repeat of its last
-    character adds its non-blank mass to the non-blank score) and
-    extends by every character.  An extension by the prefix's own last
-    character needs a blank in between, so its source is the blank
-    score alone; an extension whose source is ``-inf`` is not a
-    candidate.
+    This is :func:`beam_decode_batch` on a batch of one box.  A page
+    decodes all its boxes in one batch: one frame step is one set of
+    array operations over every box still reading, and a box's labels
+    do not depend on the boxes it shares the batch with.
 
-    An extension that lands on a prefix already in the beam is found by
-    looking that prefix's parent (all but its last character) up in the
-    beam, and its mass merges into the prefix's non-blank score.  So a
+    Every prefix in the beam stays (a blank adds its total mass to the
+    blank score, a repeat of its last character adds its non-blank mass
+    to the non-blank score) and extends by every character (Hannun et
+    al. 2014).  An extension by the prefix's own last character needs a
+    blank in between, so its source is the blank score alone; an
+    extension whose source is ``-inf`` is not a candidate.
+
+    A prefix is a node of a trie, so an extension that lands on a prefix
+    already in the beam is found by looking its parent's node up in the
+    beam, and its mass merges into the prefix's non-blank score.  A
     prefix collects at most one blank term and two non-blank terms, and
     since ``logaddexp`` of two terms does not depend on their order the
     scores are the same, bit for bit, as those of a decoder that adds
@@ -270,70 +278,250 @@ def beam_decode(probs, beam_width: int = 8) -> list[int]:
 
     The next beam is the ``beam_width`` candidates of highest total log
     probability; equal totals go to the lexicographically smaller
-    prefix.  ``np.partition`` finds the cut, and only the candidates at
-    or above it are sorted by ``(-total, prefix)``.
+    prefix.  ``np.argpartition`` finds each box's cut, and prefixes are
+    compared only when candidates tie exactly at the cut, or for the
+    best prefix after the last frame.
+    """
+    return beam_decode_batch([probs], beam_width)[0]
+
+
+# Trie node 0 is the parent of every root; the prefixes start at 1.
+_NO_PARENT = 0
+
+
+class _PrefixTrie:
+    """The prefixes of a batch's beams, one node per prefix.
+
+    A node has a parent, a last character and a child per character, so
+    a prefix keeps its id when it leaves a beam and comes back.  Each
+    box has its own root, so no two boxes share a node.
+    """
+
+    def __init__(self, n_roots: int, n_chars: int, capacity: int):
+        self.n_chars = n_chars
+        self.size = 1 + n_roots
+        self.roots = np.arange(1, self.size)
+        # per node: its child per character (-1 for none yet), its parent,
+        # its last character, and the flat beam row it held when it was
+        # last in a beam
+        self.child, self.parent, self.char, self.row = self._empty(max(capacity, self.size))
+
+    def _empty(self, capacity: int) -> tuple:
+        # roots end in the blank, which nothing extends by
+        return (
+            np.full((capacity, self.n_chars), -1, dtype=np.intp),
+            np.zeros(capacity, dtype=np.intp),
+            np.full(capacity, self.n_chars, dtype=np.intp),
+            np.zeros(capacity, dtype=np.intp),
+        )
+
+    def _grow(self) -> None:
+        arrays = self._empty(2 * self.size)
+        for new, old in zip(arrays, (self.child, self.parent, self.char, self.row)):
+            new[: len(old)] = old
+        self.child, self.parent, self.char, self.row = arrays
+
+    def children(self, parents: np.ndarray, chars: np.ndarray) -> np.ndarray:
+        """The nodes of ``parents`` extended by ``chars``, made if new.
+
+        The (parent, char) pairs must be distinct.
+        """
+        ids = self.child[parents, chars]
+        new = (ids < 0).nonzero()[0]
+        if new.size == 0:
+            return ids
+        if new.size < ids.size:
+            parents, chars = parents[new], chars[new]
+        start = self.size
+        self.size += new.size
+        if self.size > len(self.parent):
+            self._grow()
+        made = np.arange(start, self.size)
+        self.child[parents, chars] = made
+        self.parent[start : self.size] = parents
+        self.char[start : self.size] = chars
+        ids[new] = made
+        return ids
+
+    def prefix(self, node: int) -> tuple[int, ...]:
+        out = []
+        while self.parent[node] != _NO_PARENT:
+            out.append(int(self.char[node]))
+            node = self.parent[node]
+        return tuple(reversed(out))
+
+
+def _best_prefixes(trie: _PrefixTrie, nodes: np.ndarray, totals: np.ndarray) -> list[list[int]]:
+    """Each box's prefix of highest total, the smaller prefix on a tie."""
+    out = []
+    for row_nodes, row_totals in zip(nodes.tolist(), totals.tolist()):
+        top = max(row_totals)
+        out.append(list(min(trie.prefix(x) for x, v in zip(row_nodes, row_totals) if v == top)))
+    return out
+
+
+def beam_decode_batch(probs_list, beam_width: int = 8) -> list[list[int]]:
+    """:func:`beam_decode` for many frame matrices in one search.
+
+    Parameters
+    ----------
+    probs_list : sequence of array_like, each shape (frames, classes)
+        Per-frame distributions, the last column the blank.  All share
+        one number of classes; the numbers of frames may differ, and a
+        matrix with no frames decodes to the empty label.
+    beam_width : int
+        Number of prefixes kept per box and frame; must be >= 1.
+
+    Returns
+    -------
+    list of list of int
+        ``beam_decode(probs, beam_width)`` for each matrix, in input
+        order; ``[]`` for an empty batch.
+
+    Raises
+    ------
+    InputError
+        For a beam width below 1 (also with an empty batch), a matrix
+        that :func:`beam_decode` refuses, or matrices with different
+        numbers of classes.
+
+    Notes
+    -----
+    The boxes go longest first, and their floored log probabilities are
+    stacked into one frames x boxes x classes array, so the boxes still
+    reading at frame t are the first few and a box drops out when its
+    frames run out.  The beams are boxes x rows arrays, as every box
+    keeps the same number of prefixes.  A frame's candidates form a
+    boxes x (rows x classes) grid: column ``c < blank`` of a row extends
+    it by ``c``, and column ``blank`` is the row itself.  A frame step
+    is the same array program for one box or many, so a box's labels do
+    not depend on the boxes it shares the batch with.
     """
     if beam_width < 1:
         raise InputError("beam width must be >= 1")
-    arr = _as_frames(probs)
-    logp = np.log(np.maximum(arr, PROB_FLOOR))
-    blank = arr.shape[1] - 1
-    chars = np.arange(blank)
+    mats = [_as_frames(p) for p in probs_list]
+    if not mats:
+        return []
+    n_classes = mats[0].shape[1]
+    if any(m.shape[1] != n_classes for m in mats):
+        raise InputError("the frame matrices of a batch must have the same number of classes")
+    blank = n_classes - 1
+    order = sorted(range(len(mats)), key=lambda i: -len(mats[i]))
+    lengths = [len(mats[i]) for i in order]
+    logp = np.ones((lengths[0], len(mats), n_classes))
+    for k, i in enumerate(order):
+        logp[: lengths[k], k] = mats[i]
+    np.log(np.maximum(logp, PROB_FLOOR, out=logp), out=logp)
 
-    # The beam, best first: its prefixes, their last characters (-1 for
-    # the empty prefix), log p(ending in blank), log p(ending in the last
-    # character) and log p(either).
-    prefixes: list[tuple[int, ...]] = [()]
-    last = np.array([-1])
-    pb = np.array([0.0])
-    pnb = np.array([_NEG_INF])
+    # The beams: each row's trie node, log p(ending in blank), log p(ending
+    # in the last character) and log p(either).
+    trie = _PrefixTrie(len(mats), blank, min(beam_width, blank) * sum(lengths))
+    node = trie.roots[:, None]
+    pb = np.zeros(node.shape)
+    pnb = np.full(node.shape, _NEG_INF)
     total = np.logaddexp(pb, pnb)
-    for lp in logp:
-        n = len(prefixes)
+    labels: list = [None] * len(mats)
+    live = len(mats)
+    # Every box keeps the same number of prefixes.  Until the beams first
+    # fill, a box's beam after t frames holds every prefix of at most t
+    # characters, so its number of candidates depends on t alone; once
+    # they are full (``full``), a beam's beam_width stays are candidates,
+    # so it keeps beam_width again.
+    full = beam_width == 1
+    keep = beam_width
+    shape = None
+    for t, lp in enumerate(logp):
+        if lengths[live - 1] <= t:
+            done = live
+            while lengths[live - 1] <= t:
+                live -= 1
+            labels[live:done] = _best_prefixes(trie, node[live:], total[live:])
+            node, pb, pnb, total = node[:live], pb[:live], pnb[:live], total[:live]
+        lp = lp[:live]
+        if node.shape != shape:
+            shape = node.shape
+            n = shape[1]
+            width = n * n_classes
+            rows = np.arange(live * n)
+            row_cells = rows * n_classes
+            box_cells = np.arange(0, live * n_classes, n_classes)[:, None]
+            box_cands = np.arange(0, live * width, width)[:, None]
+        last = trie.char[node]
+        at_last = lp.ravel()[last + box_cells]
         # Stay: a blank keeps all the mass, a repeat of the last character
         # keeps the mass ending in it.
-        stay_pb = total + lp[blank]
-        stay_pnb = np.where(last >= 0, pnb + lp[last], _NEG_INF)
+        stay_pb = total + lp[:, blank:]
+        stay_pnb = pnb + at_last
         # Extend by every character; doubling the last one needs a blank
         # in between, so only the blank-ending mass moves.
-        src = np.where(chars == last[:, None], pb[:, None], total[:, None])
-        ext = src + lp[:blank]
-        live = src != _NEG_INF
+        grid = total[:, :, None] + lp[:, None, :]
+        cells = grid.ravel()
+        cells[row_cells + last.ravel()] = (pb + at_last).ravel()
 
-        # An extension that is already in the beam merges into it.
-        index = {p: i for i, p in enumerate(prefixes)}
-        dest = [j for j, p in enumerate(prefixes) if p and p[:-1] in index]
-        if dest:
-            rows = [index[prefixes[j][:-1]] for j in dest]
-            cols = last[dest]
-            merged = np.where(live[rows, cols], ext[rows, cols], _NEG_INF)
-            stay_pnb[dest] = np.logaddexp(stay_pnb[dest], merged)
-            live[rows, cols] = False
+        # An extension that is already in the beam merges into it: the
+        # prefix's parent is looked up by the row its node was last put in.
+        parent = trie.parent[node]
+        trie.row[node.ravel()] = rows
+        up = trie.row[parent]
+        hit = (node.take(up, mode="clip") == parent).ravel().nonzero()[0]
+        if hit.size:
+            into = up.ravel()[hit] * n_classes + last.ravel()[hit]
+            merged = stay_pnb.ravel()
+            merged[hit] = np.logaddexp(merged[hit], cells[into])
+            cells[into] = _NEG_INF
+        # Column ``blank`` is the row itself, staying.
+        grid[:, :, blank] = np.logaddexp(stay_pb, stay_pnb)
+        scores = grid.reshape(live, width)
 
-        grown = np.flatnonzero(live)
-        cand_last = np.concatenate([last, grown % blank])
-        cand_pb = np.concatenate([stay_pb, np.full(len(grown), _NEG_INF)])
-        cand_pnb = np.concatenate([stay_pnb, ext.ravel()[grown]])
-        neg = -np.logaddexp(cand_pb, cand_pnb)
-        keep = min(beam_width, len(neg))
-        if keep < len(neg):
-            cut = np.partition(neg, keep - 1)[keep - 1]
-            picked = np.flatnonzero(neg <= cut).tolist()
+        # Keep each box's best candidates; an extension scored -inf is none.
+        if not full:
+            keep = min(beam_width, int(np.count_nonzero(scores[0] > _NEG_INF)))
+            full = keep == beam_width
+        if keep < width:
+            cut = width - keep
+            pick = scores.argpartition((cut - 1, cut), axis=1)
+            # the best candidate left out and the worst one kept
+            edge = cells[pick[:, cut - 1 : cut + 1] + box_cands]
+            for b in (edge[:, 0] == edge[:, 1]).nonzero()[0].tolist():
+                if edge[b, 0] > _NEG_INF:
+                    pick[b, cut:] = _break_tie(trie, node[b], scores[b], edge[b, 0], keep, n_classes)
+            pick = pick[:, cut:]
         else:
-            picked = range(len(neg))
+            pick = np.broadcast_to(np.arange(width), scores.shape)
+        chosen = pick + box_cands
+        src, char = np.divmod(chosen, n_classes)
+        total = cells[chosen]
+        pb = stay_pb.ravel()[src]
+        pnb = stay_pnb.ravel()[src]
+        node = node.ravel()[src]
+        # an extension ends in its last character
+        grown = char != blank
+        pb[grown] = _NEG_INF
+        pnb[grown] = total[grown]
+        grown = grown.ravel().nonzero()[0]
+        nodes = node.ravel()
+        nodes[grown] = trie.children(nodes[grown], char.ravel()[grown])
 
-        ranked = []
-        for s in picked:
-            if s < n:
-                prefix = prefixes[s]
-            else:
-                g = int(grown[s - n])
-                prefix = prefixes[g // blank] + (g % blank,)
-            ranked.append((float(neg[s]), prefix, s))
-        ranked.sort()
-        chosen = [s for _, _, s in ranked[:keep]]
-        prefixes = [p for _, p, _ in ranked[:keep]]
-        last, pb, pnb = cand_last[chosen], cand_pb[chosen], cand_pnb[chosen]
-        total = -neg[chosen]
+    labels[:live] = _best_prefixes(trie, node, total)
+    out: list = [None] * len(mats)
+    for k, i in enumerate(order):
+        out[i] = labels[k]
+    return out
 
-    return list(prefixes[0])
+
+def _break_tie(trie, nodes, scores, cut, keep, n_classes) -> list[int]:
+    """The ``keep`` best candidates of one box whose candidates tie at
+    the cut: the tied ones go in order of their prefixes."""
+    above = (scores > cut).nonzero()[0].tolist()
+    tied = (scores == cut).nonzero()[0].tolist()
+    blank = n_classes - 1
+    prefixes: dict[int, tuple[int, ...]] = {}
+    keyed = []
+    for s in tied:
+        r, c = divmod(s, n_classes)
+        p = prefixes.get(r)
+        if p is None:
+            p = prefixes[r] = trie.prefix(nodes[r])
+        keyed.append((p if c == blank else p + (c,), s))
+    keyed.sort()
+    return above + [s for _, s in keyed[: keep - len(above)]]

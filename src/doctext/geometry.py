@@ -348,7 +348,8 @@ def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
 def read_pgm(path) -> GrayImage:
     """Load a binary (P5) PGM file as a GrayImage.
 
-    Maxval up to 255 is accepted; intensities are scaled to [0, 1].
+    Maxval up to 255 is accepted; intensities are scaled to [0, 1].  A
+    byte above maxval is a malformed file and raises ``FormatError``.
     """
     data = Path(path).read_bytes()
     if not _PGM_HEADER.match(data):
@@ -363,6 +364,9 @@ def read_pgm(path) -> GrayImage:
     if len(raster) != width * height:
         raise FormatError("truncated PGM raster")
     px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    brightest = int(px.max())
+    if brightest > maxval:
+        raise FormatError(f"{path}: PGM value {brightest} exceeds maxval {maxval}")
     return GrayImage(px.astype(np.float64) / float(maxval))
 
 

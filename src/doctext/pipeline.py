@@ -17,7 +17,10 @@ flagged, so correction can never lose a box.
 import unicodedata
 from dataclasses import dataclass, field
 
-from .ctc import Alphabet, beam_decode, validate_frame_probs
+import numpy as np
+
+# ``beam_decode`` is not called here; perfbench/tracing.py looks it up in this module
+from .ctc import Alphabet, beam_decode, beam_decode_batch, validate_frame_probs  # noqa: F401
 from .errors import FormatError, InputError, VersionError
 from .formats import BoxRecord, from_json_value, read_json_file, to_json_value, write_json_file
 from .geometry import GrayImage, crop_region, rectify
@@ -155,20 +158,30 @@ class RunResult:
 
 
 def decode_words(alphabet: Alphabet, frames_by_id: dict, beam_width: int = 8) -> dict[int, str]:
-    """Beam-decode every box's frames into a word.
+    """Beam-decode every box's frames into a word, all boxes in one batch.
 
     Every frame matrix must hold one distribution per row over the
     alphabet plus blank, as :func:`doctext.ctc.validate_frame_probs`
-    checks; anything else raises ``InputError``.
+    checks; anything else raises ``InputError`` naming the first bad
+    box.  The values of all boxes are checked in one call on their
+    stacked rows, and box by box only when that fails.
     """
-    words = {}
-    for bid, frames in frames_by_id.items():
-        try:
-            mat = validate_frame_probs(frames, n_columns=alphabet.size)
-        except InputError as exc:
-            raise InputError(f"frames of box {bid}: {exc}") from exc
-        words[int(bid)] = alphabet.decode(beam_decode(mat, beam_width))
-    return words
+    try:
+        mats = [np.asarray(frames, dtype=np.float64) for frames in frames_by_id.values()]
+        if not all(m.ndim == 2 and len(m) > 0 and m.shape[1] == alphabet.size for m in mats):
+            raise InputError("a frame matrix has the wrong shape")
+        if mats:
+            validate_frame_probs(np.concatenate(mats), n_columns=alphabet.size)
+    except (InputError, TypeError, ValueError):
+        # name the first bad box, with the message of its own check
+        for bid, frames in frames_by_id.items():
+            try:
+                validate_frame_probs(frames, n_columns=alphabet.size)
+            except InputError as exc:
+                raise InputError(f"frames of box {bid}: {exc}") from exc
+        raise
+    labels = beam_decode_batch(mats, beam_width)
+    return {int(bid): alphabet.decode(label) for bid, label in zip(frames_by_id, labels)}
 
 
 def _norm(text: str) -> str:

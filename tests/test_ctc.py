@@ -19,6 +19,7 @@ from doctext.ctc import (
     PROB_FLOOR,
     Alphabet,
     beam_decode,
+    beam_decode_batch,
     collapse,
     greedy_decode,
     log_prob,
@@ -154,14 +155,15 @@ def _log_prob_reference(probs, labels):
 
 
 @st.composite
-def frame_matrices(draw, max_frames=14, max_classes=8, quantized=None):
+def frame_matrices(draw, max_frames=14, max_classes=8, quantized=None, n_classes=None):
     """Row-stochastic frames-by-classes matrices, possibly with no rows.
 
     Quantized rows (weights 0 to 3) hold exact zeros and make many
     candidate scores tie, which exercises the prefix tie-break.
     """
     n_frames = draw(st.integers(0, max_frames))
-    n_classes = draw(st.integers(2, max_classes))
+    if n_classes is None:
+        n_classes = draw(st.integers(2, max_classes))
     if quantized is None:
         quantized = draw(st.booleans())
     if quantized:
@@ -171,6 +173,15 @@ def frame_matrices(draw, max_frames=14, max_classes=8, quantized=None):
     weights = draw(arrays(np.float64, (n_frames, n_classes), elements=elements))
     weights += weights.sum(axis=1, keepdims=True) == 0.0
     return weights / weights.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def frame_batches(draw, max_boxes=6, max_frames=10, max_classes=6):
+    """Lists of frame matrices that share a column count: lengths mixed,
+    zero frames included, each matrix quantized or not."""
+    n_classes = draw(st.integers(2, max_classes))
+    n_boxes = draw(st.integers(0, max_boxes))
+    return [draw(frame_matrices(max_frames=max_frames, n_classes=n_classes)) for _ in range(n_boxes)]
 
 
 # ---------------------------------------------------------------- alphabet
@@ -250,7 +261,11 @@ class TestFrameCheck:
         with pytest.raises(InputError, match="finite"):
             read([[0.2, 0.8], [bad, 0.5]])
 
-    @pytest.mark.parametrize("probs", [[0.5, 0.5], [[1.0], [1.0]]], ids=["1-D", "one-column"])
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, 0.5], [[1.0], [1.0]], [[0.5, 0.5], [1.0]], [["a", "b"]]],
+        ids=["1-D", "one-column", "ragged", "not-numbers"],
+    )
     @pytest.mark.parametrize("read", FRAME_READERS)
     def test_shape_rejected(self, read, probs):
         with pytest.raises(InputError, match="at least two classes"):
@@ -509,3 +524,45 @@ class TestBeamDecode:
             exact = log_prob(probs, beam_decode(probs, 4096))
             for w in (1, 2, 4, 8, 64):
                 assert exact >= log_prob(probs, beam_decode(probs, w)) - 1e-12
+
+
+class TestBeamDecodeBatch:
+    """The batch is the one-box search run on every box: checked against
+    the one-candidate-at-a-time reference, box by box."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(frame_batches())
+    def test_matches_reference_box_by_box(self, mats):
+        for width in (1, 2, 3, 8, 64):
+            got = beam_decode_batch(mats, width)
+            assert got == [_beam_decode_reference(m, width) for m in mats]
+            assert all(type(v) is int for label in got for v in label)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_batches(), st.data())
+    def test_box_does_not_depend_on_its_partners(self, mats, data):
+        perm = data.draw(st.permutations(range(len(mats))))
+        for width in (1, 2, 3, 8, 64):
+            got = beam_decode_batch(mats, width)
+            assert beam_decode_batch([mats[i] for i in perm], width) == [got[i] for i in perm]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 64])
+    def test_empty_batch(self, width):
+        assert beam_decode_batch([], width) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(frame_matrices(), frame_matrices())
+    def test_mismatched_columns_rejected(self, a, b):
+        assume(a.shape[1] != b.shape[1])
+        with pytest.raises(InputError, match="same number of classes"):
+            beam_decode_batch([a, b], 8)
+
+    @pytest.mark.parametrize("mats", [[], [np.full((2, 3), 1 / 3)]], ids=["empty", "one-box"])
+    def test_width_below_one_rejected(self, mats):
+        with pytest.raises(InputError, match="beam width"):
+            beam_decode_batch(mats, 0)
+
+    def test_non_finite_box_rejected(self):
+        good = np.full((2, 3), 1 / 3)
+        with pytest.raises(InputError, match="finite"):
+            beam_decode_batch([good, np.array([[0.5, np.nan, 0.5]])], 8)

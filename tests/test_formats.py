@@ -203,6 +203,12 @@ class TestFrames:
         with pytest.raises(FormatError, match=r"frames\.jsonl:2: expected 3 probability columns"):
             read_frames(p)
 
+    def test_ragged_frames_rejected(self, tmp_path):
+        p = tmp_path / "frames.jsonl"
+        p.write_text('{"alphabet":["a"]}\n{"box_id":0,"frames":[[0.5,0.5],[1.0]]}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=r"frames\.jsonl:2: frame probabilities must be a 2-D array"):
+            read_frames(p)
+
     def test_non_stochastic_rows_rejected(self, tmp_path):
         p = tmp_path / "frames.jsonl"
         p.write_text('{"alphabet":["a"]}\n{"box_id":0,"frames":[[0.9,0.9]]}\n', encoding="utf-8")

@@ -292,6 +292,12 @@ class TestPgm:
         img = read_pgm(p)
         assert img.pixels[0, 1] == 1.0
 
+    def test_value_above_maxval_names_the_file(self, tmp_path):
+        p = tmp_path / "over.pgm"
+        p.write_bytes(b"P5\n2 1\n100\n\x00\xc8")
+        with pytest.raises(FormatError, match=r"over\.pgm: PGM value 200 exceeds maxval 100"):
+            read_pgm(p)
+
     def test_oversized_maxval_rejected(self, tmp_path):
         p = tmp_path / "m16.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\x00\x00")

@@ -122,6 +122,12 @@ class TestDecodeWords:
         with pytest.raises(InputError, match="box 1"):
             decode_words(alpha, frames)
 
+    def test_rejects_ragged_frames(self):
+        alpha = Alphabet(("a", "b"))
+        frames = {0: one_hot_frames(alpha, "ab"), 1: [[0.5, 0.25, 0.25], [1.0, 0.0]]}
+        with pytest.raises(InputError, match="box 1: frame probabilities must be a 2-D array"):
+            decode_words(alpha, frames)
+
     def test_run_rejects_bad_frames(self):
         alpha = Alphabet(("a", "b"))
         recs = line_records(["ab"])
