@@ -35,17 +35,19 @@ from .ctc import greedy_decode
 from .errors import DivergenceError, DoctextError, FormatError, InputError
 from .formats import (
     BoxRecord,
+    _read_text,
     from_json_value,
     read_boxes,
     read_corpus,
     read_frames,
     read_jsonl,
+    read_words,
     truth_from_boxes,
     write_boxes,
     write_corpus,
     write_frames,
     write_json_file,
-    write_jsonl,
+    write_words,
 )
 from .geometry import crop_region, read_pgm, rectify, write_pgm
 from .layout import LayoutParams, arrange_document, group, render_group_overlay
@@ -83,10 +85,7 @@ def load_params(path) -> dict:
     and in a table or in two tables, it is an ``InputError``.
     """
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read params file {path}: {exc}") from exc
+    text = _read_text(p)
     if p.suffix.lower() == ".json":
         try:
             payload = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
@@ -214,7 +213,7 @@ def _cmd_decode(args) -> int:
         words = {bid: alphabet.decode(greedy_decode(mat)) for bid, mat in frames.items()}
     else:
         words = decode_words(alphabet, frames, args.beam)
-    write_jsonl(args.out, [{"box_id": i, "word": words[i]} for i in sorted(words)])
+    write_words(args.out, words)
     print(f"decoded {len(words)} boxes")
     return 0
 
@@ -272,20 +271,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pred_rows = read_jsonl(args.pred)
-    try:
-        pred = {int(r["box_id"]): str(r["word"]) for r in pred_rows}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{args.pred}: prediction rows need box_id and word") from exc
-    truth_path = Path(args.truth)
-    rows = read_jsonl(truth_path)
+    pred = read_words(args.pred)
+    rows = read_jsonl(args.truth)
     if rows and isinstance(rows[0], dict) and ("rect" in rows[0] or "quad" in rows[0]):
-        truth = truth_from_boxes(read_boxes(truth_path))
+        truth = truth_from_boxes(read_boxes(args.truth))
     else:
-        try:
-            truth = {int(r["box_id"]): str(r["word"]) for r in rows}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{args.truth}: truth rows need box_id and word") from exc
+        truth = read_words(args.truth)
     accuracy = evaluate(pred, truth)
     correct_n = round(accuracy * len(truth))
     print(f"accuracy: {format_percent(accuracy)} ({correct_n}/{len(truth)})")

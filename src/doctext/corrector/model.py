@@ -178,4 +178,11 @@ def save_model(model: CorrectorModel, path) -> None:
 
 
 def load_model(path) -> CorrectorModel:
-    return model_from_dict(read_json_file(path))
+    """Read a checkpoint written by :func:`save_model`.  A malformed one
+    raises the error of :func:`model_from_dict`, its message prefixed
+    with the path."""
+    payload = read_json_file(path)
+    try:
+        return model_from_dict(payload)
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

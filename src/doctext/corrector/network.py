@@ -174,6 +174,16 @@ def _check_batch(vocab: Vocab, ids, what: str):
     return ids, mask, order, counts
 
 
+def _pad_batch(seqs, pad_id: int) -> np.ndarray:
+    """(B, T) int64 batch of the token sequences ``seqs``, each padded
+    at its tail to the longest with ``pad_id``."""
+    width = max(len(s) for s in seqs)
+    out = np.full((len(seqs), width), pad_id, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        out[i, : len(s)] = s
+    return out
+
+
 def _stack_steps(parts, bsz: int) -> np.ndarray:
     """(B, T, ...) array of per-step arrays that each fill the leading
     rows; zero past a row's last step."""
@@ -638,11 +648,7 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
     row is stepped twice over, so no product runs on one row.
     """
     vb = model.vocab
-    longest = max(seqs, key=len)
-    x = np.full((len(seqs) + 1, len(longest)), vb.pad_id, dtype=np.int64)
-    for row, ids in enumerate(seqs + [longest]):
-        x[row, : len(ids)] = ids
-    enc = _encode_batch(model, x)
+    enc = _encode_batch(model, _pad_batch(seqs + [max(seqs, key=len)], vb.pad_id))
     by_len = sorted(range(len(seqs)), key=lambda q: (len(seqs[q]), q))
     # the attention inputs of each source length, unpadded, each
     # sequence's slot among those of its length, and the inputs gathered

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import DivergenceError, InputError
 from .model import CorrectorModel
-from .network import _backward_batch, _forward_batch
+from .network import _backward_batch, _forward_batch, _pad_batch
 from .vocab import Vocab
 
 __all__ = ["TrainConfig", "learning_rate", "build_pairs", "train"]
@@ -76,14 +76,6 @@ def build_pairs(vocab: Vocab, corpus: Sequence[tuple[str, str]]):
     if not pairs:
         raise InputError("training corpus is empty")
     return pairs
-
-
-def _pad_batch(seqs, pad_id: int) -> np.ndarray:
-    width = max(len(s) for s in seqs)
-    out = np.full((len(seqs), width), pad_id, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        out[i, : len(s)] = s
-    return out
 
 
 def train(model: CorrectorModel, corpus: Sequence[tuple[str, str]], cfg: TrainConfig):

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12
+# how far a frame probability may stray outside [0, 1], and a row sum from 1
+_PROB_TOL = 1e-9
 _NEG_INF = -np.inf
 
 
@@ -101,11 +103,11 @@ def _as_frames(probs) -> np.ndarray:
     return arr
 
 
-def validate_frame_probs(probs, n_columns: int | None = None, tol: float = 1e-9) -> np.ndarray:
+def validate_frame_probs(probs, n_columns: int | None = None) -> np.ndarray:
     """Check a frames-by-classes probability matrix and return it as float64.
 
     Every row must be a distribution: entries in [0, 1] and summing to
-    1 within ``tol``.  ``n_columns``, when given, pins the expected
+    1, both within 1e-9.  ``n_columns``, when given, pins the expected
     number of classes (alphabet size plus blank).
     """
     arr = _as_frames(probs)
@@ -113,10 +115,10 @@ def validate_frame_probs(probs, n_columns: int | None = None, tol: float = 1e-9)
         raise InputError("frame probabilities need at least one frame")
     if n_columns is not None and arr.shape[1] != n_columns:
         raise InputError(f"expected {n_columns} probability columns, got {arr.shape[1]}")
-    if arr.min() < -tol or arr.max() > 1.0 + tol:
+    if arr.min() < -_PROB_TOL or arr.max() > 1.0 + _PROB_TOL:
         raise InputError("frame probabilities must lie in [0, 1]")
     sums = arr.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if np.any(np.abs(sums - 1.0) > _PROB_TOL):
         raise InputError("every frame row must sum to 1")
     return arr
 

@@ -1,10 +1,14 @@
-"""On-disk formats: JSONL box and frame bundles, corpora, canonical JSON.
+"""On-disk formats: JSONL box and frame bundles, word rows, corpora,
+canonical JSON.
 
 Documents move between tools as two JSONL files: a boxes file (one
 detected region per line, axis-aligned or quadrilateral, with optional
 ground-truth word) and a frames file (a header line naming the
-alphabet, then one per-frame probability matrix per box).  Corpora for
-corrector training are JSONL (noisy, clean) phrase pairs.
+alphabet, then one per-frame probability matrix per box).  Decoded
+words are JSONL word rows, one ``{"box_id", "word"}`` object per box.
+Corpora for corrector training are JSONL (noisy, clean) phrase pairs.
+Every reader's refusal names the file, and ``path:line`` for a JSONL
+record.
 
 Reports and checkpoints are single canonical-JSON documents: keys
 sorted, separators fixed, floats carried at full repr precision, one
@@ -38,6 +42,8 @@ __all__ = [
     "write_boxes",
     "read_frames",
     "write_frames",
+    "read_words",
+    "write_words",
     "read_corpus",
     "write_corpus",
     "truth_from_boxes",
@@ -115,11 +121,19 @@ def write_json_file(path, payload) -> None:
     Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
 
 
-def read_json_file(path):
+def _read_text(path) -> str:
+    """The UTF-8 text of the file ``path``: ``InputError`` when it cannot
+    be read, ``FormatError`` when it is not UTF-8; both name the path."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def read_json_file(path):
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -128,12 +142,8 @@ def read_json_file(path):
 
 def _numbered_records(path) -> list[tuple[int, object]]:
     """Each record of a JSONL file with its line number; blank lines count."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     records = []
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -141,6 +151,18 @@ def _numbered_records(path) -> list[tuple[int, object]]:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{n}: bad JSON line: {exc}") from exc
     return records
+
+
+def _fields(rec, where: str, what: str, **types) -> list:
+    """The values of the keys of ``types`` in the JSONL record ``rec``,
+    each read by :func:`from_json_value` as its type, or as it is for
+    type None; anything else is a ``FormatError`` at ``where``."""
+    if not isinstance(rec, dict) or not types.keys() <= rec.keys():
+        raise FormatError(f"{where}: {what} needs {' and '.join(map(repr, types))}")
+    try:
+        return [rec[k] if tp is None else from_json_value(tp, rec[k]) for k, tp in types.items()]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: bad {what}: {exc}") from exc
 
 
 def read_jsonl(path) -> list:
@@ -224,8 +246,9 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
     """Load a frames JSONL file: alphabet header, then one record per box.
 
     Every frame matrix must have alphabet-size + 1 columns of
-    row-stochastic probabilities, and box ids must be unique; anything
-    else raises ``FormatError`` naming ``path:line``.
+    row-stochastic probabilities, and box ids must be unique integers,
+    as :func:`from_json_value` types them; anything else raises
+    ``FormatError`` naming ``path:line``.
     """
     records = _numbered_records(path)
     header = records[0][1] if records else {}
@@ -237,16 +260,11 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
         raise FormatError(f"{path}: bad alphabet header: {exc}") from exc
     frames: dict[int, np.ndarray] = {}
     for n, rec in records[1:]:
-        if not isinstance(rec, dict) or "box_id" not in rec or "frames" not in rec:
-            raise FormatError(f"{path}:{n}: frame record needs 'box_id' and 'frames'")
-        try:
-            bid = int(rec["box_id"])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}:{n}: box_id must be an integer") from exc
+        bid, probs = _fields(rec, f"{path}:{n}", "frame record", box_id=int, frames=None)
         if bid in frames:
             raise FormatError(f"{path}:{n}: duplicate frames for box {bid}")
         try:
-            mat = validate_frame_probs(rec["frames"], n_columns=alphabet.size)
+            mat = validate_frame_probs(probs, n_columns=alphabet.size)
         except InputError as exc:
             raise FormatError(f"{path}:{n}: {exc}") from exc
         frames[bid] = mat
@@ -260,16 +278,31 @@ def write_frames(path, alphabet: Alphabet, frames_by_id: dict[int, np.ndarray]) 
     write_jsonl(path, rows)
 
 
+def read_words(path) -> dict[int, str]:
+    """Load a word-rows JSONL file: one ``{"box_id", "word"}`` object per box.
+
+    ``box_id`` must be an integer and ``word`` a string, as
+    :func:`from_json_value` types them, and box ids must be unique;
+    anything else raises ``FormatError`` naming ``path:line``.
+    """
+    words: dict[int, str] = {}
+    for n, rec in _numbered_records(path):
+        bid, word = _fields(rec, f"{path}:{n}", "word row", box_id=int, word=str)
+        if bid in words:
+            raise FormatError(f"{path}:{n}: duplicate box id {bid}")
+        words[bid] = word
+    return words
+
+
+def write_words(path, words: dict[int, str]) -> None:
+    write_jsonl(path, [{"box_id": int(i), "word": words[i]} for i in sorted(words)])
+
+
 def read_corpus(path) -> list[tuple[str, str]]:
     """Load a (noisy, clean) phrase-pair corpus."""
     pairs = []
     for n, rec in _numbered_records(path):
-        if not isinstance(rec, dict) or "noisy" not in rec or "clean" not in rec:
-            raise FormatError(f"{path}:{n}: corpus record needs 'noisy' and 'clean'")
-        noisy, clean = rec["noisy"], rec["clean"]
-        if not isinstance(noisy, str) or not isinstance(clean, str):
-            raise FormatError(f"{path}:{n}: corpus fields must be strings")
-        pairs.append((noisy, clean))
+        pairs.append(tuple(_fields(rec, f"{path}:{n}", "corpus record", noisy=str, clean=str)))
     if not pairs:
         raise InputError(f"{path}: corpus is empty")
     return pairs

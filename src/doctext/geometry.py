@@ -142,10 +142,6 @@ class Homography:
         v = (h[1, 0] * xs + h[1, 1] * ys + h[1, 2]) / w
         return u, v
 
-    def apply_point(self, p: Point) -> Point:
-        u, v = self.apply(p.x, p.y)
-        return Point(float(u), float(v))
-
     def inverse(self) -> "Homography":
         try:
             inv = np.linalg.inv(self.matrix)
@@ -215,10 +211,9 @@ class GrayImage:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
             raise InputError("image must be a non-empty 2-D array")
-        if not np.all(np.isfinite(px)):
-            raise InputError("image intensities must be finite")
-        if px.min() < -1e-9 or px.max() > 1.0 + 1e-9:
-            raise InputError("image intensities must lie in [0, 1]")
+        # written so that NaN, which min() and max() propagate, fails it
+        if not (px.min() >= -1e-9 and px.max() <= 1.0 + 1e-9):
+            raise InputError("image intensities must be finite and lie in [0, 1]")
         object.__setattr__(self, "pixels", np.clip(px, 0.0, 1.0))
 
     @property
@@ -312,57 +307,32 @@ def crop_region(quad: Quad | None, rect, height: int) -> tuple[Quad, int, int]:
     return quad, width, height
 
 
-_PGM_HEADER = re.compile(rb"^P5\s")
-
-
-def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read ``count`` whitespace-separated integer tokens, honouring
-    ``#`` comments, and return them with the offset one byte past the
-    final token's trailing whitespace character."""
-    tokens: list[int] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i] not in b"\r\n":
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise FormatError("truncated PGM header")
-        tok = data[start:i]
-        if not tok.isdigit():
-            raise FormatError(f"bad PGM header token {tok!r}")
-        tokens.append(int(tok))
-        if len(tokens) == count:
-            if i >= n:
-                raise FormatError("truncated PGM header")
-            i += 1  # exactly one whitespace byte separates header and raster
-    return tokens, i
+# "P5", then width, height and maxval, each after whitespace and "#"
+# comments (a comment runs to the end of its line and starts after
+# whitespace), then exactly one whitespace byte before the raster
+_PGM_SEP = rb"\s(?:\s|#[^\r\n]*+)*+"
+_PGM_HEADER = re.compile(rb"P5" + (_PGM_SEP + rb"(\d++)") * 3 + rb"\s")
 
 
 def read_pgm(path) -> GrayImage:
     """Load a binary (P5) PGM file as a GrayImage.
 
     Maxval up to 255 is accepted; intensities are scaled to [0, 1].  A
-    byte above maxval is a malformed file and raises ``FormatError``.
+    malformed header, a short raster or a byte above maxval raises
+    ``FormatError`` naming the file.
     """
     data = Path(path).read_bytes()
-    if not _PGM_HEADER.match(data):
-        raise FormatError("not a binary PGM (P5) file")
-    (width, height, maxval), offset = _read_pgm_tokens(data[2:], 3)
-    offset += 2
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FormatError(f"{path}: not a binary PGM (P5) file, or a malformed header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
-        raise FormatError("PGM dimensions must be positive")
+        raise FormatError(f"{path}: PGM dimensions must be positive")
     if not 0 < maxval < 256:
-        raise FormatError("only 8-bit PGM rasters are supported")
-    raster = data[offset : offset + width * height]
+        raise FormatError(f"{path}: only 8-bit PGM rasters are supported")
+    raster = data[header.end() : header.end() + width * height]
     if len(raster) != width * height:
-        raise FormatError("truncated PGM raster")
+        raise FormatError(f"{path}: truncated PGM raster")
     px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     brightest = int(px.max())
     if brightest > maxval:

@@ -22,7 +22,7 @@ import numpy as np
 # ``beam_decode`` is not called here; perfbench/tracing.py looks it up in this module
 from .ctc import Alphabet, beam_decode, beam_decode_batch, validate_frame_probs  # noqa: F401
 from .errors import FormatError, InputError, VersionError
-from .formats import BoxRecord, from_json_value, read_json_file, to_json_value, write_json_file
+from .formats import BoxRecord, from_json_value, read_json_file, to_json_value, truth_from_boxes, write_json_file
 from .geometry import GrayImage, crop_region, rectify
 from .layout import DocumentLayout, LayoutParams, arrange_document
 from .corrector.model import CorrectorModel
@@ -198,8 +198,7 @@ def evaluate(pred: dict[int, str], truth: dict[int, str]) -> float:
         raise InputError("cannot evaluate against an empty truth set")
     if set(pred) != set(truth):
         raise InputError("prediction and truth box ids do not align")
-    hits = sum(1 for i in truth if _norm(pred[i]) == _norm(truth[i]))
-    return hits / len(truth)
+    return _count_matches(pred, truth) / len(truth)
 
 
 def _count_matches(pred: dict[int, str], truth: dict[int, str]) -> int:
@@ -293,15 +292,13 @@ def run(
     if model is None:
         notes.append("correction skipped: no corrector model supplied")
 
-    truth = {b.id: b.word for b in boxes if b.word is not None}
+    truth = truth_from_boxes(records)
     baseline_correct = None
     corrected_correct = None
     if truth:
-        base_pred = {i: baseline_by_id.get(i, "") for i in truth}
-        baseline_correct = _count_matches(base_pred, truth)
+        baseline_correct = _count_matches(baseline_by_id, truth)
         if model is not None:
-            corr_pred = {i: corrected_by_id.get(i, "") for i in truth}
-            corrected_correct = _count_matches(corr_pred, truth)
+            corrected_correct = _count_matches(corrected_by_id, truth)
 
     report = EvalReport(
         n_boxes=len(boxes),
@@ -341,7 +338,8 @@ def load_report(path) -> EvalReport:
         raise FormatError(f"{path} is not a report file")
     if payload.get("version") != REPORT_VERSION:
         raise VersionError(
-            f"unsupported report version {payload.get('version')!r}, expected {REPORT_VERSION}"
+            f"{path}: unsupported report version {payload.get('version')!r}, "
+            f"expected {REPORT_VERSION}"
         )
     try:
         return from_json_value(EvalReport, payload)

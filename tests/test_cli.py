@@ -8,10 +8,10 @@ import pytest
 from doctext.cli import load_params, main
 from doctext.corrector import Hyper, TrainConfig
 from doctext.errors import FormatError, InputError
-from doctext.formats import read_boxes, read_corpus, read_frames, read_jsonl
+from doctext.formats import read_boxes, read_corpus, read_frames, read_jsonl, read_words, truth_from_boxes
 from doctext.geometry import read_pgm
 from doctext.layout import LayoutParams
-from doctext.pipeline import PipelineParams
+from doctext.pipeline import PipelineParams, decode_words, evaluate
 from doctext.synth import SynthSpec
 
 
@@ -251,6 +251,40 @@ class TestRunAndEval:
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert payload["total"] > 0
 
+    def test_decode_then_eval(self, synth_dir, tmp_path, capsys):
+        # the word rows decode writes are the ones eval reads, as prediction and as truth
+        frames = synth_dir / "doc_0000.frames.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        assert run_cli("decode", "--frames", frames, "--out", pred) == 0
+        words = read_words(pred)
+        assert words == decode_words(*read_frames(frames))
+        out_json = tmp_path / "acc.json"
+        assert run_cli("eval", "--pred", pred, "--truth", pred, "--out", out_json) == 0
+        assert json.loads(out_json.read_text()) == {
+            "accuracy": 1.0, "correct": len(words), "total": len(words),
+        }
+        truth = truth_from_boxes(read_boxes(synth_dir / "doc_0000.boxes.jsonl"))
+        assert run_cli("eval", "--pred", pred, "--truth", synth_dir / "doc_0000.boxes.jsonl",
+                       "--out", out_json) == 0
+        assert json.loads(out_json.read_text())["accuracy"] == evaluate(words, truth)
+
+    @pytest.mark.parametrize("rows, line", [
+        ('{"box_id":0,"word":null}', 1),
+        ('{"box_id":0,"word":7}', 1),
+        ('{"box_id":true,"word":"a"}', 1),
+        ('{"box_id":0.5,"word":"a"}', 1),
+        ('{"box_id":0,"word":"a"}\n{"box_id":0,"word":"b"}', 2),
+    ], ids=["word_null", "word_number", "id_bool", "id_fraction", "id_repeated"])
+    @pytest.mark.parametrize("role", ["--pred", "--truth"])
+    def test_eval_refuses_bad_word_rows(self, tmp_path, capsys, role, rows, line):
+        good = tmp_path / "good.jsonl"
+        good.write_text('{"box_id":0,"word":"a"}\n', encoding="utf-8")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(rows + "\n", encoding="utf-8")
+        files = {"--pred": good, "--truth": good, role: bad}
+        assert run_cli("eval", *[a for kv in files.items() for a in kv]) == 2
+        assert f"{bad}:{line}: " in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
@@ -261,6 +295,33 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n", encoding="utf-8")
         assert run_cli("decode", "--frames", bad, "--out", tmp_path / "o.jsonl") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("decode", "--frames", "BAD.jsonl", "--out", "o.jsonl"),
+        ("run", "--boxes", "BAD.jsonl", "--frames", "FRAMES", "--out", "o.json"),
+        ("run", "--boxes", "BOXES", "--frames", "BAD.jsonl", "--out", "o.json"),
+        ("run", "--boxes", "BOXES", "--frames", "FRAMES", "--out", "o.json", "--params", "BAD.toml"),
+        ("correct", "--model", "BAD.json", "--text", "mother"),
+        ("train-corrector", "--corpus", "BAD.jsonl", "--out", "m.json"),
+        ("train-corrector", "--corpus", "CORPUS", "--out", "m.json", "--params", "BAD.json"),
+        ("eval", "--pred", "BAD.jsonl", "--truth", "BOXES"),
+        ("eval", "--pred", "WORDS", "--truth", "BAD.jsonl"),
+    ], ids=["decode_frames", "run_boxes", "run_frames", "run_params", "correct_model",
+            "train_corpus", "train_params", "eval_pred", "eval_truth"])
+    def test_non_utf8_input_names_the_file(self, synth_dir, tmp_path, capsys, argv):
+        # the capitalised names are good inputs; file names go to tmp_path
+        inputs = {
+            "BOXES": synth_dir / "doc_0000.boxes.jsonl",
+            "FRAMES": synth_dir / "doc_0000.frames.jsonl",
+            "CORPUS": synth_dir / "corpus.jsonl",
+            "WORDS": tmp_path / "words.jsonl",
+        }
+        inputs["WORDS"].write_text('{"box_id":0,"word":"a"}\n', encoding="utf-8")
+        bad = tmp_path / next(a for a in argv if a.startswith("BAD."))
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        files = (".json", ".jsonl", ".toml")
+        assert run_cli(*[inputs.get(a, tmp_path / a if a.endswith(files) else a) for a in argv]) == 2
+        assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, synth_dir, tmp_path):
         params = tmp_path / "explode.json"

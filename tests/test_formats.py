@@ -1,10 +1,15 @@
 """Tests for the JSON/JSONL file formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from doctext.cli import load_params
+from doctext.corrector.model import load_model
 from doctext.errors import FormatError, InputError
 from doctext.formats import (
     BoxRecord,
@@ -14,13 +19,16 @@ from doctext.formats import (
     read_frames,
     read_json_file,
     read_jsonl,
+    read_words,
     truth_from_boxes,
     write_boxes,
     write_corpus,
     write_frames,
     write_json_file,
     write_jsonl,
+    write_words,
 )
+from doctext.pipeline import load_report
 from doctext.geometry import Quad
 from doctext.layout import TextBox
 from doctext.synth import SynthSpec, gen_document, gen_frames
@@ -226,6 +234,20 @@ class TestFrames:
         with pytest.raises(FormatError, match=r"frames\.jsonl:3: duplicate frames for box 0"):
             read_frames(p)
 
+    @pytest.mark.parametrize("bid", ["true", "1.9", '"1"'], ids=["bool", "fraction", "text"])
+    def test_box_id_must_be_an_integer(self, tmp_path, bid):
+        # int() would read each of these as box 1
+        p = tmp_path / "frames.jsonl"
+        p.write_text(f'{{"alphabet":["a"]}}\n{{"box_id":{bid},"frames":[[0.5,0.5]]}}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=r"frames\.jsonl:2: bad frame record"):
+            read_frames(p)
+
+    def test_record_without_frames_rejected(self, tmp_path):
+        p = tmp_path / "frames.jsonl"
+        p.write_text('{"alphabet":["a"]}\n{"box_id":0}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=r"frames\.jsonl:2: frame record needs 'box_id' and 'frames'"):
+            read_frames(p)
+
     def test_error_names_the_file_line(self, tmp_path):
         p = tmp_path / "frames.jsonl"
         p.write_text(
@@ -266,3 +288,57 @@ class TestCorpus:
         p.write_text('{"noisy":1,"clean":"x"}\n', encoding="utf-8")
         with pytest.raises(FormatError):
             read_corpus(p)
+
+
+class TestWords:
+    @settings(max_examples=60, deadline=None)
+    @example({2: "straße", 0: "naïve", -1: ""})
+    @given(st.dictionaries(st.integers(-(2**40), 2**40), st.text(max_size=12), max_size=12))
+    def test_round_trip(self, tmp_path_factory, words):
+        # non-ASCII words, empty words and negative ids come back as written
+        p = tmp_path_factory.mktemp("words") / "words.jsonl"
+        write_words(p, words)
+        assert read_words(p) == words
+
+    def test_integral_float_id_is_an_integer(self, tmp_path):
+        p = tmp_path / "words.jsonl"
+        p.write_text('{"box_id":3.0,"word":"a"}\n', encoding="utf-8")
+        assert read_words(p) == {3: "a"}
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ('{"box_id":1,"word":null}', 1, "expected a str"),
+        ('{"box_id":1,"word":7}', 1, "expected a str"),
+        ('{"box_id":true,"word":"a"}', 1, "expected a number"),
+        ('{"box_id":1.9,"word":"a"}', 1, "expected an integer"),
+        ('{"box_id":"1","word":"a"}', 1, "expected a number"),
+        ('{"box_id":1,"word":"a"}\n\n{"box_id":1,"word":"b"}', 3, "duplicate box id 1"),
+        ('{"box_id":1}', 1, "needs 'box_id' and 'word'"),
+        ('[1,"a"]', 1, "needs 'box_id' and 'word'"),
+    ], ids=["word_null", "word_number", "id_bool", "id_fraction", "id_text", "id_repeated",
+            "word_missing", "not_an_object"])
+    def test_refusal_names_the_file_line(self, tmp_path, rows, line, message):
+        p = tmp_path / "words.jsonl"
+        p.write_text(rows + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"words\.jsonl:{line}: .*{re.escape(message)}"):
+            read_words(p)
+
+
+@pytest.mark.parametrize("reader, name", [
+    (read_json_file, "x.json"),
+    (read_jsonl, "x.jsonl"),
+    (read_boxes, "x.jsonl"),
+    (read_frames, "x.jsonl"),
+    (read_corpus, "x.jsonl"),
+    (read_words, "x.jsonl"),
+    (load_params, "x.json"),
+    (load_params, "x.toml"),
+    (load_model, "x.json"),
+    (load_report, "x.json"),
+], ids=["json_file", "jsonl", "boxes", "frames", "corpus", "words", "params_json",
+        "params_toml", "model", "report"])
+def test_non_utf8_file_names_the_file(tmp_path, reader, name):
+    # a UTF-16 byte-order mark is not UTF-8
+    p = tmp_path / name
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(FormatError, match=rf"{re.escape(str(p))} is not UTF-8 text"):
+        reader(p)

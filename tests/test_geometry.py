@@ -1,12 +1,16 @@
 """Tests for quads, homographies, resampling, and PGM files."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doctext.errors import DegenerateQuadError, FormatError, InputError
 from doctext.geometry import (
+    _PGM_HEADER,
     GrayImage,
     Homography,
     Point,
@@ -155,6 +159,12 @@ class TestGrayImage:
         with pytest.raises(InputError):
             GrayImage(np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            GrayImage(np.array([[0.5, bad], [0.0, 1.0]]))
+
     def test_constant(self):
         img = GrayImage.constant(3, 2, 0.25)
         assert img.width == 3 and img.height == 2
@@ -302,4 +312,142 @@ class TestPgm:
         p = tmp_path / "m16.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(FormatError):
+            read_pgm(p)
+
+
+def read_pgm_tokens_reference(data: bytes, count: int) -> tuple[list[int], int]:
+    """Read ``count`` whitespace-separated integer tokens, honouring
+    ``#`` comments, and return them with the offset one byte past the
+    final token's trailing whitespace character.
+
+    The tokenizer that read PGM headers before the header pattern; kept
+    as the oracle for it.
+    """
+    tokens: list[int] = []
+    i = 0
+    n = len(data)
+    while len(tokens) < count:
+        while i < n and data[i : i + 1].isspace():
+            i += 1
+        if i < n and data[i : i + 1] == b"#":
+            while i < n and data[i] not in b"\r\n":
+                i += 1
+            continue
+        start = i
+        while i < n and not data[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise FormatError("truncated PGM header")
+        tok = data[start:i]
+        if not tok.isdigit():
+            raise FormatError(f"bad PGM header token {tok!r}")
+        tokens.append(int(tok))
+        if len(tokens) == count:
+            if i >= n:
+                raise FormatError("truncated PGM header")
+            i += 1  # exactly one whitespace byte separates header and raster
+    return tokens, i
+
+
+def pgm_header_reference(data: bytes):
+    """(width, height, maxval, raster offset) by the tokenizer, or None
+    where it refuses the header."""
+    if not re.match(rb"^P5\s", data):
+        return None
+    try:
+        (width, height, maxval), offset = read_pgm_tokens_reference(data[2:], 3)
+    except FormatError:
+        return None
+    return width, height, maxval, offset + 2
+
+
+def pgm_header(data: bytes):
+    """The same by the header pattern of :func:`read_pgm`."""
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        return None
+    return (*map(int, header.groups()), header.end())
+
+
+_WHITESPACE = st.text(" \t\r\n\x0b\x0c", min_size=1, max_size=3).map(str.encode)
+# comment text may hold digits, "#" and spaces, which must stay comment
+_COMMENT = st.lists(st.sampled_from([b" ", b"\t", b"1", b"9", b"#", b"a", b"\xff"]), max_size=6).map(
+    lambda parts: b"#" + b"".join(parts)
+)
+
+
+@st.composite
+def pgm_headers(draw):
+    """A P5 header with whitespace runs (CR, LF, tab, ...) and comments
+    between its tokens and a few raster bytes, sometimes damaged: a
+    comment glued to a number, cut short, or one byte spliced in."""
+
+    def separator():
+        parts = [draw(_WHITESPACE)]
+        for _ in range(draw(st.integers(0, 2))):
+            parts.append(draw(_COMMENT) + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
+            parts.append(draw(st.just(b"") | _WHITESPACE))
+        return b"".join(parts)
+
+    def number(lo, hi):
+        digits = (draw(st.sampled_from(["", "0", "00"])) + str(draw(st.integers(lo, hi)))).encode()
+        if draw(st.integers(0, 7)) == 0:  # a comment glued to the number, which both refuse
+            digits += draw(_COMMENT) + b"\n"
+        return digits
+
+    data = b"P5"
+    for lo, hi in ((0, 20), (0, 20), (1, 65535)):
+        data += separator() + number(lo, hi)
+    data += draw(_WHITESPACE) + draw(st.binary(max_size=6))
+    damage = draw(st.sampled_from(["none", "cut", "splice"]))
+    at = draw(st.integers(0, len(data)))
+    if damage == "cut":
+        data = data[:at]
+    elif damage == "splice":
+        data = data[:at] + draw(st.sampled_from([b"#", b" ", b"\n", b"a", b"7", b"-"])) + data[at:]
+    return data
+
+
+class TestPgmHeader:
+    @settings(max_examples=400, deadline=None)
+    @given(pgm_headers())
+    def test_pattern_matches_tokenizer(self, data):
+        assert pgm_header(data) == pgm_header_reference(data)
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"P5\n# a comment\n2 2\n# another\n255\n", (2, 2, 255, 33)),
+        # after the maxval only the "\r" separates; the "\n" is raster
+        (b"P5\r\n3\t4\r\n255\r\n", (3, 4, 255, 13)),
+        (b"P5 1 1 65535 ", (1, 1, 65535, 13)),
+        (b"P5\n#12 12\n1 1 9\n\n", (1, 1, 9, 16)),
+        (b"P5\n# 1 1 9 \nx", None),
+        (b"P5#c\n1 1 9\n", None),
+        (b"P5\n1 1#c\n 9\n", None),
+        (b"P5\n1 1 9#c\n", None),
+        (b"P5\n1 1 9", None),
+    ], ids=["comments", "crlf_tab", "maxval_16_bit", "digits_in_comment", "header_in_comment", "comment_glued_to_magic",
+            "comment_glued_to_number", "comment_glued_to_maxval", "no_byte_after_maxval"])
+    def test_examples(self, data, expected):
+        assert pgm_header_reference(data) == expected
+        assert pgm_header(data) == expected
+
+    @pytest.mark.parametrize("data", [
+        b"P6\n2 2\n255\n" + b"\x00" * 12,
+        b"P5",
+        b"P5\n2 2\n",
+        b"P5\n2 2\n# only a comment",
+        b"P5\n2x 2\n255\n\x00\x00\x00\x00",
+        b"P5\n2#c\n2\n255\n\x00\x00\x00\x00",
+        b"P5\n0 2\n255\n",
+        b"P5\n1 1\n0\n\x00",
+        b"P5\n1 1\n65535\n\x00\x00",
+        b"P5\n4 4\n255\n\x00\x01",
+        b"P5\n2 1\n100\n\x00\xc8",
+    ], ids=["magic", "magic_only", "truncated_header", "comment_to_the_end", "bad_token",
+            "glued_comment", "zero_width", "zero_maxval", "maxval_16_bit", "truncated_raster",
+            "value_above_maxval"])
+    def test_every_refusal_names_the_file(self, tmp_path, data):
+        p = tmp_path / "page.pgm"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(p))}: "):
             read_pgm(p)

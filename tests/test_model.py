@@ -1,6 +1,7 @@
 """Tests for model construction and checkpointing."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -186,3 +187,17 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_model(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda p: p.update(format="something-else"), FormatError, "not a corrector checkpoint"),
+        (lambda p: p.update(version=99), VersionError, "unsupported checkpoint version 99"),
+        (lambda p: p.update(params=[]), FormatError, "malformed checkpoint: params must be"),
+        (lambda p: p["params"].pop("gen.b"), InputError, "parameter names mismatch"),
+    ], ids=["format", "version", "params_not_object", "missing_parameter"])
+    def test_refusal_names_the_file(self, vocab, tmp_path, edit, error, message):
+        payload = model_to_dict(init_model(vocab, Hyper(emb_dim=2, hidden_dim=2, enc_layers=1, dec_layers=1)))
+        edit(payload)
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(error, match=f"^{re.escape(str(p))}: {message}"):
+            load_model(p)

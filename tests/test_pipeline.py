@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -388,7 +389,7 @@ class TestReportIO:
         payload = json.loads(p.read_text())
         payload["version"] = 2
         p.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(VersionError):
+        with pytest.raises(VersionError, match=f"^{re.escape(str(p))}: unsupported report version 2"):
             load_report(p)
 
     @pytest.mark.parametrize("edit", [
