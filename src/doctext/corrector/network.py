@@ -9,23 +9,31 @@ the summed directional states with the resulting weights.  The output
 layer feeds the state/context pair through a tanh bottleneck and a
 softmax over the vocabulary.
 
-Everything here is explicit numpy and batched.  Sequences are
-tail-padded with the <pad> token and padding changes nothing: padded
-source positions neither update encoder states nor receive attention,
-and padded target positions contribute zero loss and zero gradient.
-The recurrences run on rows sorted longest first, so a step advances
-only the leading rows that have not ended, and every product that does
-not feed a recurrence (input projections, the output layer, weight
-gradients) is one matrix product over all steps.  One check,
-``_check_batch``, validates source and target batches, and one
-decoder-step kernel, ``_decoder_advance``, serves both teacher-forced
-training and inference.  Dropout applies between stacked layers exactly
-when a random generator is passed, which only training does.  The
-public ``loss`` and ``backward`` take one pair and run it as a batch of
-one.  ``correct_batch`` runs every phrase of a document through one
-beam search: one encoder call, then one decoder step per output
-position for every live hypothesis of every unfinished phrase, and
-``correct`` is its one-phrase form.
+Everything here is explicit numpy and batched.  Batches come in
+tail-padded with the <pad> token, and one check, ``_check_batch``,
+validates source and target batches.  Inside, a sequence batch is
+packed: its rows are sorted longest first and laid out time-major, so
+that step t owns the contiguous slots ``offs[t]:offs[t + 1]`` of an
+(R, D) array, one slot per real token, the rows still running at t in
+sorted order.  A step of a recurrence reads and writes its own slice,
+and carries each row's state in a (B, H) buffer whose leading rows are
+the ones that step advances.  Every product that does not feed a
+recurrence (input projections, attention keys, the output layer,
+weight and input gradients) is one matrix product over the R real
+slots, and the encoder's embedding lookup is one gather over them.
+Attention alone keeps the padded (B, Tx) layout: keys and summed states
+are scattered into zeros once per batch, and the padded positions are
+masked.
+
+One decoder-step kernel, ``_decoder_advance``, serves both
+teacher-forced training and inference.  Dropout applies between
+stacked layers exactly when a random generator is passed, which only
+training does; its masks are drawn over the packed slots.  The public
+``loss`` and ``backward`` take one pair and run it as a batch of one.
+``correct_batch`` runs every phrase of a document through one beam
+search: one encoder call, then one decoder step per output position for
+every live hypothesis of every unfinished phrase, and ``correct`` is
+its one-phrase form.
 
 Inference outputs do not depend on which phrases share a batch.  Every
 2-D inference product runs on at least two rows, and attention runs
@@ -51,18 +59,7 @@ from .vocab import Vocab
 __all__ = ["CorrectionResult", "loss", "backward", "correct", "correct_batch"]
 
 _ATT_MASK = 1e30  # additive pre-softmax penalty for padded positions
-
-
-def _mm(a, w):
-    """``a @ w`` for a 2-D ``w`` and an ``a`` of any rank, as one
-    matrix product over all of ``a``'s leading axes."""
-    return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1] + (w.shape[1],))
-
-
-def _gram(a, b):
-    """Sum over every leading axis of the outer products of ``a``'s and
-    ``b``'s last axes: an (I, J) matrix as one matrix product."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+_DIRECTIONS = (("fwd", False), ("bwd", True))  # encoder directions: name, reverse
 
 
 @lru_cache(maxsize=None)
@@ -108,47 +105,6 @@ def _cell_backward(dh, dc_in, cache):
     return dgate * (1.0 - t * t) * _gate_scale(hdim)[1], dc * f
 
 
-def _scan_forward(xw, counts, u, reverse):
-    """Run one LSTM direction over precomputed input projections.
-
-    ``xw`` (B, T, 4H) holds ``x @ W + b`` for rows sorted longest first,
-    and ``counts[t]`` is the number of rows that reach position t, so
-    the rows a step advances are a leading slice.  A row's state is
-    carried unchanged past its end, so the state at the last position
-    (the first, in reverse) is its state at its true last (first) token.
-    """
-    bsz, t_len, _ = xw.shape
-    hdim = u.shape[0]
-    h = np.zeros((bsz, hdim))
-    c = np.zeros((bsz, hdim))
-    states = np.empty((bsz, t_len, hdim))
-    caches = [None] * t_len
-    for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
-        n = counts[t]
-        h[:n], c[:n], caches[t] = _cell(xw[:n, t] + h[:n] @ u, c[:n].copy())
-        states[:, t] = h
-    return states, caches
-
-
-def _scan_backward(dstates, caches, counts, u, reverse):
-    """Backward of :func:`_scan_forward` down to the (B, T, 4H)
-    pre-activation gradients, which are zero past each row's end.
-
-    Only the recurrent product runs per step; the caller turns the
-    result into weight, bias and input gradients with one product each.
-    """
-    bsz, t_len, hdim = dstates.shape
-    dz = np.zeros((bsz, t_len, 4 * hdim))
-    dh = np.zeros((bsz, hdim))
-    dc = np.zeros((bsz, hdim))
-    for t in range(t_len) if reverse else range(t_len - 1, -1, -1):
-        n = counts[t]
-        dh = dh + dstates[:, t]
-        dz[:n, t], dc[:n] = _cell_backward(dh[:n], dc[:n], caches[t])
-        dh[:n] = dz[:n, t] @ u.T
-    return dz
-
-
 def _check_batch(vocab: Vocab, ids, what: str):
     """Check a tail-padded (B, T) token id batch (``what`` names it).
 
@@ -174,6 +130,36 @@ def _check_batch(vocab: Vocab, ids, what: str):
     return ids, mask, order, counts
 
 
+def _packing(counts):
+    """Time-major packing of rows sorted longest first, ``counts[t]`` of
+    which reach position t.  Slot ``offs[t] + r`` holds sorted row r at
+    position t; returns ``offs`` (T + 1,) and each slot's sorted row and
+    position."""
+    offs = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offs[1:])
+    col = np.repeat(np.arange(len(counts)), counts)
+    return offs, np.arange(offs[-1]) - offs[col], col
+
+
+def _prev_slots(offs, counts, row, col, reverse):
+    """For each packed slot, the slot whose state its step read: the
+    same row one position earlier (later, in reverse), or ``R`` for a
+    row's first step, which reads the zero state."""
+    n_slots = offs[-1]
+    if not reverse:
+        return np.where(col > 0, np.arange(n_slots) - counts[col - 1], n_slots)
+    has_next = row < np.append(counts, 0)[col + 1]
+    return np.where(has_next, offs[col + 1] + row, n_slots)
+
+
+def _scatter(packed, row, col, shape):
+    """Zero array of ``shape`` (B, T, ...) holding ``packed`` at the
+    slots (``row``, ``col``)."""
+    out = np.zeros(shape + packed.shape[1:])
+    out[row, col] = packed
+    return out
+
+
 def _pad_batch(seqs, pad_id: int) -> np.ndarray:
     """(B, T) int64 batch of the token sequences ``seqs``, each padded
     at its tail to the longest with ``pad_id``."""
@@ -184,18 +170,50 @@ def _pad_batch(seqs, pad_id: int) -> np.ndarray:
     return out
 
 
-def _stack_steps(parts, bsz: int) -> np.ndarray:
-    """(B, T, ...) array of per-step arrays that each fill the leading
-    rows; zero past a row's last step."""
-    out = np.zeros((bsz, len(parts)) + parts[0].shape[1:], dtype=parts[0].dtype)
-    for t, a in enumerate(parts):
-        out[: len(a), t] = a
-    return out
-
-
 def _dropout(a, rate, rng):
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return a * mask, mask
+
+
+def _scan(xw, offs, counts, u, reverse):
+    """Run one LSTM direction over packed input projections.
+
+    ``xw`` (R, 4H) holds ``x @ W + b`` for every slot.  Returns the
+    (R + 1, H) states, whose last row is the zero state for
+    :func:`_prev_slots`, the per-step cell caches and the (B, H) final
+    carried state: a row's state at its last token (its first, in
+    reverse), in sorted row order.
+    """
+    hdim = u.shape[0]
+    h = np.zeros((counts[0], hdim))
+    c = np.zeros((counts[0], hdim))
+    states = np.empty((len(xw) + 1, hdim))
+    states[-1] = 0.0
+    caches = [None] * len(counts)
+    for t in reversed(range(len(counts))) if reverse else range(len(counts)):
+        s, n = offs[t], counts[t]
+        h[:n], c[:n], caches[t] = _cell(xw[s : s + n] + h[:n] @ u, c[:n].copy())
+        states[s : s + n] = h[:n]
+    return states, caches, h
+
+
+def _scan_grad(dstates, caches, offs, counts, u, reverse, dfinal):
+    """Backward of :func:`_scan` down to the (R, 4H) pre-activation
+    gradients, given the states' gradients and ``dfinal``, the (B, H)
+    gradient of the final carried state, which seeds the carry.
+
+    Only the recurrent product runs per step; the caller turns the
+    result into weight, bias and input gradients with one product each.
+    """
+    dz = np.empty((len(dstates), u.shape[1]))
+    dh = dfinal.copy()
+    dc = np.zeros_like(dh)
+    for t in range(len(counts)) if reverse else reversed(range(len(counts))):
+        s, n = offs[t], counts[t]
+        dh[:n] += dstates[s : s + n]
+        dz[s : s + n], dc[:n] = _cell_backward(dh[:n], dc[:n], caches[t])
+        dh[:n] = dz[s : s + n] @ u.T
+    return dz
 
 
 @dataclass
@@ -206,12 +224,15 @@ class _EncBundle:
     mask_x: np.ndarray      # (B, Tx)
     order: np.ndarray       # (B,) the encoder's row order: longest source first
     counts: np.ndarray      # (Tx,) sorted rows reaching each position
-    inputs: list            # per layer: input tensor (post-dropout), sorted rows
+    offs: np.ndarray        # (Tx + 1,) first slot of each position
+    row: np.ndarray         # (R,) sorted row of each slot
+    col: np.ndarray         # (R,) position of each slot
+    inputs: list            # per layer: (R, D) input (post-dropout)
     drop_masks: list        # per layer: dropout mask on its output, or None
-    scans: list             # per layer: {direction: (states, caches)}, sorted rows
-    hcat: np.ndarray        # (B, Tx, 2H) top layer forward then backward states
-    hsum: np.ndarray        # (B, Tx, H)
-    keys: np.ndarray        # (B, Tx, H) attention keys
+    scans: list             # per layer: {direction: (states, caches, final)}
+    hcat: np.ndarray        # (R, 2H) top layer forward then backward states
+    hsum: np.ndarray        # (B, Tx, H), zero at padded positions
+    keys: np.ndarray        # (B, Tx, H) attention keys, zero at padded positions
     bridge_in: np.ndarray   # (B, 2H)
     s0: np.ndarray          # (B, H) shared initial decoder hidden
 
@@ -229,20 +250,23 @@ class _StepCache:
 
 @dataclass
 class _Tape:
-    """The forward pass of a batch, its rows sorted longest target first."""
+    """The forward pass of a batch, its target rows sorted longest first
+    and packed time-major."""
 
     enc: _EncBundle
     order: np.ndarray       # (B,) batch row of each sorted row
     counts: np.ndarray      # (Ty,) sorted rows still decoding at each step
+    offs: np.ndarray        # (Ty + 1,) first slot of each step
+    row: np.ndarray         # (R_y,) sorted row of each slot
+    col: np.ndarray         # (R_y,) step of each slot
     keys: np.ndarray        # (B, Tx, H) enc.keys, sorted rows
     hsum: np.ndarray        # (B, Tx, H) enc.hsum, sorted rows
-    y_ids: np.ndarray       # (B, Ty) sorted rows
-    y_in: np.ndarray        # (B, Ty) decoder input tokens, sorted rows
-    mask_y: np.ndarray      # (B, Ty) sorted rows
-    steps: list             # per step: the cache of its leading rows
-    cat: np.ndarray         # (B, Ty, 2H) state/context pairs, zero past a row's end
-    htilde: np.ndarray      # (B, Ty, H)
-    probs: np.ndarray       # (B, Ty, V)
+    y_tok: np.ndarray       # (R_y,) target tokens
+    y_in: np.ndarray        # (R_y,) decoder input tokens
+    steps: list             # per step: the cache of its rows
+    cat: np.ndarray         # (R_y, 2H) state/context pairs
+    htilde: np.ndarray      # (R_y, H)
+    probs: np.ndarray       # (R_y, V)
 
 
 def _encode_batch(model: CorrectorModel, x_ids, rng=None) -> _EncBundle:
@@ -250,44 +274,45 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None) -> _EncBundle:
     dropout applies between the layers."""
     p = model.params
     hp = model.hyper
-    # The layers run on rows sorted longest first, so that the rows one
-    # step advances are a leading slice.
+    hdim = hp.hidden_dim
     x_ids, mask_x, order, counts = _check_batch(model.vocab, x_ids, "source")
-    inp = p["embedding"][x_ids[order]]
+    offs, row, col = _packing(counts)
+    rows = order[row]
+    inp = p["embedding"][x_ids[rows, col]]
     inputs, drop_masks, scans = [], [], []
     for l in range(hp.enc_layers):
         inputs.append(inp)
         scan = {}
-        for name, reverse in (("fwd", False), ("bwd", True)):
-            xw = _mm(inp, p[f"enc.{l}.{name}.W"])
+        for name, reverse in _DIRECTIONS:
+            xw = inp @ p[f"enc.{l}.{name}.W"]
             xw += p[f"enc.{l}.{name}.b"]
-            scan[name] = _scan_forward(xw, counts, p[f"enc.{l}.{name}.U"], reverse)
-        out = np.concatenate([scan["fwd"][0], scan["bwd"][0]], axis=2)
+            scan[name] = _scan(xw, offs, counts, p[f"enc.{l}.{name}.U"], reverse)
+        out = np.concatenate([scan["fwd"][0][:-1], scan["bwd"][0][:-1]], axis=1)
         dm = None
         if rng is not None and l < hp.enc_layers - 1:
             out, dm = _dropout(out, hp.dropout, rng)
         drop_masks.append(dm)
         scans.append(scan)
         inp = out
-    hdim = hp.hidden_dim
-    hcat = inp[np.argsort(order)]
-    hsum = hcat[:, :, :hdim] + hcat[:, :, hdim:]
-    keys = _mm(hcat, p["att.score"])
-    bridge_in = np.concatenate([hcat[:, -1, :hdim], hcat[:, 0, hdim:]], axis=1)
-    s0 = bridge_in @ p["bridge"]
+    # the bridge reads each direction's final carried state
+    bridge_in = np.empty((len(order), 2 * hdim))
+    bridge_in[order] = np.concatenate([scan["fwd"][2], scan["bwd"][2]], axis=1)
     return _EncBundle(
         x_ids=x_ids,
         mask_x=mask_x,
         order=order,
         counts=counts,
+        offs=offs,
+        row=row,
+        col=col,
         inputs=inputs,
         drop_masks=drop_masks,
         scans=scans,
-        hcat=hcat,
-        hsum=hsum,
-        keys=keys,
+        hcat=inp,
+        hsum=_scatter(inp[:, :hdim] + inp[:, hdim:], rows, col, x_ids.shape),
+        keys=_scatter(inp @ p["att.score"], rows, col, x_ids.shape),
         bridge_in=bridge_in,
-        s0=s0,
+        s0=bridge_in @ p["bridge"],
     )
 
 
@@ -358,13 +383,13 @@ def _decoder_advance(model: CorrectorModel, runs, h, c, tok, rng=None):
 
 
 def _output_logits(model: CorrectorModel, cat):
-    """Max-shifted logits over the vocabulary for state/context pairs
-    ``cat`` (..., 2H), through the ``att.out`` tanh bottleneck and
-    ``gen``; also returns the bottleneck activations."""
+    """Max-shifted logits over the vocabulary for (N, 2H) state/context
+    pairs ``cat``, through the ``att.out`` tanh bottleneck and ``gen``;
+    also returns the bottleneck activations."""
     p = model.params
-    htilde = np.tanh(_mm(cat, p["att.out"]))
-    logits = _mm(htilde, p["gen.W"]) + p["gen.b"]
-    logits -= logits.max(axis=-1, keepdims=True)
+    htilde = np.tanh(cat @ p["att.out"])
+    logits = htilde @ p["gen.W"] + p["gen.b"]
+    logits -= logits.max(axis=1, keepdims=True)
     return logits, htilde
 
 
@@ -373,57 +398,58 @@ def _forward_batch(model, x_ids, y_ids, rng=None):
     source rows, with the tape needed for the backward pass.  With a
     generator ``rng``, dropout applies between stacked layers.
 
-    The decoder runs on rows sorted longest target first, and a row
-    leaves the batch after its last target token.  Teacher forcing fixes
-    every decoder input in advance, so only the recurrence runs step by
-    step; the output layer is one product over all steps.
+    The decoder runs on the packed target slots, and a row leaves the
+    batch after its last target token.  Teacher forcing fixes every
+    decoder input in advance, so only the recurrence runs step by step;
+    the output layer is one product over all real slots.
     """
     vb = model.vocab
     enc = _encode_batch(model, x_ids, rng)
-    y_ids, mask_y, order, counts = _check_batch(vb, y_ids, "target")
+    y_ids, _, order, counts = _check_batch(vb, y_ids, "target")
     if y_ids.shape[0] != enc.x_ids.shape[0]:
         raise InputError("target batch must be row-aligned with the source batch")
-    bsz, t_y = y_ids.shape
-    y_ids, mask_y = y_ids[order], mask_y[order]
-    keys, hsum, mask_x = enc.keys[order], enc.hsum[order], enc.mask_x[order]
+    offs, row, col = _packing(counts)
+    y_sorted = y_ids[order]
+    y_tok = y_sorted[row, col]
     # Teacher forcing: the decoder reads <go> then the target shifted right.
-    y_in = np.concatenate(
-        [np.full((bsz, 1), vb.go_id, dtype=np.int64), y_ids[:, :-1]], axis=1
-    )
+    y_in = np.where(col > 0, y_sorted[row, col - 1], vb.go_id)
+    keys, hsum, mask_x = enc.keys[order], enc.hsum[order], enc.mask_x[order]
     h = [enc.s0[order] for _ in range(model.hyper.dec_layers)]
     c = [np.zeros_like(s) for s in h]
     steps = []
-    for t in range(t_y):
-        n = counts[t]
+    for t, n in enumerate(counts):
         h, c, step = _decoder_advance(
             model,
             [(keys[:n], hsum[:n], mask_x[:n])],
             [a[:n] for a in h],
             [a[:n] for a in c],
-            y_in[:n, t],
+            y_in[offs[t] : offs[t + 1]],
             rng,
         )
         steps.append(step)
-    cat = _stack_steps([st.cat for st in steps], bsz)
+    cat = np.concatenate([st.cat for st in steps])
     logits, htilde = _output_logits(model, cat)
     expl = np.exp(logits)
-    norm = expl.sum(axis=2)
-    probs = expl / norm[:, :, None]
-    logp_tok = np.take_along_axis(logits, y_ids[:, :, None], axis=2)[:, :, 0] - np.log(norm)
-    loss_sum = -float((logp_tok * mask_y).sum())
+    norm = expl.sum(axis=1)
+    logp_tok = logits[np.arange(len(y_tok)), y_tok] - np.log(norm)
+    # summed over the padded (B, Ty) layout, so that the loss has the bits
+    # of a sum over the padded batch, whatever the packing
+    loss_sum = -float(_scatter(logp_tok, row, col, y_ids.shape).sum())
     tape = _Tape(
         enc=enc,
         order=order,
         counts=counts,
+        offs=offs,
+        row=row,
+        col=col,
         keys=keys,
         hsum=hsum,
-        y_ids=y_ids,
+        y_tok=y_tok,
         y_in=y_in,
-        mask_y=mask_y,
         steps=steps,
         cat=cat,
         htilde=htilde,
-        probs=probs,
+        probs=expl / norm[:, None],
     )
     return loss_sum, tape
 
@@ -442,64 +468,65 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
     edim = hp.emb_dim
     n_dec = hp.dec_layers
     steps = tape.steps
-    alphas = [st.alphas[0] for st in steps]  # training attends in one run
-    bsz, t_y = tape.y_ids.shape
+    offs = tape.offs
 
-    # output layer over every step at once
+    # output layer over every slot at once
     dlogits = tape.probs.copy()
-    rows, cols = np.indices((bsz, t_y))
-    dlogits[rows, cols, tape.y_ids] -= 1.0
-    dlogits *= tape.mask_y[:, :, None]
-    grads["gen.W"] += _gram(tape.htilde, dlogits)
-    grads["gen.b"] += dlogits.sum(axis=(0, 1))
-    du = _mm(dlogits, p["gen.W"].T) * (1.0 - tape.htilde * tape.htilde)
-    grads["att.out"] += _gram(tape.cat, du)
-    dcat = _mm(du, p["att.out"].T)
+    dlogits[np.arange(len(tape.y_tok)), tape.y_tok] -= 1.0
+    grads["gen.W"] += tape.htilde.T @ dlogits
+    grads["gen.b"] += dlogits.sum(axis=0)
+    du = (dlogits @ p["gen.W"].T) * (1.0 - tape.htilde * tape.htilde)
+    grads["att.out"] += tape.cat.T @ du
+    dcat = du @ p["att.out"].T
 
-    # the recurrence; a row's carries stay zero until the step loop,
-    # running backwards, reaches the row's last step
-    dz = [np.zeros((bsz, t_y, 4 * hdim)) for _ in range(n_dec)]
-    demb = np.zeros((bsz, t_y, edim))
-    dctx = np.zeros((bsz, t_y, hdim))
-    de = np.zeros((bsz, t_y, tape.keys.shape[1]))
-    dh_carry = [np.zeros((bsz, hdim)) for _ in range(n_dec)]
-    dc_carry = [np.zeros((bsz, hdim)) for _ in range(n_dec)]
+    # the recurrence, one step's rows at a time; a row's carries stay
+    # zero until the step loop, running backwards, reaches its last step
+    t_y = len(tape.counts)
+    dz = [[None] * t_y for _ in range(n_dec)]
+    demb, dctx, de = [None] * t_y, [None] * t_y, [None] * t_y
+    dh_carry = [np.zeros((len(tape.order), hdim)) for _ in range(n_dec)]
+    dc_carry = [np.zeros((len(tape.order), hdim)) for _ in range(n_dec)]
     for t in range(t_y - 1, -1, -1):
         st = steps[t]
-        n = tape.counts[t]
-        dh = dcat[:n, t, :hdim]
+        s, n = offs[t], tape.counts[t]
+        dh = dcat[s : s + n, :hdim]
         for l in range(n_dec - 1, -1, -1):
-            dz[l][:n, t], dc_carry[l][:n] = _cell_backward(
+            dz[l][t], dc_carry[l][:n] = _cell_backward(
                 dh + dh_carry[l][:n], dc_carry[l][:n], st.cell_caches[l]
             )
-            dh_carry[l][:n] = dz[l][:n, t] @ p[f"dec.{l}.U"].T
-            dx = dz[l][:n, t] @ p[f"dec.{l}.W"].T
+            dh_carry[l][:n] = dz[l][t] @ p[f"dec.{l}.U"].T
+            dx = dz[l][t] @ p[f"dec.{l}.W"].T
             if l > 0:
                 dh = dx if st.drop_masks[l - 1] is None else dx * st.drop_masks[l - 1]
-        demb[:n, t] = dx[:, :edim]
-        dctx[:n, t] = dcat[:n, t, hdim:] + dx[:, edim:]
+        demb[t] = dx[:, :edim]
+        dctx[t] = dcat[s : s + n, hdim:] + dx[:, edim:]
 
         # attention backward: context -> weights -> scores -> query
-        dalpha = (tape.hsum[:n] @ dctx[:n, t, :, None])[:, :, 0]
-        de[:n, t] = alphas[t] * (dalpha - (alphas[t] * dalpha).sum(axis=1, keepdims=True))
+        alpha = st.alphas[0]  # training attends in one run
+        dalpha = (tape.hsum[:n] @ dctx[t][:, :, None])[:, :, 0]
+        de[t] = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
         # the query is the previous step's top hidden state (s0 at t=0)
-        dh_carry[n_dec - 1][:n] += (de[:n, t, None, :] @ tape.keys[:n])[:, 0]
+        dh_carry[n_dec - 1][:n] += (de[t][:, None, :] @ tape.keys[:n])[:, 0]
 
     for l in range(n_dec):
-        h_in = _stack_steps([st.h_in[l] for st in steps], bsz)
-        grads[f"dec.{l}.W"] += _gram(_stack_steps([st.inputs[l] for st in steps], bsz), dz[l])
-        grads[f"dec.{l}.U"] += _gram(h_in, dz[l])
-        grads[f"dec.{l}.b"] += dz[l].sum(axis=(0, 1))
-    # past a row's end demb is zero, so the padded inputs add nothing
-    np.add.at(grads["embedding"], tape.y_in, demb)
-    alpha = _stack_steps(alphas, bsz)
+        dz_l = np.concatenate(dz[l])
+        h_in = np.concatenate([st.h_in[l] for st in steps])
+        grads[f"dec.{l}.W"] += np.concatenate([st.inputs[l] for st in steps]).T @ dz_l
+        grads[f"dec.{l}.U"] += h_in.T @ dz_l
+        grads[f"dec.{l}.b"] += dz_l.sum(axis=0)
+    np.add.at(grads["embedding"], tape.y_in, np.concatenate(demb))
 
-    # back to the encoder's batch rows; the top layer's h_in, the last
-    # one stacked, holds the attention queries
+    # the keys' and summed states' gradients sum over steps, as one
+    # batched product over the padded (B, Ty, Tx) attention weights; the
+    # top layer's h_in, the last one concatenated, holds the queries
+    def padded(parts):
+        return _scatter(np.concatenate(parts), tape.row, tape.col, (len(tape.order), t_y))
+
+    alpha = padded([st.alphas[0] for st in steps])
     dhsum = np.empty_like(enc.hsum)
-    dhsum[tape.order] = alpha.transpose(0, 2, 1) @ dctx
+    dhsum[tape.order] = alpha.transpose(0, 2, 1) @ padded(dctx)
     dkeys = np.empty_like(enc.keys)
-    dkeys[tape.order] = de.transpose(0, 2, 1) @ h_in
+    dkeys[tape.order] = padded(de).transpose(0, 2, 1) @ padded([h_in])
     # Every decoder layer starts from s0, so its grad is the sum of the
     # leftover initial-state carries.  Initial cells are constants.
     ds0 = np.empty_like(enc.s0)
@@ -507,30 +534,13 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
     return dhsum, dkeys, ds0
 
 
-def _encoder_direction_backward(p, name, scan, inp, d_states, counts, reverse, grads):
-    """Backward through one direction of an encoder layer (parameter
-    prefix ``name``).  Adds its weight and bias gradients to ``grads``
-    and returns the gradient of the layer input."""
-    states, caches = scan
-    dz = _scan_backward(d_states, caches, counts, p[f"{name}.U"], reverse)
-    # the state each position read: the carried one a step earlier
-    h_prev = np.zeros_like(states)
-    if reverse:
-        h_prev[:, :-1] = states[:, 1:]
-    else:
-        h_prev[:, 1:] = states[:, :-1]
-    grads[f"{name}.W"] += _gram(inp, dz)
-    grads[f"{name}.U"] += _gram(h_prev, dz)
-    grads[f"{name}.b"] += dz.sum(axis=(0, 1))
-    return _mm(dz, p[f"{name}.W"].T)
-
-
 def _backward_batch(model: CorrectorModel, tape: _Tape) -> dict[str, np.ndarray]:
     """Gradients of the summed loss for every parameter tensor.
 
     Products that do not feed a recurrence (the output layer, the
     weight gradients, the attention's key and value gradients) are one
-    product over all steps; the step loops carry only the recurrences.
+    product over all real slots; the step loops carry only the
+    recurrences.
     """
     p = model.params
     hp = model.hyper
@@ -540,31 +550,41 @@ def _backward_batch(model: CorrectorModel, tape: _Tape) -> dict[str, np.ndarray]
     dhsum, dkeys, ds0 = _decoder_backward(model, tape, grads)
 
     grads["bridge"] += enc.bridge_in.T @ ds0
-    dbridge_in = ds0 @ p["bridge"].T
-    grads["att.score"] += _gram(enc.hcat, dkeys)
-    dhcat = _mm(dkeys, p["att.score"].T)
-    d_fwd = dhsum + dhcat[:, :, :hdim]
-    d_bwd = dhsum + dhcat[:, :, hdim:]
-    d_fwd[:, -1] += dbridge_in[:, :hdim]
-    d_bwd[:, 0] += dbridge_in[:, hdim:]
+    dbridge_in = (ds0 @ p["bridge"].T)[enc.order]
+    rows = enc.order[enc.row]
+    dkeys = dkeys[rows, enc.col]
+    grads["att.score"] += enc.hcat.T @ dkeys
+    dhcat = dkeys @ p["att.score"].T
+    dhsum = dhsum[rows, enc.col]
+    dhcat[:, :hdim] += dhsum
+    dhcat[:, hdim:] += dhsum
 
-    # the encoder, on its own sorted rows
-    d_fwd, d_bwd = d_fwd[enc.order], d_bwd[enc.order]
-    for l in range(hp.enc_layers - 1, -1, -1):
-        scan = enc.scans[l]
-        dinp = _encoder_direction_backward(
-            p, f"enc.{l}.fwd", scan["fwd"], enc.inputs[l], d_fwd, enc.counts, False, grads
-        )
-        dinp += _encoder_direction_backward(
-            p, f"enc.{l}.bwd", scan["bwd"], enc.inputs[l], d_bwd, enc.counts, True, grads
-        )
+    # the encoder, on its packed slots; the bridge reads the top layer's
+    # final carried states, so its gradient seeds their carries
+    prev = {
+        name: _prev_slots(enc.offs, enc.counts, enc.row, enc.col, reverse)
+        for name, reverse in _DIRECTIONS
+    }
+    top = hp.enc_layers - 1
+    for l in range(top, -1, -1):
+        dinp = None
+        for k, (name, reverse) in enumerate(_DIRECTIONS):
+            pre = f"enc.{l}.{name}"
+            states, caches, _ = enc.scans[l][name]
+            half = slice(k * hdim, (k + 1) * hdim)
+            dh = dbridge_in[:, half] if l == top else np.zeros((len(enc.order), hdim))
+            dz = _scan_grad(dhcat[:, half], caches, enc.offs, enc.counts, p[f"{pre}.U"], reverse, dh)
+            grads[f"{pre}.W"] += enc.inputs[l].T @ dz
+            grads[f"{pre}.U"] += states[prev[name]].T @ dz
+            grads[f"{pre}.b"] += dz.sum(axis=0)
+            dx = dz @ p[f"{pre}.W"].T
+            dinp = dx if dinp is None else dinp + dx
         if l > 0:
             if enc.drop_masks[l - 1] is not None:
                 dinp = dinp * enc.drop_masks[l - 1]
-            d_fwd = dinp[:, :, :hdim]
-            d_bwd = dinp[:, :, hdim:]
+            dhcat = dinp
         else:
-            np.add.at(grads["embedding"], enc.x_ids[enc.order], dinp)
+            np.add.at(grads["embedding"], enc.x_ids[rows, enc.col], dinp)
     return grads
 
 

@@ -1,4 +1,4 @@
-"""Sequence probability, loss, and decoding for frame-wise classifiers.
+"""Sequence probability and decoding for frame-wise classifiers.
 
 The recognizer for a text box produces one categorical distribution per
 frame over an alphabet plus a blank symbol.  A label sequence's
@@ -27,7 +27,6 @@ __all__ = [
     "validate_frame_probs",
     "collapse",
     "log_prob",
-    "loss",
     "greedy_decode",
     "beam_decode",
     "beam_decode_batch",
@@ -201,20 +200,6 @@ def log_prob(probs, labels: Sequence[int]) -> float:
         total = np.logaddexp(total, alpha[s - 2])
     # A probability can exceed 1 by a hair only through the floor; clamp.
     return float(min(total, 0.0))
-
-
-def loss(batch: Sequence[tuple]) -> float:
-    """Mean negative log probability over (probs, labels) pairs.
-
-    Returns ``inf`` when any pair has zero probability; raises
-    InputError on an empty batch.
-    """
-    if len(batch) == 0:
-        raise InputError("loss needs at least one (probs, labels) pair")
-    values = [log_prob(probs, labels) for probs, labels in batch]
-    if any(v == _NEG_INF for v in values):
-        return float("inf")
-    return float(-np.mean(values))
 
 
 def greedy_decode(probs) -> list[int]:

@@ -182,15 +182,28 @@ class BoxRecord:
     quad: Quad | None = None
 
 
+_NUMBER_TYPES = frozenset((int, float))  # JSON numbers; bool is not among them
+
+
+def _numbers(values, where: str, what: str) -> list:
+    """``values`` if it is a JSON list of numbers, neither bools nor
+    strings, and ``FormatError`` otherwise.  It checks types directly,
+    which costs a box far less than :func:`from_json_value` does."""
+    if type(values) is not list or not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise FormatError(f"{where}: malformed geometry: {what} must be a list of numbers")
+    return values
+
+
 def _box_from_record(rec: dict, where: str) -> BoxRecord:
     if not isinstance(rec, dict):
         raise FormatError(f"{where}: box record must be an object")
     if "id" not in rec:
         raise FormatError(f"{where}: box record needs an 'id'")
-    try:
-        bid = int(rec["id"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: box id must be an integer") from exc
+    bid = rec["id"]
+    if type(bid) is float and bid.is_integer():
+        bid = int(bid)
+    if type(bid) is not int:
+        raise FormatError(f"{where}: box id must be an integer")
     word = rec.get("word")
     if word is not None and not isinstance(word, str):
         raise FormatError(f"{where}: 'word' must be a string")
@@ -198,12 +211,18 @@ def _box_from_record(rec: dict, where: str) -> BoxRecord:
     has_quad = "quad" in rec
     if has_rect == has_quad:
         raise FormatError(f"{where}: box record needs exactly one of 'rect' or 'quad'")
+    if has_rect:
+        coords = _numbers(rec["rect"], where, "'rect'")
+    elif type(rec["quad"]) is list:
+        coords = [_numbers(c, where, "a 'quad' corner") for c in rec["quad"]]
+    else:
+        raise FormatError(f"{where}: malformed geometry: 'quad' must be a list of corners")
     try:
         if has_rect:
-            left, top, right, bottom = (float(v) for v in rec["rect"])
+            left, top, right, bottom = map(float, coords)
             quad = None
         else:
-            quad = Quad.from_points(rec["quad"])
+            quad = Quad.from_points(coords)
             xs = [p.x for p in quad.corners]
             ys = [p.y for p in quad.corners]
             left, top, right, bottom = min(xs), min(ys), max(xs), max(ys)

@@ -93,15 +93,6 @@ class Quad:
             [(left, top), (right, top), (right, bottom), (left, bottom)]
         )
 
-    def area(self) -> float:
-        """Signed area by the shoelace formula (positive for valid quads)."""
-        s = 0.0
-        for i in range(4):
-            a = self.corners[i]
-            b = self.corners[(i + 1) % 4]
-            s += a.x * b.y - b.x * a.y
-        return 0.5 * s
-
 
 @dataclass(frozen=True)
 class Homography:
@@ -224,10 +215,6 @@ class GrayImage:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    @classmethod
-    def constant(cls, width: int, height: int, value: float = 1.0) -> "GrayImage":
-        return cls(np.full((height, width), float(value)))
-
 
 def _sample_bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear interpolation with pixel centres at half-integers.
@@ -325,7 +312,10 @@ def read_pgm(path) -> GrayImage:
     header = _PGM_HEADER.match(data)
     if header is None:
         raise FormatError(f"{path}: not a binary PGM (P5) file, or a malformed header")
-    width, height, maxval = map(int, header.groups())
+    try:
+        width, height, maxval = map(int, header.groups())
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"{path}: PGM header number too long") from exc
     if width < 1 or height < 1:
         raise FormatError(f"{path}: PGM dimensions must be positive")
     if not 0 < maxval < 256:

@@ -342,10 +342,6 @@ class DocumentLayout:
     def labels(self) -> dict[int, int]:
         return {i: lab for lab, seq in self.order.items() for i in seq}
 
-    def ordered_boxes(self, label: int) -> list[TextBox]:
-        by_id = {b.id: b for b in self.boxes}
-        return [by_id[i] for i in self.order[label]]
-
     def to_dict(self) -> dict:
         return {
             "labels": {str(i): lab for i, lab in sorted(self.labels.items())},

@@ -44,10 +44,19 @@ def encode_one(model, ids):
     return _encode_batch(model, np.asarray([ids], dtype=np.int64))
 
 
+def padded_hcat(enc):
+    """The top encoder layer's packed states of a bundle, as a (B, Tx, 2H)
+    array in batch rows, zero at padded positions."""
+    out = np.zeros(enc.mask_x.shape + enc.hcat.shape[1:])
+    out[enc.order[enc.row], enc.col] = enc.hcat
+    return out
+
+
 def directions(enc):
     """The top encoder layer's (forward, backward) states of a bundle."""
     hdim = enc.hsum.shape[2]
-    return enc.hcat[:, :, :hdim], enc.hcat[:, :, hdim:]
+    hcat = padded_hcat(enc)
+    return hcat[:, :, :hdim], hcat[:, :, hdim:]
 
 
 # Reference decoder for one sequence, written out without the batched
@@ -98,7 +107,7 @@ class TestEncode:
     def test_output_shapes(self, model, vocab):
         ids = vocab.preprocess("ab cad")
         enc = encode_one(model, ids)
-        assert enc.hcat.shape == (1, len(ids), 2 * SMALL.hidden_dim)
+        assert padded_hcat(enc).shape == (1, len(ids), 2 * SMALL.hidden_dim)
         assert enc.hsum.shape == (1, len(ids), SMALL.hidden_dim)
         assert enc.s0.shape == (1, SMALL.hidden_dim)
 
@@ -139,7 +148,7 @@ class TestAttend:
         for _ in range(10):
             s = rng.normal(size=(1, SMALL.hidden_dim))
             ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s)
-            assert alpha.shape == (1, enc.hcat.shape[1])
+            assert alpha.shape == (1, enc.mask_x.shape[1])
             assert np.all(alpha >= 0)
             assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
             assert ctx.shape == (1, SMALL.hidden_dim)

@@ -23,7 +23,6 @@ from doctext.ctc import (
     collapse,
     greedy_decode,
     log_prob,
-    loss,
     validate_frame_probs,
 )
 from doctext.errors import InputError
@@ -419,21 +418,6 @@ class TestLogProb:
         probs = random_frame_probs(rng, int(rng.integers(1, 5)), 3)
         extended = np.vstack([probs, [[0.0, 0.0, 1.0]]])
         assert log_prob(extended, []) <= log_prob(probs, []) + 1e-12
-
-
-class TestLoss:
-    def test_mean_of_negative_logs(self):
-        p = [[0.5, 0.5]]
-        batch = [(p, []), (p, [0])]
-        assert math.isclose(loss(batch), -math.log(0.5), rel_tol=1e-12)
-
-    def test_impossible_pair_gives_inf(self):
-        p = [[0.5, 0.5]]
-        assert loss([(p, [0, 0])]) == float("inf")
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(InputError):
-            loss([])
 
 
 # ---------------------------------------------------------------- decoding

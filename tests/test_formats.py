@@ -177,6 +177,31 @@ class TestBoxes:
         with pytest.raises(FormatError, match=r"boxes\.jsonl:2: box 3 is too narrow"):
             read_boxes(p)
 
+    def test_integral_float_id_is_an_integer(self, tmp_path):
+        p = tmp_path / "boxes.jsonl"
+        p.write_text('{"id":3.0,"rect":[0,0,1.5,1]}\n', encoding="utf-8")
+        assert read_boxes(p)[0].box.id == 3
+
+    @pytest.mark.parametrize("row, message", [
+        ('{"id":1.9,"rect":[0,0,1,1]}', "box id must be an integer"),
+        ('{"id":true,"rect":[0,0,1,1]}', "box id must be an integer"),
+        ('{"id":"7","rect":[0,0,1,1]}', "box id must be an integer"),
+        ('{"id":null,"rect":[0,0,1,1]}', "box id must be an integer"),
+        ('{"id":2,"rect":["0",0,1,1]}', "'rect' must be a list of numbers"),
+        ('{"id":2,"rect":[0,0,true,1]}', "'rect' must be a list of numbers"),
+        ('{"id":2,"rect":{"left":0}}', "'rect' must be a list of numbers"),
+        ('{"id":2,"quad":[[0,0],[1,"0"],[1,1],[0,1]]}', "'quad' corner must be a list of numbers"),
+        ('{"id":2,"quad":[[0,0],[1,0],[1,true],[0,1]]}', "'quad' corner must be a list of numbers"),
+        ('{"id":2,"quad":"square"}', "'quad' must be a list of corners"),
+    ], ids=["id_fraction", "id_bool", "id_text", "id_null", "rect_text", "rect_bool", "rect_object",
+            "quad_text", "quad_bool", "quad_not_a_list"])
+    def test_untyped_values_refused_with_file_line(self, tmp_path, row, message):
+        # int() and float() would read each of these as a number
+        p = tmp_path / "boxes.jsonl"
+        p.write_text('{"id":0,"rect":[0,0,1,1]}\n' + row + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"boxes\.jsonl:2: .*{re.escape(message)}"):
+            read_boxes(p)
+
     def test_truth_from_boxes(self):
         recs = [
             BoxRecord(box=TextBox(id=0, left=0, top=0, right=1, bottom=1, word="w")),

@@ -64,9 +64,6 @@ class TestQuad:
         q = Quad.from_rect(1, 2, 4, 6)
         assert q.corners == (Point(1, 2), Point(4, 2), Point(4, 6), Point(1, 6))
 
-    def test_area_matches_rectangle(self):
-        assert Quad.from_rect(0, 0, 3, 5).area() == pytest.approx(15.0)
-
     def test_collinear_corners_rejected(self):
         with pytest.raises(DegenerateQuadError):
             Quad.from_points([(0, 0), (1, 0), (2, 0), (0, 1)])
@@ -165,11 +162,6 @@ class TestGrayImage:
         with pytest.raises(InputError, match="finite"):
             GrayImage(np.array([[0.5, bad], [0.0, 1.0]]))
 
-    def test_constant(self):
-        img = GrayImage.constant(3, 2, 0.25)
-        assert img.width == 3 and img.height == 2
-        assert np.all(img.pixels == 0.25)
-
 
 class TestBilinearSampling:
     def test_matches_scalar_reference(self):
@@ -203,13 +195,13 @@ class TestRectify:
         assert np.allclose(out.pixels, img.pixels, atol=1e-12)
 
     def test_output_shape(self):
-        img = GrayImage.constant(30, 30, 0.5)
+        img = GrayImage(np.full((30, 30), 0.5))
         q = Quad.from_points([(2, 3), (25, 5), (27, 26), (4, 24)])
         out = rectify(img, q, 64, 16)
         assert out.width == 64 and out.height == 16
 
     def test_constant_image_stays_constant(self):
-        img = GrayImage.constant(30, 30, 0.625)
+        img = GrayImage(np.full((30, 30), 0.625))
         q = Quad.from_points([(2, 3), (25, 5), (27, 26), (4, 24)])
         out = rectify(img, q, 40, 12)
         assert np.allclose(out.pixels, 0.625, atol=1e-12)
@@ -443,9 +435,10 @@ class TestPgmHeader:
         b"P5\n1 1\n65535\n\x00\x00",
         b"P5\n4 4\n255\n\x00\x01",
         b"P5\n2 1\n100\n\x00\xc8",
+        b"P5\n" + b"1" * 5000 + b" 1\n255\n",
     ], ids=["magic", "magic_only", "truncated_header", "comment_to_the_end", "bad_token",
             "glued_comment", "zero_width", "zero_maxval", "maxval_16_bit", "truncated_raster",
-            "value_above_maxval"])
+            "value_above_maxval", "number_too_long"])
     def test_every_refusal_names_the_file(self, tmp_path, data):
         p = tmp_path / "page.pgm"
         p.write_bytes(data)

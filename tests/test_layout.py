@@ -508,12 +508,6 @@ class TestDocumentLayout:
         with pytest.raises(InputError):
             DocumentLayout(boxes=(b0, b1), order={0: [0, 0]})
 
-    def test_ordered_boxes(self):
-        boxes = make_line([0, 1, 2])
-        doc = arrange_document(boxes)
-        got = doc.ordered_boxes(0)
-        assert [b.id for b in got] == [0, 1, 2]
-
     def test_arrange_document_round_trip_dict(self):
         boxes = make_line([0, 1], y=0.0) + make_line([2, 3], y=200.0)
         doc = arrange_document(boxes)
