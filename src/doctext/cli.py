@@ -49,13 +49,14 @@ from .formats import (
     write_json_file,
     write_words,
 )
-from .geometry import crop_region, read_pgm, rectify, write_pgm
+from .geometry import read_pgm, write_pgm
 from .layout import LayoutParams, arrange_document, group, render_group_overlay
 from .pipeline import (
     PipelineParams,
     decode_words,
     evaluate,
     format_percent,
+    rectify_boxes,
     run as run_pipeline,
     save_report,
 )
@@ -171,17 +172,18 @@ def _cmd_synth_gen(args) -> int:
     return 0
 
 
+def _write_crops(crops: dict, out: Path) -> None:
+    """Write a box id to crop dict as one ``out/box_NNNN.pgm`` file per box."""
+    out.mkdir(parents=True, exist_ok=True)
+    for bid, crop in sorted(crops.items()):
+        write_pgm(crop, out / f"box_{bid:04d}.pgm")
+
+
 def _cmd_rectify(args) -> int:
     image = read_pgm(args.image)
-    records = read_boxes(args.boxes)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for rec in records:
-        b = rec.box
-        rect = (b.left, b.top, b.right, b.bottom)
-        crop = rectify(image, *crop_region(rec.quad, rect, args.height))
-        write_pgm(crop, out / f"box_{b.id:04d}.pgm")
-    print(f"rectified {len(records)} boxes into {out}")
+    crops = rectify_boxes(image, read_boxes(args.boxes), args.height)
+    _write_crops(crops, args.out)
+    print(f"rectified {len(crops)} boxes into {args.out}")
     return 0
 
 
@@ -248,6 +250,9 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if (args.image is None) != (args.crops_dir is None):
+        missing = "--crops-dir" if args.crops_dir is None else "--image"
+        raise InputError(f"run: --image and --crops-dir go together; {missing} is missing")
     records = read_boxes(args.boxes)
     alphabet, frames = read_frames(args.frames)
     model = load_model(args.model) if args.model else None
@@ -261,11 +266,8 @@ def _cmd_run(args) -> int:
         image=image,
     )
     save_report(result.report, args.out)
-    if args.crops_dir and result.crops:
-        crops_dir = Path(args.crops_dir)
-        crops_dir.mkdir(parents=True, exist_ok=True)
-        for bid, crop in sorted(result.crops.items()):
-            write_pgm(crop, crops_dir / f"box_{bid:04d}.pgm")
+    if args.crops_dir is not None:
+        _write_crops(result.crops, args.crops_dir)
     print(result.report.summary())
     return 0
 
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rectify", help="rectify boxes out of a page image")
     p.add_argument("--image", required=True, help="page PGM")
     p.add_argument("--boxes", required=True, help="boxes JSONL")
-    p.add_argument("--out", required=True, help="output directory for crops")
+    p.add_argument("--out", required=True, type=Path, help="output directory for crops")
     p.add_argument("--height", type=int, default=32, help="crop height (default 32)")
     _add_common(p, params=False)
     p.set_defaults(func=_cmd_rectify)
@@ -369,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--model", help="corrector checkpoint JSON")
-    p.add_argument("--image", help="page PGM for rectification")
-    p.add_argument("--crops-dir", help="write rectified crops here")
+    p.add_argument("--image", help="page PGM to rectify crops from (needs --crops-dir)")
+    p.add_argument("--crops-dir", type=Path, help="write rectified crops here (needs --image)")
     _add_common(p)
     p.set_defaults(func=_cmd_run)
 

@@ -16,12 +16,12 @@ LSTM weights follow the x @ W + h @ U + b layout with gates ordered
 input, forget, cell, output along the last axis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import FormatError, InputError, VersionError
-from ..formats import read_json_file, to_json_value, write_json_file
+from ..formats import from_json_value, read_json_file, to_json_value, write_json_file
 from .vocab import Vocab
 
 __all__ = [
@@ -160,7 +160,10 @@ def model_from_dict(payload: dict) -> CorrectorModel:
             f"expected {CHECKPOINT_VERSION}"
         )
     try:
-        hyper = Hyper(**payload["hyper"])
+        names = {f.name for f in fields(Hyper)}
+        if not (isinstance(payload["hyper"], dict) and payload["hyper"].keys() <= names):
+            raise FormatError(f"malformed checkpoint: hyper must be an object with keys among {sorted(names)}")
+        hyper = from_json_value(Hyper, payload["hyper"])
         vocab = Vocab(tuple(payload["vocab"]))
         if not isinstance(payload["params"], dict):
             raise FormatError("malformed checkpoint: params must be an object")

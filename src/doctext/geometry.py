@@ -31,7 +31,6 @@ __all__ = [
     "Homography",
     "GrayImage",
     "compute_homography",
-    "crop_region",
     "rectify",
     "read_pgm",
     "write_pgm",
@@ -80,15 +79,11 @@ class Quad:
     def from_points(cls, pts) -> "Quad":
         """Build a quad from any iterable of four (x, y) pairs."""
         corners = tuple(Point(float(x), float(y)) for x, y in pts)
-        if len(corners) != 4:
-            raise InputError("a quad needs exactly four corners")
         return cls(corners)
 
     @classmethod
     def from_rect(cls, left: float, top: float, right: float, bottom: float) -> "Quad":
         """Axis-aligned rectangle as a quad."""
-        if not (left < right and top < bottom):
-            raise InputError("rectangle must have positive width and height")
         return cls.from_points(
             [(left, top), (right, top), (right, bottom), (left, bottom)]
         )
@@ -216,6 +211,26 @@ class GrayImage:
         return self.pixels.shape[1]
 
 
+def _trusted_image(pixels: np.ndarray) -> GrayImage:
+    """A GrayImage of ``pixels`` without the check and copy of ``GrayImage``:
+    the caller knows them to be a non-empty 2-D float64 array in [0, 1]."""
+    image = object.__new__(GrayImage)
+    object.__setattr__(image, "pixels", pixels)
+    return image
+
+
+def _paint_boxes(boxes, shades, width: int, height: int) -> GrayImage:
+    """A white width x height raster with each box filled by its shade, a
+    constant in [0, 1], over the pixels its edges rounded outward cover."""
+    px = np.ones((height, width), dtype=np.float64)
+    for b, shade in zip(boxes, shades):
+        # a slice stops at the raster's end by itself, but a negative end wraps
+        rows = slice(max(0, math.floor(b.top)), max(0, math.ceil(b.bottom)))
+        cols = slice(max(0, math.floor(b.left)), max(0, math.ceil(b.right)))
+        px[rows, cols] = shade
+    return _trusted_image(px)
+
+
 def _sample_bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear interpolation with pixel centres at half-integers.
 
@@ -275,23 +290,8 @@ def rectify(image: GrayImage, src: Quad, width: int, height: int) -> GrayImage:
         np.arange(height, dtype=np.float64) + 0.5,
     )
     sx, sy = hinv.apply(us, vs)
-    return GrayImage(_sample_bilinear(image.pixels, sx, sy))
-
-
-def crop_region(quad: Quad | None, rect, height: int) -> tuple[Quad, int, int]:
-    """Source quad and output size for rectifying one detected box.
-
-    ``rect`` is the box's axis-aligned (left, top, right, bottom); the
-    box's own ``quad`` is the source when it has one, else the rectangle.
-    The crop is ``height`` pixels tall and keeps the box's width to
-    height ratio, rounded, at least one pixel wide.  The result is the
-    ``(src, width, height)`` tail of a :func:`rectify` call.
-    """
-    left, top, right, bottom = rect
-    if quad is None:
-        quad = Quad.from_rect(left, top, right, bottom)
-    width = max(1, round((right - left) / (bottom - top) * height))
-    return quad, width, height
+    # a bilinear sample of [0, 1] values is in [0, 1] up to rounding, which the clip removes
+    return _trusted_image(np.clip(_sample_bilinear(image.pixels, sx, sy), 0.0, 1.0))
 
 
 # "P5", then width, height and maxval, each after whitespace and "#"
@@ -327,7 +327,8 @@ def read_pgm(path) -> GrayImage:
     brightest = int(px.max())
     if brightest > maxval:
         raise FormatError(f"{path}: PGM value {brightest} exceeds maxval {maxval}")
-    return GrayImage(px.astype(np.float64) / float(maxval))
+    # every byte is at most maxval, so every value lies in [0, 1]
+    return _trusted_image(px.astype(np.float64) / float(maxval))
 
 
 def write_pgm(image: GrayImage, path) -> None:

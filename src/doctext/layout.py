@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .geometry import GrayImage
+from .geometry import GrayImage, _paint_boxes
 
 __all__ = [
     "TextBox",
@@ -365,14 +365,5 @@ def render_group_overlay(boxes, labels: dict[int, int], width: int, height: int)
     """Debug raster: each box filled with a gray level cycling by group."""
     if width < 1 or height < 1:
         raise InputError("overlay size must be positive")
-    px = np.ones((height, width), dtype=np.float64)
     shades = [0.0, 0.25, 0.45, 0.6, 0.75, 0.85]
-    for b in boxes:
-        shade = shades[labels[b.id] % len(shades)]
-        r0 = max(0, int(np.floor(b.top)))
-        r1 = min(height, int(np.ceil(b.bottom)))
-        c0 = max(0, int(np.floor(b.left)))
-        c1 = min(width, int(np.ceil(b.right)))
-        if r0 < r1 and c0 < c1:
-            px[r0:r1, c0:c1] = shade
-    return GrayImage(px)
+    return _paint_boxes(boxes, [shades[labels[b.id] % len(shades)] for b in boxes], width, height)

@@ -23,7 +23,7 @@ import numpy as np
 from .ctc import Alphabet, beam_decode, beam_decode_batch, validate_frame_probs  # noqa: F401
 from .errors import FormatError, InputError, VersionError
 from .formats import BoxRecord, from_json_value, read_json_file, to_json_value, truth_from_boxes, write_json_file
-from .geometry import GrayImage, crop_region, rectify
+from .geometry import GrayImage, Quad, rectify
 from .layout import DocumentLayout, LayoutParams, arrange_document
 from .corrector.model import CorrectorModel
 # ``correct`` is not called here; perfbench/tracing.py looks it up in this module
@@ -36,6 +36,7 @@ __all__ = [
     "RunResult",
     "decode_words",
     "evaluate",
+    "rectify_boxes",
     "format_percent",
     "run",
     "save_report",
@@ -157,6 +158,18 @@ class RunResult:
     crops: dict[int, GrayImage]
 
 
+def rectify_boxes(image: GrayImage, records: list[BoxRecord], height: int) -> dict[int, GrayImage]:
+    """Each box of ``records`` rectified out of ``image`` from its own ``quad``, else its rectangle,
+    by box id: ``height`` pixels tall, keeping its width to height ratio, rounded, at least 1 wide."""
+    crops = {}
+    for rec in records:
+        b = rec.box
+        quad = rec.quad if rec.quad is not None else Quad.from_rect(b.left, b.top, b.right, b.bottom)
+        width = max(1, round(b.width / b.height * height))
+        crops[b.id] = rectify(image, quad, width, height)
+    return crops
+
+
 def decode_words(alphabet: Alphabet, frames_by_id: dict, beam_width: int = 8) -> dict[int, str]:
     """Beam-decode every box's frames into a word, all boxes in one batch.
 
@@ -221,9 +234,9 @@ def run(
     corrected, the phrases of all groups in one batch.  Box ids present
     in the frames but not among the boxes are an error.
 
-    When ``image`` is given, quad boxes are rectified into axis-aligned
-    crops at ``params.rect_height``; recognition still consumes the
-    supplied frames, the crops are returned for inspection.
+    When ``image`` is given, every box is rectified into an axis-aligned
+    crop at ``params.rect_height`` by :func:`rectify_boxes`; recognition
+    still consumes the supplied frames, the crops are returned for inspection.
     """
     params = params or PipelineParams()
     boxes = [r.box for r in records]
@@ -237,10 +250,7 @@ def run(
     notes: list[str] = []
     crops: dict[int, GrayImage] = {}
     if image is not None:
-        for rec in records:
-            b = rec.box
-            rect = (b.left, b.top, b.right, b.bottom)
-            crops[b.id] = rectify(image, *crop_region(rec.quad, rect, params.rect_height))
+        crops = rectify_boxes(image, records, params.rect_height)
         notes.append(f"rectified {len(crops)} boxes")
     else:
         notes.append("rectification skipped: no page image supplied")

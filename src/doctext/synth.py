@@ -21,7 +21,7 @@ import numpy as np
 
 from .ctc import Alphabet
 from .errors import InputError
-from .geometry import GrayImage
+from .geometry import GrayImage, _paint_boxes
 from .layout import DocumentLayout, TextBox
 
 __all__ = [
@@ -194,15 +194,7 @@ def gen_document(spec: SynthSpec, rng=None) -> DocumentLayout:
 
 def render_page(layout: DocumentLayout, spec: SynthSpec) -> GrayImage:
     """Flat visual of a generated page: dark word bars on white."""
-    px = np.ones((spec.page_height, spec.page_width), dtype=np.float64)
-    for b in layout.boxes:
-        r0 = max(0, int(np.floor(b.top)))
-        r1 = min(spec.page_height, int(np.ceil(b.bottom)))
-        c0 = max(0, int(np.floor(b.left)))
-        c1 = min(spec.page_width, int(np.ceil(b.right)))
-        if r0 < r1 and c0 < c1:
-            px[r0:r1, c0:c1] = 0.25
-    return GrayImage(px)
+    return _paint_boxes(layout.boxes, [0.25] * len(layout.boxes), spec.page_width, spec.page_height)
 
 
 def _frame_confusable(char_index: int, alphabet: Alphabet, rng) -> int:

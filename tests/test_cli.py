@@ -224,7 +224,27 @@ class TestRunAndEval:
         payload = json.loads(report_path.read_text())
         assert payload["format"] == "doctext-report"
         assert payload["n_boxes"] > 0
-        assert (tmp_path / "crops").exists()
+        # the crops are the ones `rectify` writes at run's default height
+        assert run_cli(
+            "rectify", "--image", synth_dir / "doc_0000.page.pgm",
+            "--boxes", synth_dir / "doc_0000.boxes.jsonl",
+            "--out", tmp_path / "rectified", "--height", PipelineParams().rect_height,
+        ) == 0
+        written = {f.name: f.read_bytes() for f in (tmp_path / "crops").iterdir()}
+        assert len(written) == payload["n_boxes"]
+        assert written == {f.name: f.read_bytes() for f in (tmp_path / "rectified").iterdir()}
+
+    @pytest.mark.parametrize("given, missing", [("--image", "--crops-dir"), ("--crops-dir", "--image")])
+    def test_image_and_crops_dir_go_together(self, synth_dir, tmp_path, capsys, given, missing):
+        value = synth_dir / "doc_0000.page.pgm" if given == "--image" else tmp_path / "crops"
+        code = run_cli(
+            "run", "--boxes", synth_dir / "doc_0000.boxes.jsonl",
+            "--frames", synth_dir / "doc_0000.frames.jsonl",
+            "--out", tmp_path / "report.json", given, value,
+        )
+        assert code == 2
+        assert f"{missing} is missing" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists() and not (tmp_path / "crops").exists()
 
     def test_rerun_report_byte_identical(self, synth_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

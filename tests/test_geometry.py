@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,13 +16,17 @@ from doctext.geometry import (
     Homography,
     Point,
     Quad,
+    _paint_boxes,
     _sample_bilinear,
     compute_homography,
-    crop_region,
     read_pgm,
     rectify,
     write_pgm,
 )
+from doctext.formats import BoxRecord
+from doctext.layout import TextBox, render_group_overlay
+from doctext.pipeline import rectify_boxes
+from doctext.synth import SynthSpec, gen_document, render_page
 
 
 def random_convex_quad(rng, scale=1000.0):
@@ -234,20 +239,116 @@ class TestRectify:
 
 
 class TestCropRegion:
+    """The crop rule of :func:`doctext.pipeline.rectify_boxes`."""
+
+    @staticmethod
+    def crop(quad, rect, height):
+        left, top, right, bottom = rect
+        img = GrayImage(np.random.default_rng(30).random((40, 60)))
+        rec = BoxRecord(box=TextBox(id=3, left=left, top=top, right=right, bottom=bottom), quad=quad)
+        return img, rectify_boxes(img, [rec], height)[3]
+
     def test_rect_fallback_keeps_aspect(self):
-        quad, width, height = crop_region(None, (10.0, 20.0, 50.0, 30.0), 16)
-        assert quad == Quad.from_rect(10.0, 20.0, 50.0, 30.0)
-        assert (width, height) == (64, 16)
+        img, crop = self.crop(None, (10.0, 20.0, 50.0, 30.0), 16)
+        assert (crop.width, crop.height) == (64, 16)
+        want = rectify(img, Quad.from_rect(10.0, 20.0, 50.0, 30.0), 64, 16)
+        assert np.array_equal(crop.pixels, want.pixels)
+        _, crop = self.crop(None, (10.0, 20.0, 51.0, 30.0), 16)
+        assert crop.width == 66  # 65.6 rounds up
 
     def test_own_quad_is_the_source(self):
         q = Quad.from_points([(0, 0), (30, 2), (31, 12), (1, 10)])
-        quad, width, height = crop_region(q, (0.0, 0.0, 31.0, 12.0), 24)
-        assert quad is q
-        assert (width, height) == (round(31 / 12 * 24), 24)
+        img, crop = self.crop(q, (0.0, 0.0, 31.0, 12.0), 24)
+        width = round(31 / 12 * 24)
+        assert (crop.width, crop.height) == (width, 24)
+        assert np.array_equal(crop.pixels, rectify(img, q, width, 24).pixels)
 
     def test_width_is_at_least_one(self):
-        _, width, _ = crop_region(None, (0.0, 0.0, 1.0, 100.0), 4)
-        assert width == 1
+        _, crop = self.crop(None, (0.0, 0.0, 1.0, 100.0), 4)
+        assert crop.width == 1
+
+
+def rectify_reference(image, src, width, height):
+    """:func:`rectify` as it was before it built its crop unchecked: the
+    same warp, with the crop checked and clipped by ``GrayImage``."""
+    hinv = compute_homography(src, width, height).inverse()
+    us, vs = np.meshgrid(
+        np.arange(width, dtype=np.float64) + 0.5,
+        np.arange(height, dtype=np.float64) + 0.5,
+    )
+    sx, sy = hinv.apply(us, vs)
+    return GrayImage(_sample_bilinear(image.pixels, sx, sy))
+
+
+def paint_reference(boxes, shades, width, height):
+    """The box fill loop that ``render_page`` and ``render_group_overlay``
+    each ran before they shared :func:`_paint_boxes`."""
+    px = np.ones((height, width), dtype=np.float64)
+    for b, shade in zip(boxes, shades):
+        r0 = max(0, int(np.floor(b.top)))
+        r1 = min(height, int(np.ceil(b.bottom)))
+        c0 = max(0, int(np.floor(b.left)))
+        c1 = min(width, int(np.ceil(b.right)))
+        if r0 < r1 and c0 < c1:
+            px[r0:r1, c0:c1] = shade
+    return GrayImage(px)
+
+
+def same_image(a, b):
+    return a.pixels.dtype == b.pixels.dtype and a.pixels.shape == b.pixels.shape and (
+        a.pixels.tobytes() == b.pixels.tobytes()
+    )
+
+
+class TestCheckOnce:
+    """``read_pgm``, ``rectify`` and the box painter know their pixels lie
+    in [0, 1] and build their image without ``GrayImage``'s check; the
+    checked path is the oracle, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 255), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_read_pgm_equals_checked_image(self, tmp_path_factory, maxval, width, height, seed):
+        raw = np.random.default_rng(seed).integers(0, maxval + 1, size=(height, width), dtype=np.uint8)
+        p = tmp_path_factory.mktemp("pgm") / "page.pgm"
+        p.write_bytes(f"P5\n{width} {height}\n{maxval}\n".encode() + raw.tobytes())
+        assert same_image(read_pgm(p), GrayImage(raw.astype(np.float64) / float(maxval)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 12))
+    def test_rectify_equals_checked_image(self, seed, width, height):
+        rng = np.random.default_rng(seed)
+        # runs of exact 0 and 1, the edges of the range, next to each other
+        pixels = rng.choice([0.0, 1.0, rng.random()], size=(20, 30))
+        img = GrayImage(pixels)
+        q = random_convex_quad(rng, scale=30.0)
+        assert same_image(rectify(img, q, width, height), rectify_reference(img, q, width, height))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-20, 60)] * 4, st.sampled_from([0.0, 0.25, 0.6, 1.0])), max_size=8),
+           st.integers(1, 40), st.integers(1, 30))
+    def test_painter_equals_old_loop(self, fills, width, height):
+        boxes = [SimpleNamespace(left=x0, right=x0 + abs(x1), top=y0, bottom=y0 + abs(y1))
+                 for x0, x1, y0, y1, _ in fills]
+        shades = [shade for *_, shade in fills]
+        assert same_image(_paint_boxes(boxes, shades, width, height), paint_reference(boxes, shades, width, height))
+
+    def test_no_check_runs(self, tmp_path, monkeypatch):
+        img = GrayImage(np.random.default_rng(31).random((20, 30)))
+        p = tmp_path / "page.pgm"
+        write_pgm(img, p)
+        spec = SynthSpec(seed=1)
+        doc = gen_document(spec)
+
+        def refuse(self):
+            raise AssertionError("GrayImage check ran")
+
+        monkeypatch.setattr(GrayImage, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="check ran"):
+            GrayImage(img.pixels)
+        assert read_pgm(p).width == 30
+        assert rectify(img, Quad.from_points([(2, 3), (25, 5), (27, 16), (4, 14)]), 12, 8).height == 8
+        assert render_page(doc, spec).width == spec.page_width
+        assert render_group_overlay(doc.boxes, {b.id: 0 for b in doc.boxes}, 50, 40).height == 40
 
 
 class TestPgm:

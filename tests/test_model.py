@@ -178,6 +178,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             model_from_dict(payload)
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["hyper"].update(enc_layers=True),
+        lambda p: p["hyper"].update(depth=3),
+        lambda p: p.update(hyper=[]),
+    ], ids=["bool_for_int", "unknown_key", "not_an_object"])
+    def test_malformed_hyper(self, vocab, edit):
+        payload = model_to_dict(init_model(vocab, Hyper(emb_dim=2, hidden_dim=2, enc_layers=1, dec_layers=1)))
+        edit(payload)
+        with pytest.raises(FormatError, match="malformed checkpoint"):
+            model_from_dict(payload)
+
     def test_corrupt_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json", encoding="utf-8")
