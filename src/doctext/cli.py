@@ -90,12 +90,12 @@ def load_params(path) -> dict:
     if p.suffix.lower() == ".json":
         try:
             payload = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
             raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     elif p.suffix.lower() == ".toml":
         try:
             payload = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
+        except ValueError as exc:  # TOMLDecodeError, or an integer of too many digits
             raise FormatError(f"{path} is not valid TOML: {exc}") from exc
     else:
         raise InputError(f"params file {path} must end in .json or .toml")
@@ -196,6 +196,9 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_arrange(args) -> int:
+    if args.dump_overlay is None and (args.page_width is not None or args.page_height is not None):
+        flag = "--page-width" if args.page_width is not None else "--page-height"
+        raise InputError(f"arrange: {flag} sizes the overlay; --dump-overlay is missing")
     records = read_boxes(args.boxes)
     boxes = [r.box for r in records]
     layout = arrange_document(boxes, _build(LayoutParams, _params_of(args, LayoutParams)))
@@ -210,11 +213,13 @@ def _cmd_arrange(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    if args.greedy and args.beam is not None:
+        raise InputError("decode: --greedy and --beam exclude each other")
     alphabet, frames = read_frames(args.frames)
     if args.greedy:
         words = {bid: alphabet.decode(greedy_decode(mat)) for bid, mat in frames.items()}
     else:
-        words = decode_words(alphabet, frames, args.beam)
+        words = decode_words(alphabet, frames, 8 if args.beam is None else args.beam)
     write_words(args.out, words)
     print(f"decoded {len(words)} boxes")
     return 0
@@ -338,16 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxes", required=True)
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--dump-overlay", help="write a group-overlay PGM here")
-    p.add_argument("--page-width", type=int, default=None)
-    p.add_argument("--page-height", type=int, default=None)
+    p.add_argument("--page-width", type=int, default=None, help="overlay width (needs --dump-overlay)")
+    p.add_argument("--page-height", type=int, default=None, help="overlay height (needs --dump-overlay)")
     _add_common(p)
     p.set_defaults(func=_cmd_arrange)
 
     p = subs.add_parser("decode", help="decode frames into words")
     p.add_argument("--frames", required=True)
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--beam", type=int, default=8, help="beam width (default 8)")
-    p.add_argument("--greedy", action="store_true", help="best-path decode instead of beam")
+    p.add_argument("--beam", type=int, default=None, help="beam width (default 8)")
+    p.add_argument("--greedy", action="store_true", help="best-path decode instead of beam (no --beam)")
     _add_common(p, params=False)
     p.set_defaults(func=_cmd_decode)
 

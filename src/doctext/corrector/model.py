@@ -16,7 +16,7 @@ LSTM weights follow the x @ W + h @ U + b layout with gates ordered
 input, forget, cell, output along the last axis.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,9 +160,6 @@ def model_from_dict(payload: dict) -> CorrectorModel:
             f"expected {CHECKPOINT_VERSION}"
         )
     try:
-        names = {f.name for f in fields(Hyper)}
-        if not (isinstance(payload["hyper"], dict) and payload["hyper"].keys() <= names):
-            raise FormatError(f"malformed checkpoint: hyper must be an object with keys among {sorted(names)}")
         hyper = from_json_value(Hyper, payload["hyper"])
         vocab = Vocab(tuple(payload["vocab"]))
         if not isinstance(payload["params"], dict):

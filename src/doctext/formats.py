@@ -18,6 +18,7 @@ bytes, which makes reproducibility checks a file compare.
 
 import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin
@@ -27,7 +28,7 @@ import numpy as np
 from .ctc import Alphabet, validate_frame_probs
 from .errors import FormatError, InputError
 from .geometry import Quad
-from .layout import TextBox
+from .layout import TextBox, _trusted_boxes
 
 __all__ = [
     "BoxRecord",
@@ -75,15 +76,20 @@ def to_json_value(obj):
 def from_json_value(tp, value):
     """A value of type ``tp`` from JSON values, inverting :func:`to_json_value`.
 
-    A dataclass is built from the object's keys for its fields, and a
-    field with a default may be absent (``KeyError`` otherwise); a tuple
-    converts each item of a list to its first element type; ``X | None``
-    is None or X.  Scalars are taken as JSON typed them: a ``bool`` only
+    A dataclass is built only from an object whose keys are among its
+    fields, and a field with a default may be absent (``KeyError``
+    otherwise); a tuple converts each item of a list to its first
+    element type; ``X | None`` is None or X.  Scalars are taken as JSON typed them: a ``bool`` only
     from true or false, a ``str`` only from a string, an ``int`` from an
     integral number and a ``float`` from any number, but neither from a
     bool.  Anything else raises ``TypeError`` or ``ValueError``.
     """
     if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise TypeError(f"expected an object for {tp.__name__}, not {type(value).__name__}")
+        unknown = value.keys() - {f.name for f in fields(tp)}
+        if unknown:
+            raise TypeError(f"{tp.__name__} has no field {', '.join(map(repr, sorted(unknown)))}")
         kwargs = {}
         for f in fields(tp):
             if f.name in value:
@@ -136,20 +142,37 @@ def read_json_file(path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+_JSON_WHITESPACE = " \t\n\r"
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _numbered_records(path) -> list[tuple[int, object]]:
-    """Each record of a JSONL file with its line number; blank lines count."""
+    """Each record of a JSONL file with its line number; blank lines count.
+
+    A line holds what ``json.loads`` reads from it.  The scanner reads
+    the line between its JSON whitespace, once; a line that it does not
+    read to the end (a bad value, a byte-order mark, trailing data) or
+    that makes it raise goes to ``json.loads``, whose error names it.
+    """
     records = []
     for n, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
+        text = line.strip(_JSON_WHITESPACE)
         try:
-            records.append((n, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{n}: bad JSON line: {exc}") from exc
+            value, end = _raw_decode(text)
+        except ValueError:
+            end = None
+        if end != len(text):
+            try:
+                value = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+                raise FormatError(f"{path}:{n}: bad JSON line: {exc}") from exc
+        records.append((n, value))
     return records
 
 
@@ -194,7 +217,28 @@ def _numbers(values, where: str, what: str) -> list:
     return values
 
 
+def _quad_of(rec: dict, where: str) -> Quad:
+    """The quad of a box record that has a 'quad', or ``FormatError``."""
+    if type(rec["quad"]) is not list:
+        raise FormatError(f"{where}: malformed geometry: 'quad' must be a list of corners")
+    coords = [_numbers(c, where, "a 'quad' corner") for c in rec["quad"]]
+    try:
+        return Quad.from_points(coords)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{where}: malformed geometry: {exc}") from exc
+    except InputError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _bounds(quad: Quad) -> list[float]:
+    """The left, top, right and bottom edges of the box around ``quad``."""
+    xs = [p.x for p in quad.corners]
+    ys = [p.y for p in quad.corners]
+    return [min(xs), min(ys), max(xs), max(ys)]
+
+
 def _box_from_record(rec: dict, where: str) -> BoxRecord:
+    """One box record, checked field by field; a refusal names ``where``."""
     if not isinstance(rec, dict):
         raise FormatError(f"{where}: box record must be an object")
     if "id" not in rec:
@@ -208,43 +252,95 @@ def _box_from_record(rec: dict, where: str) -> BoxRecord:
     if word is not None and not isinstance(word, str):
         raise FormatError(f"{where}: 'word' must be a string")
     has_rect = "rect" in rec
-    has_quad = "quad" in rec
-    if has_rect == has_quad:
+    if has_rect == ("quad" in rec):
         raise FormatError(f"{where}: box record needs exactly one of 'rect' or 'quad'")
     if has_rect:
         coords = _numbers(rec["rect"], where, "'rect'")
-    elif type(rec["quad"]) is list:
-        coords = [_numbers(c, where, "a 'quad' corner") for c in rec["quad"]]
-    else:
-        raise FormatError(f"{where}: malformed geometry: 'quad' must be a list of corners")
-    try:
-        if has_rect:
+        quad = None
+        try:
             left, top, right, bottom = map(float, coords)
-            quad = None
-        else:
-            quad = Quad.from_points(coords)
-            xs = [p.x for p in quad.corners]
-            ys = [p.y for p in quad.corners]
-            left, top, right, bottom = min(xs), min(ys), max(xs), max(ys)
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{where}: malformed geometry: {exc}") from exc
+    else:
+        quad = _quad_of(rec, where)
+        left, top, right, bottom = _bounds(quad)
+    try:
         box = TextBox(id=bid, left=left, top=top, right=right, bottom=bottom, word=word)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{where}: malformed geometry: {exc}") from exc
     except InputError as exc:
         raise FormatError(f"{where}: {exc}") from exc
     return BoxRecord(box=box, quad=quad)
 
 
+def _boxes_by_column(recs: list) -> list[BoxRecord] | None:
+    """The box records of the parsed lines ``recs``, or None when one of
+    them would fail :func:`_box_from_record` or repeat an id.
+
+    Types are checked a column at a time, and the ``TextBox`` checks run
+    on one float64 array of every box's edges; each box is then built
+    once, from that array's values, without checking it again.
+    """
+    if not {dict}.issuperset(map(type, recs)):
+        return None
+    try:
+        ids = [rec["id"] for rec in recs]
+    except KeyError:
+        return None
+    if not {int}.issuperset(map(type, ids)):
+        ids = [int(i) if type(i) is float and i.is_integer() else i for i in ids]
+        if not {int}.issuperset(map(type, ids)):
+            return None
+    if min(ids, default=0) < 0 or len(set(ids)) != len(ids):
+        return None
+    words = [rec.get("word") for rec in recs]
+    if not {str, type(None)}.issuperset(map(type, words)):
+        return None
+    # a record without 'rect' has None here, unless it has a 'quad'
+    edges = [rec.get("rect") for rec in recs]
+    quads: list[Quad | None] = [None] * len(recs)
+    for k in [k for k, rec in enumerate(recs) if "quad" in rec]:
+        if "rect" in recs[k]:
+            return None
+        try:
+            quads[k] = _quad_of(recs[k], "")
+        except FormatError:
+            return None
+        edges[k] = _bounds(quads[k])
+    if not {list}.issuperset(map(type, edges)) or not {4}.issuperset(map(len, edges)):
+        return None
+    flat = list(chain.from_iterable(edges))
+    if not _NUMBER_TYPES.issuperset(map(type, flat)):
+        return None
+    try:
+        box_edges = np.array(flat, dtype=np.float64).reshape(-1, 4)
+    except OverflowError:  # an integer beyond the float range, as float() refuses it
+        return None
+    left, top, right, bottom = box_edges.T
+    with np.errstate(over="ignore"):  # as in Python floats, a sum that overflows is inf
+        if not (np.isfinite(box_edges).all() and (left < right).all() and (top < bottom).all()
+                and (0.5 * (left + right) > left).all()):
+            return None
+    return list(map(BoxRecord, _trusted_boxes(ids, box_edges.tolist(), words), quads))
+
+
 def read_boxes(path) -> list[BoxRecord]:
-    """Load a boxes JSONL file; ids must be unique (``FormatError``)."""
-    records = []
+    """Load a boxes JSONL file; ids must be unique (``FormatError``).
+
+    The records are checked column by column and each box is built once
+    (:func:`_boxes_by_column`).  When that check fails, the records are
+    checked again one by one, to name the first refusal with its
+    ``path:line``.
+    """
+    numbered = _numbered_records(path)
+    records = _boxes_by_column([rec for _, rec in numbered])
+    if records is not None:
+        return records
     seen: set[int] = set()
-    for n, rec in _numbered_records(path):
+    for n, rec in numbered:
         record = _box_from_record(rec, f"{path}:{n}")
         if record.box.id in seen:
             raise FormatError(f"{path}:{n}: duplicate box id {record.box.id}")
         seen.add(record.box.id)
-        records.append(record)
-    return records
+    raise AssertionError(f"{path}: the column check refused box records that the record check accepts")
 
 
 def write_boxes(path, records) -> None:

@@ -339,9 +339,10 @@ def load_report(path) -> EvalReport:
 
     Each field of :class:`EvalReport` and :class:`GroupReport` is
     converted to its annotated type by
-    :func:`doctext.formats.from_json_value`.  A missing field, a value
-    that does not convert or a file of another format raises
-    ``FormatError``; another version raises ``VersionError``.
+    :func:`doctext.formats.from_json_value`.  A missing field, a key
+    that is neither a field nor one that :meth:`EvalReport.to_dict`
+    adds, a value that does not convert or a file of another format
+    raises ``FormatError``; another version raises ``VersionError``.
     """
     payload = read_json_file(path)
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
@@ -351,7 +352,9 @@ def load_report(path) -> EvalReport:
             f"{path}: unsupported report version {payload.get('version')!r}, "
             f"expected {REPORT_VERSION}"
         )
+    # the keys that to_dict adds to the fields
+    derived = ("format", "version", "baseline_accuracy", "corrected_accuracy", "delta")
     try:
-        return from_json_value(EvalReport, payload)
+        return from_json_value(EvalReport, {k: v for k, v in payload.items() if k not in derived})
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed report {path}: {exc}") from exc

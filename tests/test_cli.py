@@ -79,6 +79,20 @@ class TestLayoutCommands:
         assert sorted(ordered) == sorted(int(k) for k in payload["labels"])
         assert read_pgm(overlay).width > 0
 
+    @pytest.mark.parametrize("flag", ["--page-width", "--page-height"])
+    def test_page_size_needs_overlay(self, synth_dir, tmp_path, capsys, flag):
+        out = tmp_path / "layout.json"
+        assert run_cli("arrange", "--boxes", synth_dir / "doc_0000.boxes.jsonl", "--out", out, flag, 500) == 2
+        assert f"{flag} sizes the overlay; --dump-overlay is missing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overlong_integer_names_the_file_line(self, tmp_path, capsys):
+        boxes = tmp_path / "big.jsonl"
+        boxes.write_text('{"id":0,"rect":[0,0,1,1]}\n{"id":1,"rect":[0,0,' + "1" * 5000 + ',1]}\n',
+                         encoding="utf-8")
+        assert run_cli("arrange", "--boxes", boxes, "--out", tmp_path / "layout.json") == 2
+        assert f"{boxes}:2: bad JSON line: Exceeds the limit" in capsys.readouterr().err
+
     def test_empty_page_overlay_is_margin_only(self, tmp_path):
         boxes = tmp_path / "empty.boxes.jsonl"
         boxes.write_text("", encoding="utf-8")
@@ -110,6 +124,21 @@ class TestDecode:
         beam_rows = read_jsonl(beam_out)
         assert all(set(r) == {"box_id", "word"} for r in beam_rows)
         assert len(beam_rows) == len(read_jsonl(greedy_out))
+
+    def test_default_beam_is_eight(self, synth_dir, tmp_path):
+        frames = synth_dir / "doc_0000.frames.jsonl"
+        default_out, beam8_out = tmp_path / "default.jsonl", tmp_path / "beam8.jsonl"
+        assert run_cli("decode", "--frames", frames, "--out", default_out) == 0
+        assert run_cli("decode", "--frames", frames, "--out", beam8_out, "--beam", 8) == 0
+        assert default_out.read_bytes() == beam8_out.read_bytes()
+
+    def test_greedy_refuses_beam(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "words.jsonl"
+        code = run_cli("decode", "--frames", synth_dir / "doc_0000.frames.jsonl", "--out", out,
+                       "--greedy", "--beam", 3)
+        assert code == 2
+        assert "--greedy and --beam exclude each other" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRectify:

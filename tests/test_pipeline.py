@@ -403,9 +403,11 @@ class TestReportIO:
         lambda p: p["groups"][0].update(realigned=0),
         lambda p: p["groups"][0].update(baseline_text=7),
         lambda p: p["groups"][0].update(box_ids=[0, 1.5]),
+        lambda p: p["groups"][0].update(score=0.5),
+        lambda p: p.update(groups=[[0, [0, 1, 2], "ab ba ab", "ab ba ab", True]]),
     ], ids=["baseline_correct_text", "groups_not_list", "group_without_realigned", "n_boxes_text",
             "n_boxes_fraction", "n_truth_bool", "realigned_text", "realigned_number",
-            "baseline_text_number", "box_id_fraction"])
+            "baseline_text_number", "box_id_fraction", "group_unknown_key", "group_not_object"])
     def test_mistyped_field_rejected(self, tmp_path, edit):
         p = tmp_path / "report.json"
         save_report(self.make_report(), p)
