@@ -40,9 +40,8 @@ from .formats import (
     read_boxes,
     read_corpus,
     read_frames,
-    read_jsonl,
+    read_truth,
     read_words,
-    truth_from_boxes,
     write_boxes,
     write_corpus,
     write_frames,
@@ -90,12 +89,12 @@ def load_params(path) -> dict:
     if p.suffix.lower() == ".json":
         try:
             payload = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
-        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, or too deep
             raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     elif p.suffix.lower() == ".toml":
         try:
             payload = tomllib.loads(text)
-        except ValueError as exc:  # TOMLDecodeError, or an integer of too many digits
+        except (ValueError, RecursionError) as exc:  # TOMLDecodeError, too many digits, or too deep
             raise FormatError(f"{path} is not valid TOML: {exc}") from exc
     else:
         raise InputError(f"params file {path} must end in .json or .toml")
@@ -205,8 +204,11 @@ def _cmd_arrange(args) -> int:
     write_json_file(args.out, layout.to_dict())
     if args.dump_overlay:
         # an empty page keeps only the margin
-        width = args.page_width or int(np.ceil(max((b.right for b in boxes), default=0))) + 4
-        height = args.page_height or int(np.ceil(max((b.bottom for b in boxes), default=0))) + 4
+        width, height = args.page_width, args.page_height
+        if width is None:
+            width = int(np.ceil(max((b.right for b in boxes), default=0))) + 4
+        if height is None:
+            height = int(np.ceil(max((b.bottom for b in boxes), default=0))) + 4
         write_pgm(render_group_overlay(boxes, layout.labels, width, height), args.dump_overlay)
     print(f"arranged {len(boxes)} boxes into {len(layout.order)} groups")
     return 0
@@ -279,11 +281,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_eval(args) -> int:
     pred = read_words(args.pred)
-    rows = read_jsonl(args.truth)
-    if rows and isinstance(rows[0], dict) and ("rect" in rows[0] or "quad" in rows[0]):
-        truth = truth_from_boxes(read_boxes(args.truth))
-    else:
-        truth = read_words(args.truth)
+    truth = read_truth(args.truth)
     accuracy = evaluate(pred, truth)
     correct_n = round(accuracy * len(truth))
     print(f"accuracy: {format_percent(accuracy)} ({correct_n}/{len(truth)})")

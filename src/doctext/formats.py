@@ -48,6 +48,7 @@ __all__ = [
     "read_corpus",
     "write_corpus",
     "truth_from_boxes",
+    "read_truth",
 ]
 
 
@@ -142,7 +143,7 @@ def read_json_file(path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, or too deep
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -165,12 +166,12 @@ def _numbered_records(path) -> list[tuple[int, object]]:
         text = line.strip(_JSON_WHITESPACE)
         try:
             value, end = _raw_decode(text)
-        except ValueError:
+        except (ValueError, RecursionError):
             end = None
         if end != len(text):
             try:
                 value = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, or too deep
                 raise FormatError(f"{path}:{n}: bad JSON line: {exc}") from exc
         records.append((n, value))
     return records
@@ -330,7 +331,11 @@ def read_boxes(path) -> list[BoxRecord]:
     checked again one by one, to name the first refusal with its
     ``path:line``.
     """
-    numbered = _numbered_records(path)
+    return _boxes_of(path, _numbered_records(path))
+
+
+def _boxes_of(path, numbered: list) -> list[BoxRecord]:
+    """The box records of the numbered lines of the boxes file ``path``."""
     records = _boxes_by_column([rec for _, rec in numbered])
     if records is not None:
         return records
@@ -400,8 +405,13 @@ def read_words(path) -> dict[int, str]:
     :func:`from_json_value` types them, and box ids must be unique;
     anything else raises ``FormatError`` naming ``path:line``.
     """
+    return _words_of(path, _numbered_records(path))
+
+
+def _words_of(path, numbered: list) -> dict[int, str]:
+    """The words by box id of the numbered lines of the word-rows file ``path``."""
     words: dict[int, str] = {}
-    for n, rec in _numbered_records(path):
+    for n, rec in numbered:
         bid, word = _fields(rec, f"{path}:{n}", "word row", box_id=int, word=str)
         if bid in words:
             raise FormatError(f"{path}:{n}: duplicate box id {bid}")
@@ -430,3 +440,15 @@ def write_corpus(path, pairs) -> None:
 def truth_from_boxes(records) -> dict[int, str]:
     """Ground-truth words keyed by box id, for boxes that carry one."""
     return {r.box.id: r.box.word for r in records if r.box.word is not None}
+
+
+def read_truth(path) -> dict[int, str]:
+    """Ground-truth words by box id from a boxes file or a word-rows file,
+    read once: it is a boxes file when its first record has a ``rect`` or
+    a ``quad``.  Refusals are those of :func:`read_boxes` or
+    :func:`read_words`, naming ``path:line``."""
+    numbered = _numbered_records(path)
+    first = numbered[0][1] if numbered else None
+    if isinstance(first, dict) and ("rect" in first or "quad" in first):
+        return truth_from_boxes(_boxes_of(path, numbered))
+    return _words_of(path, numbered)

@@ -167,18 +167,25 @@ def compute_homography(src: Quad, width: int, height: int) -> Homography:
     """
     if int(width) != width or int(height) != height or width < 1 or height < 1:
         raise InputError("destination size must be integers >= 1")
-    dst = [(0.0, 0.0), (float(width), 0.0), (float(width), float(height)), (0.0, float(height))]
+    u, v = float(width), float(height)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = ((p.x, p.y) for p in src.corners)
 
-    # Each correspondence (x, y) -> (u, v) gives two rows of the
-    # standard direct linear system in the eight unknowns h11..h32.
-    a = np.zeros((8, 8), dtype=np.float64)
-    b = np.zeros(8, dtype=np.float64)
-    for k, (corner, (u, v)) in enumerate(zip(src.corners, dst)):
-        x, y = corner.x, corner.y
-        a[2 * k] = [x, y, 1.0, 0.0, 0.0, 0.0, -u * x, -u * y]
-        b[2 * k] = u
-        a[2 * k + 1] = [0.0, 0.0, 0.0, x, y, 1.0, -v * x, -v * y]
-        b[2 * k + 1] = v
+    # Each correspondence (x, y) -> (u', v') gives two rows of the standard
+    # direct linear system in the eight unknowns h11..h32:
+    # [x, y, 1, 0, 0, 0, -u' x, -u' y] = u' and [0, 0, 0, x, y, 1, -v' x, -v' y] = v',
+    # with the corners going to (0, 0), (u, 0), (u, v) and (0, v).  A zero
+    # u' or v' gives the terms -0.0 * x and -0.0 * y, as the formula does.
+    a = np.array([
+        [x0, y0, 1.0, 0.0, 0.0, 0.0, -0.0 * x0, -0.0 * y0],
+        [0.0, 0.0, 0.0, x0, y0, 1.0, -0.0 * x0, -0.0 * y0],
+        [x1, y1, 1.0, 0.0, 0.0, 0.0, -u * x1, -u * y1],
+        [0.0, 0.0, 0.0, x1, y1, 1.0, -0.0 * x1, -0.0 * y1],
+        [x2, y2, 1.0, 0.0, 0.0, 0.0, -u * x2, -u * y2],
+        [0.0, 0.0, 0.0, x2, y2, 1.0, -v * x2, -v * y2],
+        [x3, y3, 1.0, 0.0, 0.0, 0.0, -0.0 * x3, -0.0 * y3],
+        [0.0, 0.0, 0.0, x3, y3, 1.0, -v * x3, -v * y3],
+    ], dtype=np.float64)
+    b = np.array([0.0, 0.0, u, 0.0, u, v, 0.0, v])
     try:
         h = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -235,28 +242,44 @@ def _sample_bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.n
     """Bilinear interpolation with pixel centres at half-integers.
 
     Points outside the image clamp to the nearest edge pixel, so the
-    sampler is defined on the whole plane.
+    sampler is defined on the whole plane.  The four neighbours of each
+    point are gathered from the flat raster at ``row * width + column``;
+    ``xs`` and ``ys`` may be any two arrays of one shape, which the
+    result takes.
     """
     h, w = pixels.shape
     fx = xs - 0.5
     fy = ys - 0.5
     x0 = np.floor(fx)
     y0 = np.floor(fy)
-    tx = fx - x0
-    ty = fy - y0
+    tx = np.subtract(fx, x0, out=fx)
+    ty = np.subtract(fy, y0, out=fy)
     x0 = x0.astype(np.int64)
     y0 = y0.astype(np.int64)
-    x0c = np.clip(x0, 0, w - 1)
-    x1c = np.clip(x0 + 1, 0, w - 1)
-    y0c = np.clip(y0, 0, h - 1)
-    y1c = np.clip(y0 + 1, 0, h - 1)
-    v00 = pixels[y0c, x0c]
-    v01 = pixels[y0c, x1c]
-    v10 = pixels[y1c, x0c]
-    v11 = pixels[y1c, x1c]
-    top = v00 * (1.0 - tx) + v01 * tx
-    bot = v10 * (1.0 - tx) + v11 * tx
-    return top * (1.0 - ty) + bot * ty
+    x1 = np.clip(x0 + 1, 0, w - 1)
+    y1 = np.clip(y0 + 1, 0, h - 1)
+    np.clip(x0, 0, w - 1, out=x0)
+    np.clip(y0, 0, h - 1, out=y0)
+    y0 *= w
+    y1 *= w
+    flat = pixels.ravel()
+    v00 = flat.take(y0 + x0)
+    v01 = flat.take(y0 + x1)
+    v10 = flat.take(y1 + x0)
+    v11 = flat.take(y1 + x1)
+    # top = v00 * (1 - tx) + v01 * tx, bot = v10 * (1 - tx) + v11 * tx,
+    # then top * (1 - ty) + bot * ty, each product and sum rounded as written
+    rest = 1.0 - tx
+    v00 *= rest
+    v01 *= tx
+    top = np.add(v00, v01, out=v00)
+    v10 *= rest
+    v11 *= tx
+    bot = np.add(v10, v11, out=v10)
+    np.subtract(1.0, ty, out=rest)
+    top *= rest
+    bot *= ty
+    return np.add(top, bot, out=top)
 
 
 def rectify(image: GrayImage, src: Quad, width: int, height: int) -> GrayImage:
@@ -265,9 +288,11 @@ def rectify(image: GrayImage, src: Quad, width: int, height: int) -> GrayImage:
     Every destination pixel centre (u + 0.5, v + 0.5) is pulled back
     through the inverse homography and the source image is sampled
     bilinearly at the resulting point; samples outside the source clamp
-    to the nearest edge pixel.  For an axis-aligned, integer-coordinate
-    source rectangle at the same scale this reduces to an exact pixel
-    crop.
+    to the nearest edge pixel.  The pullback broadcasts a row of the
+    width u + 0.5 against a column of the height v + 0.5, so each pixel
+    takes the products and sums of ``Homography.apply`` without a
+    meshgrid.  For an axis-aligned, integer-coordinate source rectangle
+    at the same scale this reduces to an exact pixel crop.
 
     Parameters
     ----------
@@ -283,15 +308,14 @@ def rectify(image: GrayImage, src: Quad, width: int, height: int) -> GrayImage:
     GrayImage
         The rectified patch.
     """
-    hmat = compute_homography(src, width, height)
-    hinv = hmat.inverse()
-    us, vs = np.meshgrid(
+    hinv = compute_homography(src, width, height).inverse()
+    sx, sy = hinv.apply(
         np.arange(width, dtype=np.float64) + 0.5,
-        np.arange(height, dtype=np.float64) + 0.5,
+        (np.arange(height, dtype=np.float64) + 0.5)[:, None],
     )
-    sx, sy = hinv.apply(us, vs)
+    samples = _sample_bilinear(image.pixels, sx, sy)
     # a bilinear sample of [0, 1] values is in [0, 1] up to rounding, which the clip removes
-    return _trusted_image(np.clip(_sample_bilinear(image.pixels, sx, sy), 0.0, 1.0))
+    return _trusted_image(np.clip(samples, 0.0, 1.0, out=samples))
 
 
 # "P5", then width, height and maxval, each after whitespace and "#"

@@ -5,10 +5,13 @@ import json
 
 import pytest
 
+import doctext.formats
 from doctext.cli import load_params, main
 from doctext.corrector import Hyper, TrainConfig
 from doctext.errors import FormatError, InputError
-from doctext.formats import read_boxes, read_corpus, read_frames, read_jsonl, read_words, truth_from_boxes
+from doctext.formats import (
+    read_boxes, read_corpus, read_frames, read_jsonl, read_words, truth_from_boxes, write_words,
+)
 from doctext.geometry import read_pgm
 from doctext.layout import LayoutParams
 from doctext.pipeline import PipelineParams, decode_words, evaluate
@@ -85,6 +88,21 @@ class TestLayoutCommands:
         assert run_cli("arrange", "--boxes", synth_dir / "doc_0000.boxes.jsonl", "--out", out, flag, 500) == 2
         assert f"{flag} sizes the overlay; --dump-overlay is missing" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--page-width", "--page-height"])
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_page_size_must_be_positive(self, synth_dir, tmp_path, capsys, flag, size):
+        overlay = tmp_path / "overlay.pgm"
+        assert run_cli("arrange", "--boxes", synth_dir / "doc_0000.boxes.jsonl", "--out", tmp_path / "layout.json",
+                       "--dump-overlay", overlay, flag, size) == 2
+        assert "overlay size must be positive" in capsys.readouterr().err
+        assert not overlay.exists()
+
+    def test_deep_nesting_names_the_file_line(self, tmp_path, capsys):
+        boxes = tmp_path / "deep.jsonl"
+        boxes.write_text('{"id":0,"rect":[0,0,1,1]}\n' + "[" * 100_000 + "\n", encoding="utf-8")
+        assert run_cli("arrange", "--boxes", boxes, "--out", tmp_path / "layout.json") == 2
+        assert f"{boxes}:2: bad JSON line: maximum recursion depth exceeded" in capsys.readouterr().err
 
     def test_overlong_integer_names_the_file_line(self, tmp_path, capsys):
         boxes = tmp_path / "big.jsonl"
@@ -316,6 +334,43 @@ class TestRunAndEval:
         assert run_cli("eval", "--pred", pred, "--truth", synth_dir / "doc_0000.boxes.jsonl",
                        "--out", out_json) == 0
         assert json.loads(out_json.read_text())["accuracy"] == evaluate(words, truth)
+
+    @pytest.mark.parametrize("kind", ["boxes", "words"])
+    def test_eval_reads_the_truth_file_once(self, synth_dir, tmp_path, monkeypatch, kind):
+        boxes = synth_dir / "doc_0000.boxes.jsonl"
+        truth = truth_from_boxes(read_boxes(boxes))
+        if kind == "words":
+            path = tmp_path / "truth.jsonl"
+            write_words(path, truth)
+        else:
+            path = boxes
+        pred = tmp_path / "pred.jsonl"
+        write_words(pred, {bid: word if bid % 3 else word + "x" for bid, word in truth.items()})
+        reads = []
+        real = doctext.formats._read_text
+
+        def counted(p):
+            reads.append(str(p))
+            return real(p)
+
+        monkeypatch.setattr(doctext.formats, "_read_text", counted)
+        out_json = tmp_path / "acc.json"
+        assert run_cli("eval", "--pred", pred, "--truth", path, "--out", out_json) == 0
+        assert reads.count(str(path)) == 1
+        assert json.loads(out_json.read_text())["accuracy"] == evaluate(read_words(pred), truth)
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ('{"id":0,"rect":[0,0,4,2],"word":"a"}\n\n{"id":1,"rect":[4,0,2,2]}', 3, "must have left < right"),
+        ('\n{"box_id":0,"word":"a"}\n{"box_id":1,"word":"b"', 3, "bad JSON line"),
+    ], ids=["boxes", "words"])
+    def test_eval_truth_refusal_names_the_line(self, tmp_path, capsys, rows, line, message):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"box_id":0,"word":"a"}\n', encoding="utf-8")
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(rows + "\n", encoding="utf-8")
+        assert run_cli("eval", "--pred", pred, "--truth", truth) == 2
+        err = capsys.readouterr().err
+        assert f"{truth}:{line}: " in err and message in err
 
     @pytest.mark.parametrize("rows, line", [
         ('{"box_id":0,"word":null}', 1),

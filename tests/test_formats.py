@@ -615,3 +615,27 @@ def test_overlong_integer_names_the_file(tmp_path, reader, name, text, where):
     p.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError, match=rf"^{re.escape(str(p) + where)}: Exceeds the limit"):
         reader(p)
+
+
+_DEEP = "[" * 100_000  # nested past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("reader, name, text, where", [
+    (read_json_file, "x.json", _DEEP, " is not valid JSON"),
+    (read_jsonl, "x.jsonl", f"{{}}\n{_DEEP}\n", ":2: bad JSON line"),
+    (read_boxes, "x.jsonl", f'{{"id":0,"rect":[0,0,1,1]}}\n\n{{"id":1,"rect":{_DEEP}\n', ":3: bad JSON line"),
+    (read_frames, "x.jsonl", f'{{"alphabet":["a"]}}\n{{"box_id":1,"frames":{_DEEP}\n', ":2: bad JSON line"),
+    (read_corpus, "x.jsonl", f'{{"noisy":"a","clean":{_DEEP}\n', ":1: bad JSON line"),
+    (read_words, "x.jsonl", f"{_DEEP}\n", ":1: bad JSON line"),
+    (load_params, "x.json", f'{{"beam_width": {_DEEP}', " is not valid JSON"),
+    (load_params, "x.toml", f"beam_width = {_DEEP}\n", " is not valid TOML"),
+    (load_model, "x.json", _DEEP, " is not valid JSON"),
+    (load_report, "x.json", _DEEP, " is not valid JSON"),
+], ids=["json_file", "jsonl", "boxes", "frames", "corpus", "words", "params_json", "params_toml",
+        "model", "report"])
+def test_deep_nesting_names_the_file(tmp_path, reader, name, text, where):
+    # the JSON scanner and tomllib recurse once per level and raise RecursionError
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(p) + where)}: maximum recursion depth exceeded"):
+        reader(p)

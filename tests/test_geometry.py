@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doctext.errors import DegenerateQuadError, FormatError, InputError
@@ -268,16 +268,75 @@ class TestCropRegion:
         assert crop.width == 1
 
 
+def homography_reference(src, width, height):
+    """:func:`compute_homography` as it was when it filled its 8x8 system
+    row by row, kept unchanged as an oracle."""
+    dst = [(0.0, 0.0), (float(width), 0.0), (float(width), float(height)), (0.0, float(height))]
+    a = np.zeros((8, 8), dtype=np.float64)
+    b = np.zeros(8, dtype=np.float64)
+    for k, (corner, (u, v)) in enumerate(zip(src.corners, dst)):
+        x, y = corner.x, corner.y
+        a[2 * k] = [x, y, 1.0, 0.0, 0.0, 0.0, -u * x, -u * y]
+        b[2 * k] = u
+        a[2 * k + 1] = [0.0, 0.0, 0.0, x, y, 1.0, -v * x, -v * y]
+        b[2 * k + 1] = v
+    h = np.linalg.solve(a, b)
+    return Homography(np.append(h, 1.0).reshape(3, 3))
+
+
+def sample_bilinear_oracle(pixels, xs, ys):
+    """``_sample_bilinear`` as it was when it indexed the 2-D raster with
+    four clamped index pairs, kept unchanged as an oracle."""
+    h, w = pixels.shape
+    fx = xs - 0.5
+    fy = ys - 0.5
+    x0 = np.floor(fx)
+    y0 = np.floor(fy)
+    tx = fx - x0
+    ty = fy - y0
+    x0 = x0.astype(np.int64)
+    y0 = y0.astype(np.int64)
+    x0c = np.clip(x0, 0, w - 1)
+    x1c = np.clip(x0 + 1, 0, w - 1)
+    y0c = np.clip(y0, 0, h - 1)
+    y1c = np.clip(y0 + 1, 0, h - 1)
+    v00 = pixels[y0c, x0c]
+    v01 = pixels[y0c, x1c]
+    v10 = pixels[y1c, x0c]
+    v11 = pixels[y1c, x1c]
+    top = v00 * (1.0 - tx) + v01 * tx
+    bot = v10 * (1.0 - tx) + v11 * tx
+    return top * (1.0 - ty) + bot * ty
+
+
 def rectify_reference(image, src, width, height):
-    """:func:`rectify` as it was before it built its crop unchecked: the
-    same warp, with the crop checked and clipped by ``GrayImage``."""
-    hinv = compute_homography(src, width, height).inverse()
+    """:func:`rectify` as it was before it broadcast its pullback and
+    gathered from the flat raster: a meshgrid of pixel centres through
+    ``Homography.apply``, the frozen sampler and homography above, and the
+    crop checked and clipped by ``GrayImage``."""
+    hinv = homography_reference(src, width, height).inverse()
     us, vs = np.meshgrid(
         np.arange(width, dtype=np.float64) + 0.5,
         np.arange(height, dtype=np.float64) + 0.5,
     )
     sx, sy = hinv.apply(us, vs)
-    return GrayImage(_sample_bilinear(image.pixels, sx, sy))
+    return GrayImage(sample_bilinear_oracle(image.pixels, sx, sy))
+
+
+def quad_near_page(rng, width, height):
+    """A random convex quad about the size of a ``width`` x ``height`` page,
+    anywhere from wholly left of or above it to wholly right of or below it."""
+    while True:
+        left = rng.uniform(-2.0, 2.0) * width
+        top = rng.uniform(-2.0, 2.0) * height
+        w = rng.uniform(0.3, 2.0) * width
+        h = rng.uniform(0.3, 2.0) * height
+        base = [(left, top), (left + w, top), (left + w, top + h), (left, top + h)]
+        jitter = rng.uniform(-0.3, 0.3, size=(4, 2)) * min(w, h)
+        try:
+            return Quad.from_points([(x + dx, y + dy) for (x, y), (dx, dy) in zip(base, jitter)])
+        except DegenerateQuadError:
+            continue
 
 
 def paint_reference(boxes, shades, width, height):
@@ -349,6 +408,47 @@ class TestCheckOnce:
         assert rectify(img, Quad.from_points([(2, 3), (25, 5), (27, 16), (4, 14)]), 12, 8).height == 8
         assert render_page(doc, spec).width == spec.page_width
         assert render_group_overlay(doc.boxes, {b.id: 0 for b in doc.boxes}, 50, 40).height == 40
+
+
+class TestFrozenOracle:
+    """``rectify`` broadcasts its pullback, gathers its samples from the flat
+    raster and builds its homography system as one array; each must give
+    the bits of the code it replaced, kept above as frozen oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 30), st.integers(1, 24), st.integers(1, 12))
+    @example(seed=0, page_h=1, page_w=1, width=1, height=1)
+    @example(seed=1, page_h=1, page_w=17, width=9, height=1)
+    @example(seed=2, page_h=13, page_w=1, width=1, height=5)
+    def test_rectify_equals_frozen_oracle(self, seed, page_h, page_w, width, height):
+        rng = np.random.default_rng(seed)
+        img = GrayImage(rng.choice([0.0, 1.0, rng.random()], size=(page_h, page_w)))
+        q = quad_near_page(rng, page_w, page_h)
+        assert same_image(rectify(img, q, width, height), rectify_reference(img, q, width, height))
+        got = compute_homography(q, width, height).matrix
+        assert got.tobytes() == homography_reference(q, width, height).matrix.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 30))
+    def test_sampler_equals_frozen_oracle(self, seed, page_h, page_w):
+        rng = np.random.default_rng(seed)
+        pixels = rng.random((page_h, page_w))
+        xs = rng.uniform(-2.0, 2.0, size=(5, 7)) * page_w
+        ys = rng.uniform(-2.0, 2.0, size=(5, 7)) * page_h
+        got = _sample_bilinear(pixels, xs, ys)
+        assert got.tobytes() == sample_bilinear_oracle(pixels, xs, ys).tobytes()
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_page_crops_equal_frozen_oracle(self, seed):
+        spec = SynthSpec(temperature=0.515, jitter=0.2)
+        doc = gen_document(spec, np.random.default_rng(seed))
+        page = render_page(doc, spec)
+        crops = rectify_boxes(page, [BoxRecord(box=b) for b in doc.boxes], 32)
+        assert len(crops) == len(doc.boxes)
+        for b in doc.boxes:
+            want = rectify_reference(page, Quad.from_rect(b.left, b.top, b.right, b.bottom), crops[b.id].width, 32)
+            assert same_image(crops[b.id], want)
 
 
 class TestPgm:

@@ -29,7 +29,7 @@ from doctext.pipeline import (
     run,
     save_report,
 )
-from doctext.synth import SynthSpec, gen_document, gen_frames
+from doctext.synth import SynthSpec, gen_document, gen_frames, render_page
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +290,29 @@ class TestRun:
         assert any("rectified 2 boxes" in n for n in res.report.notes)
         # Decoding still uses the supplied frames.
         assert res.baseline_by_id == {0: "ab", 1: "ba"}
+
+    def test_one_rectify_call_per_box(self, monkeypatch):
+        # perfbench/tracing.py times rectification by wrapping
+        # doctext.pipeline.rectify; a batched path that bypassed that name
+        # would make geometry.rectify.* read 0 without any error
+        spec = SynthSpec(seed=5, jitter=0.2)
+        doc = gen_document(spec)
+        alpha, frames = gen_frames(doc, spec)
+        calls = []
+        real = doctext.pipeline.rectify
+
+        def counted(image, src, width, height):
+            calls.append((width, height))
+            return real(image, src, width, height)
+
+        monkeypatch.setattr(doctext.pipeline, "rectify", counted)
+        records = [BoxRecord(box=b) for b in doc.boxes]
+        crops = doctext.pipeline.rectify_boxes(render_page(doc, spec), records, 16)
+        assert len(calls) == len(crops) == len(records) > 1
+        assert calls == [(c.width, c.height) for c in crops.values()]
+        calls.clear()
+        res = run(records, alpha, frames, image=render_page(doc, spec))
+        assert len(calls) == len(res.crops) == len(records)
 
     def test_without_image_no_crops(self):
         alpha = Alphabet("ab")
