@@ -149,6 +149,9 @@ def _build(reader, d: dict, **given):
 
 
 def _cmd_synth_gen(args) -> int:
+    for flag, count in (("--docs", args.docs), ("--corpus", args.corpus)):
+        if count < 0:
+            raise InputError(f"synth-gen: {flag} must be >= 0")
     spec = _build(
         SynthSpec, _params_of(args, SynthSpec), seed=args.seed, jitter=args.jitter,
         temperature=args.temperature, p_sub=args.p_sub, p_del=args.p_del, p_ins=args.p_ins,
@@ -201,7 +204,7 @@ def _cmd_arrange(args) -> int:
     records = read_boxes(args.boxes)
     boxes = [r.box for r in records]
     layout = arrange_document(boxes, _build(LayoutParams, _params_of(args, LayoutParams)))
-    write_json_file(args.out, layout.to_dict())
+    overlay = None
     if args.dump_overlay:
         # an empty page keeps only the margin
         width, height = args.page_width, args.page_height
@@ -209,7 +212,10 @@ def _cmd_arrange(args) -> int:
             width = int(np.ceil(max((b.right for b in boxes), default=0))) + 4
         if height is None:
             height = int(np.ceil(max((b.bottom for b in boxes), default=0))) + 4
-        write_pgm(render_group_overlay(boxes, layout.labels, width, height), args.dump_overlay)
+        overlay = render_group_overlay(boxes, layout.labels, width, height)
+    write_json_file(args.out, layout.to_dict())
+    if overlay is not None:
+        write_pgm(overlay, args.dump_overlay)
     print(f"arranged {len(boxes)} boxes into {len(layout.order)} groups")
     return 0
 

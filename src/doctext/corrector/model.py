@@ -161,7 +161,7 @@ def model_from_dict(payload: dict) -> CorrectorModel:
         )
     try:
         hyper = from_json_value(Hyper, payload["hyper"])
-        vocab = Vocab(tuple(payload["vocab"]))
+        vocab = Vocab(from_json_value(tuple[str, ...], payload["vocab"]))
         if not isinstance(payload["params"], dict):
             raise FormatError("malformed checkpoint: params must be an object")
         params = {name: np.asarray(v, dtype=np.float64) for name, v in payload["params"].items()}

@@ -35,12 +35,12 @@ search: one encoder call, then one decoder step per output position for
 every live hypothesis of every unfinished phrase, and ``correct`` is
 its one-phrase form.
 
-Inference outputs do not depend on which phrases share a batch.  Every
-2-D inference product runs on at least two rows, and attention runs
-once per run of rows with equal source length, on unpadded keys.  That
-relies on the rows of ``x @ W`` being bit-identical for any row count
-from two up, and on the rows of a batched 3-D ``matmul`` equalling the
-rows computed alone; the tests pin both for the bundled network sizes.
+Inference outputs do not depend on which phrases share a batch: every
+forward product with a row per sequence or hypothesis runs through
+``_mm``, whose BLAS calls all have ``_ROWS`` rows, and attention runs
+once per run of rows with equal source length, on unpadded keys.
+Training sums a step over its rows, so it passes plain ``np.matmul`` as
+the ``mm`` of the shared kernels and keeps its arithmetic.
 
 All (probs, labels) style losses are sums over tokens, so gradients of
 a batch are the sums of the per-pair gradients.
@@ -60,6 +60,15 @@ __all__ = ["CorrectionResult", "loss", "backward", "correct", "correct_batch"]
 
 _ATT_MASK = 1e30  # additive pre-softmax penalty for padded positions
 _DIRECTIONS = (("fwd", False), ("bwd", True))  # encoder directions: name, reverse
+_ROWS = 4  # rows of every BLAS call that ``_mm`` makes
+
+
+def _mm(a, w):
+    """``a @ w`` as one product per block of ``_ROWS`` rows of ``a``, zero-padded."""
+    n, k = a.shape
+    if n % _ROWS:
+        a = np.concatenate([a, np.zeros((-n % _ROWS, k))])
+    return (a.reshape(-1, _ROWS, k) @ w).reshape(-1, w.shape[1])[:n]
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +184,7 @@ def _dropout(a, rate, rng):
     return a * mask, mask
 
 
-def _scan(xw, offs, counts, u, reverse):
+def _scan(xw, offs, counts, u, reverse, mm):
     """Run one LSTM direction over packed input projections.
 
     ``xw`` (R, 4H) holds ``x @ W + b`` for every slot.  Returns the
@@ -192,7 +201,7 @@ def _scan(xw, offs, counts, u, reverse):
     caches = [None] * len(counts)
     for t in reversed(range(len(counts))) if reverse else range(len(counts)):
         s, n = offs[t], counts[t]
-        h[:n], c[:n], caches[t] = _cell(xw[s : s + n] + h[:n] @ u, c[:n].copy())
+        h[:n], c[:n], caches[t] = _cell(xw[s : s + n] + mm(h[:n], u), c[:n].copy())
         states[s : s + n] = h[:n]
     return states, caches, h
 
@@ -269,9 +278,9 @@ class _Tape:
     probs: np.ndarray       # (R_y, V)
 
 
-def _encode_batch(model: CorrectorModel, x_ids, rng=None) -> _EncBundle:
-    """Encode a tail-padded source batch; with a generator ``rng``,
-    dropout applies between the layers."""
+def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
+    """Encode a tail-padded source batch with the products ``mm``; with a
+    generator ``rng``, dropout applies between the layers."""
     p = model.params
     hp = model.hyper
     hdim = hp.hidden_dim
@@ -284,9 +293,9 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None) -> _EncBundle:
         inputs.append(inp)
         scan = {}
         for name, reverse in _DIRECTIONS:
-            xw = inp @ p[f"enc.{l}.{name}.W"]
+            xw = mm(inp, p[f"enc.{l}.{name}.W"])
             xw += p[f"enc.{l}.{name}.b"]
-            scan[name] = _scan(xw, offs, counts, p[f"enc.{l}.{name}.U"], reverse)
+            scan[name] = _scan(xw, offs, counts, p[f"enc.{l}.{name}.U"], reverse, mm)
         out = np.concatenate([scan["fwd"][0][:-1], scan["bwd"][0][:-1]], axis=1)
         dm = None
         if rng is not None and l < hp.enc_layers - 1:
@@ -310,9 +319,9 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None) -> _EncBundle:
         scans=scans,
         hcat=inp,
         hsum=_scatter(inp[:, :hdim] + inp[:, hdim:], rows, col, x_ids.shape),
-        keys=_scatter(inp @ p["att.score"], rows, col, x_ids.shape),
+        keys=_scatter(mm(inp, p["att.score"]), rows, col, x_ids.shape),
         bridge_in=bridge_in,
-        s0=bridge_in @ p["bridge"],
+        s0=mm(bridge_in, p["bridge"]),
     )
 
 
@@ -336,15 +345,15 @@ def _start_state(model: CorrectorModel, enc: _EncBundle):
     return [enc.s0.copy() for _ in range(n)], [np.zeros_like(enc.s0) for _ in range(n)]
 
 
-def _decoder_advance(model: CorrectorModel, runs, h, c, tok, rng=None):
+def _decoder_advance(model: CorrectorModel, runs, h, c, tok, rng=None, mm=_mm):
     """Advance the decoder one batched step from the previous tokens
     ``tok`` (B,).
 
     ``runs`` splits the rows into consecutive runs, each given as the
     (keys, hsum, mask_x) of the encoder rows it decodes; training passes
     one run.  Attends each run with the top layer's state, then advances
-    every layer over all rows (with a generator ``rng``, dropout between
-    layers).  Returns the new per-layer states and the step's cache;
+    every layer over all rows with the products ``mm`` (with a generator
+    ``rng``, dropout between layers).  Returns the new states and cache;
     ``cache.cat`` pairs the new top state with the context for
     :func:`_output_logits`.
     """
@@ -360,7 +369,7 @@ def _decoder_advance(model: CorrectorModel, runs, h, c, tok, rng=None):
     xi = np.concatenate([p["embedding"][tok], ctx], axis=1)
     new_h, new_c, inputs, cell_caches, drops = [], [], [], [], []
     for l in range(hp.dec_layers):
-        z = xi @ p[f"dec.{l}.W"] + h[l] @ p[f"dec.{l}.U"] + p[f"dec.{l}.b"]
+        z = mm(xi, p[f"dec.{l}.W"]) + mm(h[l], p[f"dec.{l}.U"]) + p[f"dec.{l}.b"]
         h_new, c_new, cache = _cell(z, c[l])
         inputs.append(xi)
         new_h.append(h_new)
@@ -382,13 +391,13 @@ def _decoder_advance(model: CorrectorModel, runs, h, c, tok, rng=None):
     return new_h, new_c, step
 
 
-def _output_logits(model: CorrectorModel, cat):
+def _output_logits(model: CorrectorModel, cat, mm=_mm):
     """Max-shifted logits over the vocabulary for (N, 2H) state/context
-    pairs ``cat``, through the ``att.out`` tanh bottleneck and ``gen``;
-    also returns the bottleneck activations."""
+    pairs ``cat``, through the ``att.out`` tanh bottleneck and ``gen``
+    with the products ``mm``; also returns the bottleneck activations."""
     p = model.params
-    htilde = np.tanh(cat @ p["att.out"])
-    logits = htilde @ p["gen.W"] + p["gen.b"]
+    htilde = np.tanh(mm(cat, p["att.out"]))
+    logits = mm(htilde, p["gen.W"]) + p["gen.b"]
     logits -= logits.max(axis=1, keepdims=True)
     return logits, htilde
 
@@ -404,7 +413,7 @@ def _forward_batch(model, x_ids, y_ids, rng=None):
     the output layer is one product over all real slots.
     """
     vb = model.vocab
-    enc = _encode_batch(model, x_ids, rng)
+    enc = _encode_batch(model, x_ids, rng, np.matmul)
     y_ids, _, order, counts = _check_batch(vb, y_ids, "target")
     if y_ids.shape[0] != enc.x_ids.shape[0]:
         raise InputError("target batch must be row-aligned with the source batch")
@@ -418,17 +427,14 @@ def _forward_batch(model, x_ids, y_ids, rng=None):
     c = [np.zeros_like(s) for s in h]
     steps = []
     for t, n in enumerate(counts):
+        runs = [(keys[:n], hsum[:n], mask_x[:n])]
         h, c, step = _decoder_advance(
-            model,
-            [(keys[:n], hsum[:n], mask_x[:n])],
-            [a[:n] for a in h],
-            [a[:n] for a in c],
-            y_in[offs[t] : offs[t + 1]],
-            rng,
+            model, runs, [a[:n] for a in h], [a[:n] for a in c], y_in[offs[t] : offs[t + 1]],
+            rng, np.matmul,
         )
         steps.append(step)
     cat = np.concatenate([st.cat for st in steps])
-    logits, htilde = _output_logits(model, cat)
+    logits, htilde = _output_logits(model, cat, np.matmul)
     expl = np.exp(logits)
     norm = expl.sum(axis=1)
     logp_tok = logits[np.arange(len(y_tok)), y_tok] - np.log(norm)
@@ -660,15 +666,12 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
     Returns, per sequence, its final live and closed hypotheses as
     (total logp, tokens) lists; the live list is sorted best first.
     Each sequence follows the rules :func:`correct` documents, with its
-    own cap and early stop.  The encoder runs once, on the sequences
-    and a copy of the longest, so every encoder step advances at least
-    two rows.  The decoder rows are the live hypotheses of the
-    unfinished sequences, ordered by (source length, sequence index),
-    so attention runs once per source length on unpadded keys; a lone
-    row is stepped twice over, so no product runs on one row.
+    own cap and early stop.  The decoder rows are the live hypotheses of
+    the unfinished sequences, ordered by (source length, sequence index),
+    so attention runs once per source length on unpadded keys.
     """
     vb = model.vocab
-    enc = _encode_batch(model, _pad_batch(seqs + [max(seqs, key=len)], vb.pad_id))
+    enc = _encode_batch(model, _pad_batch(seqs, vb.pad_id))
     by_len = sorted(range(len(seqs)), key=lambda q: (len(seqs[q]), q))
     # the attention inputs of each source length, unpadded, each
     # sequence's slot among those of its length, and the inputs gathered
@@ -691,17 +694,14 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
         # each row's sequence and the state row it continues
         row_seq = [q for q in active for _ in live[q]]
         prev = [toks[-1] if toks else go for q in active for _, toks in live[q]]
-        if len(sel) == 1:
-            row_seq, prev, sel = 2 * row_seq, 2 * prev, 2 * sel
         runs = []
         for length, group in groupby(row_seq, key=lambda q: len(seqs[q])):
             key = (length, tuple(slot[q] for q in group))
             if key not in run_att:
                 run_att[key] = tuple(a[list(key[1])] for a in att[length])
             runs.append(run_att[key])
-        logp, h, c = _infer_logprobs(
-            model, runs, [a[sel] for a in h], [a[sel] for a in c], np.array(prev)
-        )
+        h, c = [a[sel] for a in h], [a[sel] for a in c]
+        logp, h, c = _infer_logprobs(model, runs, h, c, np.array(prev))
         top = np.argsort(-logp, axis=1, kind="stable")[:, :width].tolist()
         logp = logp.tolist()
 

@@ -375,7 +375,7 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
     if not isinstance(header, dict) or "alphabet" not in header:
         raise FormatError(f"{path}: first line must be an alphabet header")
     try:
-        alphabet = Alphabet(tuple(header["alphabet"]))
+        alphabet = Alphabet(from_json_value(tuple[str, ...], header["alphabet"]))
     except (TypeError, InputError) as exc:
         raise FormatError(f"{path}: bad alphabet header: {exc}") from exc
     frames: dict[int, np.ndarray] = {}

@@ -254,12 +254,11 @@ def _sample_bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.n
     y0 = np.floor(fy)
     tx = np.subtract(fx, x0, out=fx)
     ty = np.subtract(fy, y0, out=fy)
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    x1 = np.clip(x0 + 1, 0, w - 1)
-    y1 = np.clip(y0 + 1, 0, h - 1)
-    np.clip(x0, 0, w - 1, out=x0)
-    np.clip(y0, 0, h - 1, out=y0)
+    # clamped while still float, so that no cast overflows
+    x1 = np.clip(x0 + 1.0, 0, w - 1).astype(np.int64)
+    y1 = np.clip(y0 + 1.0, 0, h - 1).astype(np.int64)
+    x0 = np.clip(x0, 0, w - 1, out=x0).astype(np.int64)
+    y0 = np.clip(y0, 0, h - 1, out=y0).astype(np.int64)
     y0 *= w
     y1 *= w
     flat = pixels.ravel()

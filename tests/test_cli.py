@@ -63,6 +63,14 @@ class TestSynthGen:
             assert (again / name).read_bytes() == (synth_dir / name).read_bytes()
 
 
+    @pytest.mark.parametrize("flag", ["--docs", "--corpus"])
+    def test_negative_count_writes_nothing(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert run_cli("synth-gen", "--out", out, flag, -2) == 2
+        assert f"synth-gen: {flag} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestLayoutCommands:
     def test_group_and_arrange(self, synth_dir, tmp_path):
         boxes = synth_dir / "doc_0000.boxes.jsonl"
@@ -96,7 +104,7 @@ class TestLayoutCommands:
         assert run_cli("arrange", "--boxes", synth_dir / "doc_0000.boxes.jsonl", "--out", tmp_path / "layout.json",
                        "--dump-overlay", overlay, flag, size) == 2
         assert "overlay size must be positive" in capsys.readouterr().err
-        assert not overlay.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_deep_nesting_names_the_file_line(self, tmp_path, capsys):
         boxes = tmp_path / "deep.jsonl"

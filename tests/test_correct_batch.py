@@ -1,25 +1,31 @@
 """Batched corrector inference against a one-hypothesis-at-a-time oracle.
 
-``correct_batch`` steps every live hypothesis of every phrase together.
-Its outputs are meant to be bit-identical to stepping each hypothesis
-alone, which rests on two properties of the BLAS underneath: the rows of
-``x @ W`` do not depend on how many rows (two or more) the product has,
-and the rows of a batched 3-D ``matmul`` equal the rows computed alone.
-Both are pinned here, so a BLAS that breaks them fails loudly.
+``correct_batch`` steps every live hypothesis of every phrase together,
+and its outputs must be bit-identical to stepping each hypothesis alone.
+That holds by construction: every forward product with a row per phrase
+or hypothesis goes through ``network._mm``, whose BLAS calls all have
+``_ROWS`` rows, and attention is one batched 3-D ``matmul`` per run of
+equal source lengths.  What the construction rests on is checked here,
+on the BLAS the tests run on, at the corrector's own shapes and over
+random ones: a row of ``_mm`` has the same bits whatever rows share its
+product, and a row of the batched attention equals that row attended
+alone.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doctext.corrector import correct, correct_batch
 from doctext.corrector.model import CorrectorModel, Hyper, init_model, param_shapes
 from doctext.corrector.network import (
     CorrectionResult,
+    _attend_cached,
     _beam_search,
     _encode_batch,
     _infer_logprobs,
+    _mm,
     _start_state,
 )
 from doctext.corrector.vocab import Vocab
@@ -27,9 +33,9 @@ from doctext.errors import InputError
 
 
 def reference_correct(model, phrase, beam_width):
-    """``correct`` as it was before batching, except that each hypothesis
-    steps alone on a two-row batch of itself.  Returns the result and
-    the final live and closed (score, tokens) hypotheses."""
+    """``correct`` as it was before batching: each hypothesis steps alone,
+    on a one-row batch.  Returns the result and the final live and
+    closed (score, tokens) hypotheses."""
     if beam_width < 1:
         raise InputError("beam width must be >= 1")
     vb = model.vocab
@@ -37,7 +43,7 @@ def reference_correct(model, phrase, beam_width):
     content = [i for i in ids if i != vb.sep_id]
     degraded = all(i == vb.unk_id for i in content)
     cap = 4 * len(ids)
-    enc = _encode_batch(model, np.asarray([ids, ids], dtype=np.int64))
+    enc = _encode_batch(model, np.asarray([ids], dtype=np.int64))
     att = [(enc.keys, enc.hsum, enc.mask_x)]
     h0, c0 = _start_state(model, enc)
 
@@ -48,7 +54,7 @@ def reference_correct(model, phrase, beam_width):
         expanded = []
         for score, toks, h, c in live:
             prev = toks[-1] if toks else vb.go_id
-            logprobs, nh, nc = _infer_logprobs(model, att, h, c, np.array([prev, prev]))
+            logprobs, nh, nc = _infer_logprobs(model, att, h, c, np.array([prev]))
             logprobs = logprobs[0]
             order = np.argsort(-logprobs, kind="stable")[: beam_width + len(banned) + 1]
             for cand in order:
@@ -155,6 +161,27 @@ class TestAgainstReference:
         vocab = Vocab.from_chars("abcdefghijklmnopqrstuvwxy")
         check_against_reference(random_model(vocab, Hyper(), seed, 4.0, end_bias), phrases, beam_width)
 
+    @pytest.mark.parametrize("chars", ["abcd", "abcdefghijklmnopqrstuvwxy"])
+    def test_hidden_33(self, chars):
+        # Widths that BLAS kernels block unevenly: without fixed-size
+        # products, rows of one batch change their bits with its size.
+        vocab = Vocab.from_chars(chars)
+        model = random_model(vocab, Hyper(emb_dim=16, hidden_dim=33), 1, 4.0, -2.0)
+        phrases = ["ab cd", "a", "dcba ab", "bad", "cab dab ba", "c", "abcdabcd", "da bc"]
+        check_against_reference(model, phrases, 4)
+
+    def test_hidden_33_document_of_60_phrases(self):
+        # 60 phrases at beam 4 step up to 240 decoder rows at once; past
+        # about 150, OpenBLAS's SkylakeX kernel computes a plain product of
+        # the decoder's 49x132 input weights with another kernel.
+        model = random_model(VOCAB, Hyper(emb_dim=16, hidden_dim=33), 1, 4.0, -2.0)
+        rng = np.random.default_rng(0)
+        phrases = ["".join(rng.choice(list("abcd "), size=int(rng.integers(2, 10)))).strip() or "a" for _ in range(60)]
+        seqs = [VOCAB.preprocess(p) for p in phrases]
+        for seq, (live, closed) in zip(seqs, _beam_search(model, seqs, 4)):
+            [(alone_live, alone_closed)] = _beam_search(model, [seq], 4)
+            assert bits(live) == bits(alone_live) and bits(closed) == bits(alone_closed)
+
     @pytest.mark.parametrize("beam_width", [1, 2, 5])
     def test_all_ties_break_alike(self, beam_width):
         # An all-zero model gives every token the same log probability,
@@ -184,32 +211,62 @@ class TestInputs:
             correct_batch(model, [], 0)
 
 
-# The corrector's multiply shapes at the bundled sizes (Hyper defaults and
-# a 30-token vocabulary) and at the small test sizes.
+def check_rows(k, n, counts, seed):
+    """Every row of ``_mm`` over a random batch of ``max(counts)`` rows has
+    the bits it gets alone and in the first m rows, for each m of ``counts``."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((k, n))
+    x = rng.standard_normal((max(counts), k))
+    full = _mm(x, w)
+    for i in range(len(x)):
+        assert np.array_equal(_mm(x[i : i + 1], w), full[i : i + 1]), f"row {i} alone"
+    for m in counts:
+        assert np.array_equal(_mm(x[:m], w), full[:m]), f"{m} rows"
+
+
+# The corrector's product shapes at the bundled sizes (Hyper defaults and a
+# 30-token vocabulary), at the small test sizes and at hidden 33.
 def _shapes(emb, hid, voc):
     return [(emb + hid, 4 * hid), (hid, 4 * hid), (2 * hid, hid), (hid, voc), (emb, 4 * hid), (2 * hid, 4 * hid)]
 
 
 class TestBlasRowStability:
-    @pytest.mark.parametrize("shape", _shapes(32, 64, 30) + _shapes(4, 5, 9), ids=str)
+    # On OpenBLAS's SkylakeX kernel a plain product's rows change their
+    # bits with the row count at 16x9 and 64x33, and at 49x132 (the input
+    # weights of a hidden-33 decoder) a product switches kernels past
+    # about 150 rows, even with its rows padded to a multiple of four.
+    @pytest.mark.parametrize("shape", _shapes(32, 64, 30) + _shapes(4, 5, 9) + _shapes(16, 33, 9), ids=str)
     def test_product_rows_do_not_depend_on_row_count(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        w = rng.standard_normal(shape)
-        x = rng.standard_normal((64, shape[0]))
-        full = x @ w
-        for n in range(2, 65):
-            assert np.array_equal(x[:n] @ w, full[:n]), f"{n} rows"
+        check_rows(*shape, range(1, 257), seed=sum(shape))
 
-    @pytest.mark.parametrize("length", [1, 3, 17])
-    def test_batched_attention_rows_equal_rows_alone(self, length):
-        rng = np.random.default_rng(length)
-        keys = rng.standard_normal((6, length, 64))
-        hsum = rng.standard_normal((6, length, 64))
-        q = rng.standard_normal((6, 64))
-        alpha = rng.random((6, length))
-        e = (keys @ q[:, :, None])[:, :, 0]
-        ctx = (alpha[:, None, :] @ hsum)[:, 0]
-        for i in range(6):
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(1, 300),
+        n=st.integers(1, 300),
+        more=st.lists(st.integers(65, 256), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=16, n=9, more=[], seed=0)
+    @example(k=64, n=33, more=[], seed=0)
+    def test_rows_of_any_shape_do_not_depend_on_row_count(self, k, n, more, seed):
+        check_rows(k, n, [*range(1, 65), *more], seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        length=st.integers(1, 40),
+        width=st.integers(1, 130),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=6, length=17, width=64, seed=0)
+    def test_batched_attention_rows_equal_rows_alone(self, rows, length, width, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.standard_normal((rows, length, width))
+        hsum = rng.standard_normal((rows, length, width))
+        query = rng.standard_normal((rows, width))
+        mask = np.ones((rows, length))
+        ctx, alpha = _attend_cached(keys, hsum, mask, query)
+        for i in range(rows):
             one = slice(i, i + 1)
-            assert np.array_equal(e[one], (keys[one] @ q[one, :, None])[:, :, 0])
-            assert np.array_equal(ctx[one], (alpha[one, None, :] @ hsum[one])[:, 0])
+            ctx_i, alpha_i = _attend_cached(keys[one], hsum[one], mask[one], query[one])
+            assert np.array_equal(ctx_i, ctx[one]) and np.array_equal(alpha_i, alpha[one]), f"row {i}"

@@ -452,6 +452,17 @@ class TestFrames:
             with pytest.raises(FormatError, match="alphabet header"):
                 read_frames(p)
 
+    @pytest.mark.parametrize("alphabet, message", [
+        ('"ab"', "expected a list, not str"),
+        ('{"a": 0, "b": 1}', "expected a list, not dict"),
+        ('["a", 1]', "expected a str, not int"),
+    ], ids=["string", "object", "number"])
+    def test_alphabet_must_be_a_list_of_strings(self, tmp_path, alphabet, message):
+        p = tmp_path / "frames.jsonl"
+        p.write_text('{"alphabet":' + alphabet + '}\n{"box_id":0,"frames":[[0.5,0.25,0.25]]}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: bad alphabet header: {message}"):
+            read_frames(p)
+
     def test_wrong_column_count_rejected(self, tmp_path):
         p = tmp_path / "frames.jsonl"
         p.write_text('{"alphabet":["a","b"]}\n{"box_id":0,"frames":[[0.5,0.5]]}\n', encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -210,6 +211,18 @@ class TestRectify:
         q = Quad.from_points([(2, 3), (25, 5), (27, 26), (4, 24)])
         out = rectify(img, q, 40, 12)
         assert np.allclose(out.pixels, 0.625, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "left, right, edge", [(1e6, 2e6, 1.0), (1e19, 2e19, 1.0), (-2e19, -1e19, 0.0)]
+    )
+    def test_far_off_box_clamps_to_the_nearest_edge(self, left, right, edge):
+        # Sample coordinates past the int64 range clamp like near ones,
+        # without an overflowing cast.
+        img = GrayImage(np.array([[0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rectify(img, Quad.from_rect(left, 0, right, 1), 2, 1)
+        assert out.pixels.tolist() == [[edge, edge]]
 
     def test_double_resolution_pools_to_direct(self):
         # Rectifying at 2x and mean-pooling 2x2 must agree with the

@@ -204,7 +204,12 @@ class TestCheckpoint:
         (lambda p: p.update(version=99), VersionError, "unsupported checkpoint version 99"),
         (lambda p: p.update(params=[]), FormatError, "malformed checkpoint: params must be"),
         (lambda p: p["params"].pop("gen.b"), InputError, "parameter names mismatch"),
-    ], ids=["format", "version", "params_not_object", "missing_parameter"])
+        (lambda p: p.update(vocab="".join(p["vocab"])), FormatError, "malformed checkpoint: expected a list, not str"),
+        (lambda p: p.update(vocab=dict.fromkeys(p["vocab"], 0)), FormatError,
+         "malformed checkpoint: expected a list, not dict"),
+        (lambda p: p["vocab"].append(7), FormatError, "malformed checkpoint: expected a str, not int"),
+    ], ids=["format", "version", "params_not_object", "missing_parameter", "vocab_string", "vocab_object",
+            "vocab_number"])
     def test_refusal_names_the_file(self, vocab, tmp_path, edit, error, message):
         payload = model_to_dict(init_model(vocab, Hyper(emb_dim=2, hidden_dim=2, enc_layers=1, dec_layers=1)))
         edit(payload)

@@ -9,10 +9,13 @@ dropout helper with the packed code.
 
 Dropout masks are drawn over packed slots now, so the reference replays
 the packed pass's masks, in the padded layout, through a stand-in
-generator.  At the default ``Hyper`` the loss and the encoder's keys,
-summed states and bridge output keep their bits; elsewhere a 2-D product
-may change its last bits with its row count (a hidden-16 model over a
-9-token vocabulary, for one), so there they agree to 1e-12 relative.
+generator.  Training runs plain ``np.matmul`` products (only inference
+runs them through the network's ``_mm``), and both passes here do too.
+At the default ``Hyper`` the loss and the encoder's keys, summed states
+and bridge output keep their bits; elsewhere a plain 2-D product may
+change its last bits with its row count, which the packed and padded
+layouts do not share (a hidden-16 model over a 9-token vocabulary, for
+one), so there they agree to 1e-12 relative.
 Gradients sum in a different order and agree to 1e-12 relative.
 """
 
@@ -332,7 +335,7 @@ class TestPackedAgainstPadded:
         ref_value, ref_tape = padded_forward(model, x, y, rng=replayed_masks(tape) if rng else None)
         ref_grads = padded_backward(model, ref_tape)
 
-        enc, ref = _encode_batch(model, x), padded_encode(model, x)
+        enc, ref = _encode_batch(model, x, mm=np.matmul), padded_encode(model, x)
         real = enc.mask_x > 0
         assert np.all(enc.keys[~real] == 0.0) and np.all(enc.hsum[~real] == 0.0)
         pairs = [
