@@ -251,6 +251,10 @@ class TestBlasRowStability:
     def test_rows_of_any_shape_do_not_depend_on_row_count(self, k, n, more, seed):
         check_rows(k, n, [*range(1, 65), *more], seed)
 
+    @pytest.mark.parametrize("length", [1, 3, 17])
+    def test_batched_attention_rows_equal_rows_alone(self, length):
+        check_attention(6, length, 64, seed=length)
+
     @settings(max_examples=30, deadline=None)
     @given(
         rows=st.integers(1, 12),
@@ -259,14 +263,20 @@ class TestBlasRowStability:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(rows=6, length=17, width=64, seed=0)
-    def test_batched_attention_rows_equal_rows_alone(self, rows, length, width, seed):
-        rng = np.random.default_rng(seed)
-        keys = rng.standard_normal((rows, length, width))
-        hsum = rng.standard_normal((rows, length, width))
-        query = rng.standard_normal((rows, width))
-        mask = np.ones((rows, length))
-        ctx, alpha = _attend_cached(keys, hsum, mask, query)
-        for i in range(rows):
-            one = slice(i, i + 1)
-            ctx_i, alpha_i = _attend_cached(keys[one], hsum[one], mask[one], query[one])
-            assert np.array_equal(ctx_i, ctx[one]) and np.array_equal(alpha_i, alpha[one]), f"row {i}"
+    def test_batched_attention_rows_of_any_shape_equal_rows_alone(self, rows, length, width, seed):
+        check_attention(rows, length, width, seed)
+
+
+def check_attention(rows, length, width, seed):
+    """Every row of ``_attend_cached`` over a random batch of ``rows`` rows
+    has the bits it gets attended alone."""
+    rng = np.random.default_rng(seed)
+    keys = rng.standard_normal((rows, length, width))
+    hsum = rng.standard_normal((rows, length, width))
+    query = rng.standard_normal((rows, width))
+    mask = np.ones((rows, length))
+    ctx, alpha = _attend_cached(keys, hsum, mask, query)
+    for i in range(rows):
+        one = slice(i, i + 1)
+        ctx_i, alpha_i = _attend_cached(keys[one], hsum[one], mask[one], query[one])
+        assert np.array_equal(ctx_i, ctx[one]) and np.array_equal(alpha_i, alpha[one]), f"row {i}"
