@@ -56,7 +56,7 @@ class Hyper:
     def __post_init__(self):
         for name in ("emb_dim", "hidden_dim", "enc_layers", "dec_layers"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # a bool or a NumPy integer is not JSON's
                 raise InputError(f"{name} must be a positive integer")
         if not 0.0 <= self.dropout < 1.0:
             raise InputError("dropout must lie in [0, 1)")

@@ -37,8 +37,8 @@ its one-phrase form.
 
 Inference outputs do not depend on which phrases share a batch: every
 forward product with a row per sequence or hypothesis runs through
-``_mm``, whose BLAS calls all have ``_ROWS`` rows, and attention runs
-once per run of rows with equal source length, on unpadded keys.
+``_mm``, whose BLAS calls all have ``_ROWS`` rows, and a phrase's
+hypotheses attend a view of its own unpadded keys, one product per row.
 Training sums a step over its rows, so it passes plain ``np.matmul`` as
 the ``mm`` of the shared kernels and keeps its arithmetic.
 
@@ -48,11 +48,10 @@ a batch are the sums of the per-pair gradients.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, check_int
 from .model import CorrectorModel
 from .vocab import Vocab
 
@@ -349,22 +348,23 @@ def _decoder_advance(model: CorrectorModel, runs, h, c, tok, rng=None, mm=_mm):
     """Advance the decoder one batched step from the previous tokens
     ``tok`` (B,).
 
-    ``runs`` splits the rows into consecutive runs, each given as the
-    (keys, hsum, mask_x) of the encoder rows it decodes; training passes
-    one run.  Attends each run with the top layer's state, then advances
-    every layer over all rows with the products ``mm`` (with a generator
-    ``rng``, dropout between layers).  Returns the new states and cache;
-    ``cache.cat`` pairs the new top state with the context for
-    :func:`_output_logits`.
+    ``runs`` splits the rows into consecutive runs, each given as its
+    row count and the (keys, hsum, mask_x) its rows attend: one per row,
+    or (1, L, ...) views that its rows share by broadcasting; training
+    passes one run, inference one per phrase.  Attends each run with the
+    top layer's state, then advances every layer over all rows with the
+    products ``mm`` (with a generator ``rng``, dropout between layers).
+    Returns the new states and cache; ``cache.cat`` pairs the new top
+    state with the context for :func:`_output_logits`.
     """
     p = model.params
     hp = model.hyper
     ctxs, alphas, start = [], [], 0
-    for keys, hsum, mask_x in runs:
-        ctx, alpha = _attend_cached(keys, hsum, mask_x, h[-1][start : start + len(keys)])
+    for rows, keys, hsum, mask_x in runs:
+        ctx, alpha = _attend_cached(keys, hsum, mask_x, h[-1][start : start + rows])
         ctxs.append(ctx)
         alphas.append(alpha)
-        start += len(keys)
+        start += rows
     ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs)
     xi = np.concatenate([p["embedding"][tok], ctx], axis=1)
     new_h, new_c, inputs, cell_caches, drops = [], [], [], [], []
@@ -427,7 +427,7 @@ def _forward_batch(model, x_ids, y_ids, rng=None):
     c = [np.zeros_like(s) for s in h]
     steps = []
     for t, n in enumerate(counts):
-        runs = [(keys[:n], hsum[:n], mask_x[:n])]
+        runs = [(n, keys[:n], hsum[:n], mask_x[:n])]
         h, c, step = _decoder_advance(
             model, runs, [a[:n] for a in h], [a[:n] for a in c], y_in[offs[t] : offs[t + 1]],
             rng, np.matmul,
@@ -667,21 +667,15 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
     (total logp, tokens) lists; the live list is sorted best first.
     Each sequence follows the rules :func:`correct` documents, with its
     own cap and early stop.  The decoder rows are the live hypotheses of
-    the unfinished sequences, ordered by (source length, sequence index),
-    so attention runs once per source length on unpadded keys.
+    the unfinished sequences, in sequence order; each sequence's rows are
+    one attention run over views of its own unpadded keys.
     """
     vb = model.vocab
     enc = _encode_batch(model, _pad_batch(seqs, vb.pad_id))
-    by_len = sorted(range(len(seqs)), key=lambda q: (len(seqs[q]), q))
-    # the attention inputs of each source length, unpadded, each
-    # sequence's slot among those of its length, and the inputs gathered
-    # for each run of rows seen, by length and slots
-    att, slot, run_att = {}, {}, {}
-    for length, group in groupby(by_len, key=lambda q: len(seqs[q])):
-        group = list(group)
-        att[length] = (enc.keys[group, :length], enc.hsum[group, :length], enc.mask_x[group, :length])
-        slot.update((q, k) for k, q in enumerate(group))
-
+    # each sequence's attention inputs, as unpadded (1, L, H) views that
+    # all its hypotheses' rows share by broadcasting
+    keys, hsum, mask_x = enc.keys[:, None], enc.hsum[:, None], enc.mask_x[:, None]
+    att = [(keys[q, :, :n], hsum[q, :, :n], mask_x[q, :, :n]) for q, n in enumerate(map(len, seqs))]
     caps = [4 * len(ids) for ids in seqs]
     live: list[list[tuple[float, tuple[int, ...]]]] = [[(0.0, ())] for _ in seqs]
     closed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in seqs]
@@ -689,17 +683,12 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
     go, end, banned = vb.go_id, vb.end_id, (vb.go_id, vb.pad_id)
     width = beam_width + len(banned) + 1
     h, c = _start_state(model, enc)
-    active, sel, t = by_len, by_len, 0
+    active = sel = list(range(len(seqs)))
+    t = 0
     while active:
-        # each row's sequence and the state row it continues
-        row_seq = [q for q in active for _ in live[q]]
+        # one run of rows per sequence, and the state row each continues
+        runs = [(len(live[q]), *att[q]) for q in active]
         prev = [toks[-1] if toks else go for q in active for _, toks in live[q]]
-        runs = []
-        for length, group in groupby(row_seq, key=lambda q: len(seqs[q])):
-            key = (length, tuple(slot[q] for q in group))
-            if key not in run_att:
-                run_att[key] = tuple(a[list(key[1])] for a in att[length])
-            runs.append(run_att[key])
         h, c = [a[sel] for a in h], [a[sel] for a in c]
         logp, h, c = _infer_logprobs(model, runs, h, c, np.array(prev))
         top = np.argsort(-logp, axis=1, kind="stable")[:, :width].tolist()
@@ -748,8 +737,7 @@ def correct_batch(model: CorrectorModel, phrases, beam_width: int) -> list[Corre
     """:func:`correct` of every phrase of ``phrases``, all decoded by
     one beam search; each result equals that phrase's :func:`correct`.
     """
-    if beam_width < 1:
-        raise InputError("beam width must be >= 1")
+    check_int(beam_width, "beam width", 1)
     if not phrases:
         return []
     vb = model.vocab

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DivergenceError, InputError
+from ..errors import DivergenceError, InputError, check_int
 from .model import CorrectorModel
 from .network import _backward_batch, _forward_batch, _pad_batch
 from .vocab import Vocab
@@ -24,8 +24,9 @@ __all__ = ["TrainConfig", "learning_rate", "build_pairs", "train"]
 class TrainConfig:
     """Optimization settings.
 
-    ``max_steps`` may be zero (train returns the model untouched); the
-    remaining fields must be positive.
+    ``max_steps`` may be zero (train returns the model untouched) and
+    ``seed`` is a non-negative integer; the remaining fields must be
+    positive, and the step counts and the batch size integers.
     """
 
     lr0: float = 1.0
@@ -42,10 +43,9 @@ class TrainConfig:
         if not (np.isfinite(self.clip_norm) and self.clip_norm > 0.0):
             raise InputError("clip_norm must be positive")
         for name in ("decay_start", "halve_every", "batch_size"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1")
-        if self.max_steps < 0:
-            raise InputError("max_steps must be >= 0")
+            check_int(getattr(self, name), name, 1)
+        check_int(self.max_steps, "max_steps", 0)
+        check_int(self.seed, "seed", 0)
 
 
 def learning_rate(cfg: TrainConfig, step: int) -> float:

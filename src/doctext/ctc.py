@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int
 
 __all__ = [
     "PROB_FLOOR",
@@ -135,11 +135,12 @@ def collapse(path: Sequence[int], blank: int) -> list[int]:
 
 
 def _check_labels(labels: Sequence[int], blank: int) -> list[int]:
-    labels = [int(v) for v in labels]
+    labels = list(labels)
     for v in labels:
-        if not 0 <= v < blank:
+        check_int(v, "label", 0)
+        if v >= blank:
             raise InputError(f"label {v} outside alphabet of size {blank}")
-    return labels
+    return [int(v) for v in labels]
 
 
 def log_prob(probs, labels: Sequence[int]) -> float:
@@ -384,8 +385,7 @@ def beam_decode_batch(probs_list, beam_width: int = 8) -> list[list[int]]:
     is the same array program for one box or many, so a box's labels do
     not depend on the boxes it shares the batch with.
     """
-    if beam_width < 1:
-        raise InputError("beam width must be >= 1")
+    check_int(beam_width, "beam width", 1)
     mats = [_as_frames(p) for p in probs_list]
     if not mats:
         return []

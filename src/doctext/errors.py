@@ -3,7 +3,10 @@
 Two failure families matter to callers: bad input (malformed files,
 inconsistent bundles, out-of-domain arguments) and numeric divergence
 during training.  The CLI maps them to exit codes 2 and 3.
+``check_int`` is the one check of an integer argument.
 """
+
+from numbers import Integral
 
 
 class DoctextError(Exception):
@@ -28,3 +31,12 @@ class VersionError(FormatError):
 
 class DivergenceError(DoctextError):
     """Training produced a non-finite loss."""
+
+
+def check_int(value, what: str, minimum: int) -> None:
+    """``InputError`` unless ``value`` is an integer, Python's or NumPy's
+    but not a bool, of at least ``minimum``; ``what`` names it."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    if value < minimum:
+        raise InputError(f"{what} must be >= {minimum}")

@@ -40,7 +40,9 @@ __all__ = [
 class TextBox:
     """An axis-aligned text region with a document-unique id.
 
-    ``word`` carries ground truth or recognized text when known.
+    ``word`` carries ground truth or recognized text when known.  The id
+    must be an ``int`` (not a bool) and the word a ``str`` or None, the
+    types that ``read_boxes`` gives them.
     """
 
     id: int
@@ -51,13 +53,17 @@ class TextBox:
     word: str | None = None
 
     def __post_init__(self):
+        if type(self.id) is not int:
+            raise InputError(f"box id must be an integer, not {self.id!r}")
+        if self.word is not None and not isinstance(self.word, str):
+            raise InputError(f"box {self.id} word must be a string, not {self.word!r}")
         try:
             if self.id < 0:
                 raise InputError("box id must be non-negative")
             if not all(map(math.isfinite, (self.left, self.top, self.right, self.bottom))):
                 raise InputError("box coordinates must be finite")
         except (TypeError, OverflowError) as exc:
-            raise InputError(f"box id and coordinates must be numbers: {exc}") from exc
+            raise InputError(f"box coordinates must be numbers: {exc}") from exc
         if not (self.left < self.right and self.top < self.bottom):
             raise InputError(
                 f"box {self.id} must have left < right and top < bottom"

@@ -21,7 +21,7 @@ import numpy as np
 
 # ``beam_decode`` is not called here; perfbench/tracing.py looks it up in this module
 from .ctc import Alphabet, beam_decode, beam_decode_batch, validate_frame_probs  # noqa: F401
-from .errors import FormatError, InputError, VersionError
+from .errors import FormatError, InputError, VersionError, check_int
 from .formats import BoxRecord, from_json_value, read_json_file, to_json_value, truth_from_boxes, write_json_file
 from .geometry import GrayImage, Quad, rectify
 from .layout import DocumentLayout, LayoutParams, arrange_document
@@ -60,10 +60,8 @@ class PipelineParams:
     rect_height: int = 32
 
     def __post_init__(self):
-        if self.beam_width < 1 or self.correct_beam < 1:
-            raise InputError("beam widths must be >= 1")
-        if self.rect_height < 1:
-            raise InputError("rect_height must be >= 1")
+        for name in ("beam_width", "correct_beam", "rect_height"):
+            check_int(getattr(self, name), name, 1)
 
 
 @dataclass(frozen=True)

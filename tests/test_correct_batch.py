@@ -4,12 +4,13 @@
 and its outputs must be bit-identical to stepping each hypothesis alone.
 That holds by construction: every forward product with a row per phrase
 or hypothesis goes through ``network._mm``, whose BLAS calls all have
-``_ROWS`` rows, and attention is one batched 3-D ``matmul`` per run of
-equal source lengths.  What the construction rests on is checked here,
-on the BLAS the tests run on, at the corrector's own shapes and over
-random ones: a row of ``_mm`` has the same bits whatever rows share its
-product, and a row of the batched attention equals that row attended
-alone.
+``_ROWS`` rows, and the hypotheses of a phrase attend, in one batched
+3-D ``matmul``, a view of that phrase's keys that they share by
+broadcasting.  What the construction rests on is checked here, on the
+BLAS the tests run on, at the corrector's own shapes and over random
+ones: a row of ``_mm`` has the same bits whatever rows share its
+product, and a row of the batched attention, on its own keys or on a
+shared view, equals that row attended alone.
 """
 
 import numpy as np
@@ -44,7 +45,7 @@ def reference_correct(model, phrase, beam_width):
     degraded = all(i == vb.unk_id for i in content)
     cap = 4 * len(ids)
     enc = _encode_batch(model, np.asarray([ids], dtype=np.int64))
-    att = [(enc.keys, enc.hsum, enc.mask_x)]
+    att = [(1, enc.keys, enc.hsum, enc.mask_x)]
     h0, c0 = _start_state(model, enc)
 
     live = [(0.0, (), h0, c0)]
@@ -210,6 +211,13 @@ class TestInputs:
         with pytest.raises(InputError):
             correct_batch(model, [], 0)
 
+    @pytest.mark.parametrize("beam_width", [2.5, 2.0, True], ids=repr)
+    def test_non_integer_beam_rejected(self, model, beam_width):
+        with pytest.raises(InputError, match="beam width"):
+            correct_batch(model, ["ab"], beam_width)
+        with pytest.raises(InputError, match="beam width"):
+            correct(model, "ab", beam_width)
+
 
 def check_rows(k, n, counts, seed):
     """Every row of ``_mm`` over a random batch of ``max(counts)`` rows has
@@ -255,6 +263,12 @@ class TestBlasRowStability:
     def test_batched_attention_rows_equal_rows_alone(self, length):
         check_attention(6, length, 64, seed=length)
 
+    @pytest.mark.parametrize("length", [1, 3, 17])
+    def test_batched_attention_rows_equal_rows_alone_at_width_33(self, length):
+        # A key of width 33 takes 264 bytes, not a multiple of 64, so a
+        # phrase's view and its positions do not start on 64-byte boundaries.
+        check_attention(6, length, 33, seed=length)
+
     @settings(max_examples=30, deadline=None)
     @given(
         rows=st.integers(1, 12),
@@ -269,7 +283,11 @@ class TestBlasRowStability:
 
 def check_attention(rows, length, width, seed):
     """Every row of ``_attend_cached`` over a random batch of ``rows`` rows
-    has the bits it gets attended alone."""
+    has the bits it gets attended alone.  So does every row of a run of
+    ``rows`` queries that share, by broadcasting, one phrase's unpadded
+    (1, L, H) view inside a padded batch of phrases, as the beam search
+    attends: each has the bits of the same row on a gathered copy of
+    that phrase's keys and of the row attended alone."""
     rng = np.random.default_rng(seed)
     keys = rng.standard_normal((rows, length, width))
     hsum = rng.standard_normal((rows, length, width))
@@ -280,3 +298,18 @@ def check_attention(rows, length, width, seed):
         one = slice(i, i + 1)
         ctx_i, alpha_i = _attend_cached(keys[one], hsum[one], mask[one], query[one])
         assert np.array_equal(ctx_i, ctx[one]) and np.array_equal(alpha_i, alpha[one]), f"row {i}"
+
+    # phrase 1 of a padded batch of three, with 3 padded positions after it
+    padded_keys = rng.standard_normal((3, length + 3, width))
+    padded_hsum = rng.standard_normal((3, length + 3, width))
+    padded_mask = np.ones((3, length + 3))
+    view = (padded_keys[1, None, :length], padded_hsum[1, None, :length], padded_mask[1, None, :length])
+    assert all(np.shares_memory(v, a) for v, a in zip(view, (padded_keys, padded_hsum, padded_mask)))
+    ctx, alpha = _attend_cached(*view, query)
+    gathered = tuple(a[[1] * rows, :length] for a in (padded_keys, padded_hsum, padded_mask))
+    ctx_g, alpha_g = _attend_cached(*gathered, query)
+    assert np.array_equal(ctx_g, ctx) and np.array_equal(alpha_g, alpha), "gathered copy"
+    for i in range(rows):
+        one = slice(i, i + 1)
+        ctx_i, alpha_i = _attend_cached(*(a.copy() for a in view), query[one])
+        assert np.array_equal(ctx_i, ctx[one]) and np.array_equal(alpha_i, alpha[one]), f"view row {i}"

@@ -201,7 +201,7 @@ class TestDecoderLoop:
         enc = _encode_batch(model, np.asarray([ids, ids]))
         h, c = _start_state(model, enc)
         tok = np.array([vocab.go_id, ids[0]])
-        logprobs, h2, c2 = _infer_logprobs(model, [(enc.keys, enc.hsum, enc.mask_x)], h, c, tok)
+        logprobs, h2, c2 = _infer_logprobs(model, [(2, enc.keys, enc.hsum, enc.mask_x)], h, c, tok)
         assert logprobs.shape == (2, vocab.size)
         dist = np.exp(logprobs)
         assert np.all(dist > 0)
@@ -220,11 +220,11 @@ class TestDecoderLoop:
         tok = np.array([vocab.go_id, vocab.preprocess("a")[0]])
         enc = _encode_batch(m, x)
         h, c = _start_state(m, enc)
-        logp, h2, _ = _infer_logprobs(m, [(enc.keys, enc.hsum, enc.mask_x)], h, c, tok)
+        logp, h2, _ = _infer_logprobs(m, [(2, enc.keys, enc.hsum, enc.mask_x)], h, c, tok)
         for i, r in enumerate(rows):
             one = encode_one(m, r)
             hi, ci = _start_state(m, one)
-            li, hi2, _ = _infer_logprobs(m, [(one.keys, one.hsum, one.mask_x)], hi, ci, tok[i : i + 1])
+            li, hi2, _ = _infer_logprobs(m, [(1, one.keys, one.hsum, one.mask_x)], hi, ci, tok[i : i + 1])
             assert np.allclose(logp[i], li[0], atol=1e-12)
             assert np.allclose(h2[-1][i], hi2[-1][0], atol=1e-12)
 

@@ -398,6 +398,17 @@ class TestLogProb:
         with pytest.raises(InputError):
             log_prob([[0.5, 0.5]], [-1])
 
+    @pytest.mark.parametrize("label", [0.5, 0.0, True, False, "1", None], ids=repr)
+    def test_non_integer_label_rejected(self, label):
+        # int() would score 0.5 as label 0 and True or "1" as label 1
+        probs = [[0.3, 0.3, 0.4], [0.2, 0.5, 0.3]]
+        with pytest.raises(InputError, match="label"):
+            log_prob(probs, [label])
+
+    def test_numpy_integer_labels_accepted(self):
+        probs = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
+        assert log_prob(probs, np.array([0, 1])) == log_prob(probs, [0, 1])
+
     @settings(max_examples=300, deadline=None)
     @given(frame_matrices(), st.data())
     def test_matches_reference_exactly(self, probs, data):
@@ -545,6 +556,15 @@ class TestBeamDecodeBatch:
     def test_width_below_one_rejected(self, mats):
         with pytest.raises(InputError, match="beam width"):
             beam_decode_batch(mats, 0)
+
+    @pytest.mark.parametrize("width", [2.5, 2.0, True], ids=repr)
+    def test_non_integer_width_rejected(self, width):
+        with pytest.raises(InputError, match="beam width"):
+            beam_decode_batch([np.full((2, 3), 1 / 3)], width)
+
+    def test_numpy_integer_width_accepted(self):
+        probs = np.array([[0.6, 0.1, 0.3], [0.2, 0.5, 0.3]])
+        assert beam_decode_batch([probs], np.int64(4)) == beam_decode_batch([probs], 4)
 
     def test_non_finite_box_rejected(self):
         good = np.full((2, 3), 1 / 3)

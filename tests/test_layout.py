@@ -234,6 +234,16 @@ class TestTextBox:
         with pytest.raises(InputError, match="too narrow"):
             TextBox(id=0, left=1e16, top=0, right=1e16 + 2, bottom=10)
 
+    @pytest.mark.parametrize(
+        "box", [{"id": 1.5}, {"id": 1.0}, {"id": True}, {"id": np.int64(1)}, {"word": 5}, {"word": b"ab"}],
+        ids=str,
+    )
+    def test_id_and_word_as_a_boxes_file_has_them(self, box):
+        # read_boxes refuses each of these; arrange_document would write
+        # a float id as the label key "1.5"
+        with pytest.raises(InputError):
+            TextBox(**{"id": 1, "left": 0, "top": 0, "right": 1, "bottom": 1, **box})
+
 
 class TestLayoutParams:
     def test_defaults(self):

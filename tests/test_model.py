@@ -40,6 +40,13 @@ class TestHyper:
             Hyper(enc_layers=-1)
         Hyper(dropout=0.0)
 
+    @pytest.mark.parametrize("name", ["emb_dim", "hidden_dim", "enc_layers", "dec_layers"])
+    def test_bool_size_rejected(self, name):
+        # True is an int to isinstance, and init_model then raised a
+        # TypeError; a checkpoint stores the sizes as JSON integers
+        with pytest.raises(InputError):
+            Hyper(**{name: True})
+
 
 class TestShapes:
     def test_first_layer_input_sizes(self, vocab):

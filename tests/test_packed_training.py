@@ -132,7 +132,7 @@ def padded_forward(model, x_ids, y_ids, rng=None):
     for t in range(t_y):
         n = counts[t]
         h, c, step = _decoder_advance(
-            model, [(keys[:n], hsum[:n], mask_x[:n])], [a[:n] for a in h],
+            model, [(n, keys[:n], hsum[:n], mask_x[:n])], [a[:n] for a in h],
             [a[:n] for a in c], y_in[:n, t], rng,
         )
         steps.append(step)

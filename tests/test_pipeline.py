@@ -76,6 +76,19 @@ class TestFormatPercent:
         assert format_percent(0.0) == "0.00%"
 
 
+class TestPipelineParams:
+    @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=repr)
+    @pytest.mark.parametrize("name", ["beam_width", "correct_beam", "rect_height"])
+    def test_sizes_must_be_integers(self, name, value):
+        # a float width used to reach ctc or the corrector as a TypeError,
+        # and beam_width=True decoded at width 1
+        with pytest.raises(InputError, match=name):
+            PipelineParams(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        assert PipelineParams(beam_width=np.int64(4), correct_beam=np.int32(2)).beam_width == 4
+
+
 class TestEvaluate:
     def test_exact_match_fraction(self):
         pred = {0: "cat", 1: "dog", 2: "bat"}

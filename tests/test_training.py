@@ -56,6 +56,21 @@ class TestSchedule:
             TrainConfig(clip_norm=float("inf"))
         TrainConfig(max_steps=0)  # explicitly allowed
 
+    @pytest.mark.parametrize(
+        "field", [{"batch_size": 2.5}, {"max_steps": 1.5}, {"seed": 1.5}, {"decay_start": 2.5},
+                  {"halve_every": True}, {"batch_size": True}, {"seed": -1}],
+        ids=str,
+    )
+    def test_integer_fields_refuse_non_integers(self, field):
+        # each used to reach train, which raised a NumPy TypeError or
+        # (decay_start) used it as it was
+        with pytest.raises(InputError):
+            TrainConfig(**field)
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(4), max_steps=np.int64(1), seed=np.uint8(3))
+        assert cfg.batch_size == 4
+
 
 class TestBuildPairs:
     def test_targets_end_with_end_token(self, vocab):
