@@ -86,31 +86,44 @@ def _cell(z, c_prev):
     Returns the new hidden and cell states and the cache for
     :func:`_cell_backward`.  Callers own the matrix products, so that
     the products that do not feed the recurrence can span a sequence.
+    The gates are computed in place: ``z`` is overwritten, and the cache
+    keeps it.  ``c_prev``, which the cache also keeps, is not written.
     """
     hdim = c_prev.shape[1]
-    t = np.tanh(z * _gate_scale(hdim)[0])
-    s = 0.5 * (t + 1.0)  # the sigmoid gates; its g block is unused
+    z *= _gate_scale(hdim)[0]
+    t = np.tanh(z, out=z)
+    s = t + 1.0
+    s *= 0.5  # the sigmoid gates; its g block is unused
     i = s[:, :hdim]
     f = s[:, hdim : 2 * hdim]
     g = t[:, 2 * hdim : 3 * hdim]
     o = s[:, 3 * hdim :]
-    c = f * c_prev + i * g
+    c = f * c_prev
+    c += i * g
     tc = np.tanh(c)
     return o * tc, c, (c_prev, t, i, f, g, o, tc)
 
 
-def _cell_backward(dh, dc_in, cache):
-    """Backward of :func:`_cell`: gradients of the pre-activations and
-    of the previous cell state."""
+def _cell_backward(dh, dc_in, cache, dgate):
+    """Backward of :func:`_cell`: writes the gradients of the
+    pre-activations into ``dgate`` and returns the gradient of the
+    previous cell state.  Writes none of its other arguments."""
     c_prev, t, i, f, g, o, tc = cache
     hdim = i.shape[1]
-    dc = dc_in + dh * o * (1.0 - tc * tc)
-    dgate = np.empty(t.shape)
+    dc = tc * tc
+    np.subtract(1.0, dc, out=dc)
+    dc *= dh * o
+    dc += dc_in
     np.multiply(dc, g, out=dgate[:, :hdim])
     np.multiply(dc, c_prev, out=dgate[:, hdim : 2 * hdim])
     np.multiply(dc, i, out=dgate[:, 2 * hdim : 3 * hdim])
     np.multiply(dh, tc, out=dgate[:, 3 * hdim :])
-    return dgate * (1.0 - t * t) * _gate_scale(hdim)[1], dc * f
+    dt = t * t
+    np.subtract(1.0, dt, out=dt)
+    dgate *= dt
+    dgate *= _gate_scale(hdim)[1]
+    dc *= f
+    return dc
 
 
 def _check_batch(vocab: Vocab, ids, what: str):
@@ -200,7 +213,9 @@ def _scan(xw, offs, counts, u, reverse, mm):
     caches = [None] * len(counts)
     for t in reversed(range(len(counts))) if reverse else range(len(counts)):
         s, n = offs[t], counts[t]
-        h[:n], c[:n], caches[t] = _cell(xw[s : s + n] + mm(h[:n], u), c[:n].copy())
+        z = mm(h[:n], u)
+        z += xw[s : s + n]
+        h[:n], c[:n], caches[t] = _cell(z, c[:n].copy())
         states[s : s + n] = h[:n]
     return states, caches, h
 
@@ -219,8 +234,8 @@ def _scan_grad(dstates, caches, offs, counts, u, reverse, dfinal):
     for t in range(len(counts)) if reverse else reversed(range(len(counts))):
         s, n = offs[t], counts[t]
         dh[:n] += dstates[s : s + n]
-        dz[s : s + n], dc[:n] = _cell_backward(dh[:n], dc[:n], caches[t])
-        dh[:n] = dz[s : s + n] @ u.T
+        dc[:n] = _cell_backward(dh[:n], dc[:n], caches[t], dz[s : s + n])
+        np.matmul(dz[s : s + n], u.T, out=dh[:n])
     return dz
 
 
@@ -369,7 +384,9 @@ def _decoder_advance(model: CorrectorModel, runs, h, c, tok, rng=None, mm=_mm):
     xi = np.concatenate([p["embedding"][tok], ctx], axis=1)
     new_h, new_c, inputs, cell_caches, drops = [], [], [], [], []
     for l in range(hp.dec_layers):
-        z = mm(xi, p[f"dec.{l}.W"]) + mm(h[l], p[f"dec.{l}.U"]) + p[f"dec.{l}.b"]
+        z = mm(xi, p[f"dec.{l}.W"])
+        z += mm(h[l], p[f"dec.{l}.U"])
+        z += p[f"dec.{l}.b"]
         h_new, c_new, cache = _cell(z, c[l])
         inputs.append(xi)
         new_h.append(h_new)
@@ -488,7 +505,7 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
     # the recurrence, one step's rows at a time; a row's carries stay
     # zero until the step loop, running backwards, reaches its last step
     t_y = len(tape.counts)
-    dz = [[None] * t_y for _ in range(n_dec)]
+    dz = [np.empty((len(tape.y_tok), 4 * hdim)) for _ in range(n_dec)]
     demb, dctx, de = [None] * t_y, [None] * t_y, [None] * t_y
     dh_carry = [np.zeros((len(tape.order), hdim)) for _ in range(n_dec)]
     dc_carry = [np.zeros((len(tape.order), hdim)) for _ in range(n_dec)]
@@ -497,11 +514,11 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
         s, n = offs[t], tape.counts[t]
         dh = dcat[s : s + n, :hdim]
         for l in range(n_dec - 1, -1, -1):
-            dz[l][t], dc_carry[l][:n] = _cell_backward(
-                dh + dh_carry[l][:n], dc_carry[l][:n], st.cell_caches[l]
-            )
-            dh_carry[l][:n] = dz[l][t] @ p[f"dec.{l}.U"].T
-            dx = dz[l][t] @ p[f"dec.{l}.W"].T
+            dz_t, dh_l = dz[l][s : s + n], dh_carry[l][:n]
+            dh_l += dh
+            dc_carry[l][:n] = _cell_backward(dh_l, dc_carry[l][:n], st.cell_caches[l], dz_t)
+            np.matmul(dz_t, p[f"dec.{l}.U"].T, out=dh_l)
+            dx = dz_t @ p[f"dec.{l}.W"].T
             if l > 0:
                 dh = dx if st.drop_masks[l - 1] is None else dx * st.drop_masks[l - 1]
         demb[t] = dx[:, :edim]
@@ -515,11 +532,10 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
         dh_carry[n_dec - 1][:n] += (de[t][:, None, :] @ tape.keys[:n])[:, 0]
 
     for l in range(n_dec):
-        dz_l = np.concatenate(dz[l])
         h_in = np.concatenate([st.h_in[l] for st in steps])
-        grads[f"dec.{l}.W"] += np.concatenate([st.inputs[l] for st in steps]).T @ dz_l
-        grads[f"dec.{l}.U"] += h_in.T @ dz_l
-        grads[f"dec.{l}.b"] += dz_l.sum(axis=0)
+        grads[f"dec.{l}.W"] += np.concatenate([st.inputs[l] for st in steps]).T @ dz[l]
+        grads[f"dec.{l}.U"] += h_in.T @ dz[l]
+        grads[f"dec.{l}.b"] += dz[l].sum(axis=0)
     np.add.at(grads["embedding"], tape.y_in, np.concatenate(demb))
 
     # the keys' and summed states' gradients sum over steps, as one

@@ -351,11 +351,13 @@ def read_pgm(path) -> GrayImage:
     if brightest > maxval:
         raise FormatError(f"{path}: PGM value {brightest} exceeds maxval {maxval}")
     # every byte is at most maxval, so every value lies in [0, 1]
-    return _trusted_image(px.astype(np.float64) / float(maxval))
+    return _trusted_image(np.divide(px, float(maxval), dtype=np.float64))
 
 
 def write_pgm(image: GrayImage, path) -> None:
     """Write a GrayImage as a binary (P5) PGM file with maxval 255."""
-    px = np.rint(image.pixels * 255.0).astype(np.uint8)
+    px = image.pixels * 255.0
+    np.rint(px, out=px)
+    px = px.astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + px.tobytes())

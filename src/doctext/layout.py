@@ -41,8 +41,9 @@ class TextBox:
     """An axis-aligned text region with a document-unique id.
 
     ``word`` carries ground truth or recognized text when known.  The id
-    must be an ``int`` (not a bool) and the word a ``str`` or None, the
-    types that ``read_boxes`` gives them.
+    must be an ``int`` (not a bool), the coordinates numbers other than
+    bools and the word a ``str`` or None, the types that ``read_boxes``
+    gives them.
     """
 
     id: int
@@ -55,6 +56,8 @@ class TextBox:
     def __post_init__(self):
         if type(self.id) is not int:
             raise InputError(f"box id must be an integer, not {self.id!r}")
+        if any(type(v) is bool for v in (self.left, self.top, self.right, self.bottom)):
+            raise InputError(f"box {self.id} coordinates must be numbers, not booleans")
         if self.word is not None and not isinstance(self.word, str):
             raise InputError(f"box {self.id} word must be a string, not {self.word!r}")
         try:

@@ -19,7 +19,8 @@ import numpy as np
 from hypothesis import settings
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+# an empty HYPOTHESIS_PROFILE, as an unset one, means the default profile
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE") or "default")
 
 # the core-name function of the OpenBLAS in NumPy 2 wheels and in NumPy 1 wheels
 _CORENAME = ("scipy_openblas_get_corename64_", "openblas_get_corename64_")

@@ -514,6 +514,30 @@ class TestPgm:
         with pytest.raises(FormatError, match=r"over\.pgm: PGM value 200 exceeds maxval 100"):
             read_pgm(p)
 
+    def test_every_byte_at_every_maxval(self, tmp_path):
+        # one division into float64 gives the bits of a float64 copy divided
+        for maxval in range(1, 256):
+            raw = np.arange(maxval + 1, dtype=np.uint8)[None, :]
+            p = tmp_path / f"m{maxval}.pgm"
+            p.write_bytes(f"P5\n{maxval + 1} 1\n{maxval}\n".encode() + raw.tobytes())
+            want = raw.astype(np.float64) / float(maxval)
+            assert read_pgm(p).pixels.tobytes() == want.tobytes(), maxval
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 20))
+    def test_written_bytes_equal_frozen_expression(self, tmp_path_factory, seed, width, height):
+        rng = np.random.default_rng(seed)
+        # exact 0 and 1, pixels on the .5 steps that rint rounds to even,
+        # and arbitrary ones
+        halves = (rng.integers(0, 255, size=(height, width)) + 0.5) / 255.0
+        pixels = rng.choice([0.0, 1.0, 0.5, 0.5 / 255.0, 254.5 / 255.0, rng.random()], size=(height, width))
+        pixels = np.where(rng.random((height, width)) < 0.3, halves, pixels)
+        img = GrayImage(pixels)
+        p = tmp_path_factory.mktemp("pgm") / "page.pgm"
+        write_pgm(img, p)
+        want = np.rint(img.pixels * 255.0).astype(np.uint8)
+        assert p.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + want.tobytes()
+
     def test_oversized_maxval_rejected(self, tmp_path):
         p = tmp_path / "m16.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\x00\x00")

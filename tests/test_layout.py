@@ -229,6 +229,11 @@ class TestTextBox:
             TextBox(id=None, left=0, top=0, right=1, bottom=1)
         with pytest.raises(InputError):
             TextBox(id=0, left=0, top=0, right=10**400, bottom=1)
+        # read_boxes refuses true and false as malformed geometry
+        with pytest.raises(InputError, match="booleans"):
+            TextBox(0, False, False, True, True)
+        with pytest.raises(InputError, match="booleans"):
+            TextBox(id=0, left=0, top=0, right=1.5, bottom=True)
         # the centre rounds to the left edge, so the box would be its own
         # successor in arrange
         with pytest.raises(InputError, match="too narrow"):

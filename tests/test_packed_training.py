@@ -1,11 +1,18 @@
-"""The packed training passes against the padded (B, T) passes they replaced.
+"""The packed training passes against the padded (B, T) passes they
+replaced, and the LSTM cell kernels against frozen copies of themselves.
+
+``_cell`` and ``_cell_backward`` compute in place; ``cell_reference``
+and ``cell_backward_reference`` below are the kernels as they were
+before, allocating every intermediate, and must give the same bits.
 
 ``_forward_batch`` and ``_backward_batch`` run every product on the real
 token slots of a batch, packed time-major.  The reference below is the
 earlier implementation: every product runs over all (B, T) slots of the
-sorted, padded batch, and the scans carry states past a row's end.  It
-shares only the cell, the batch check, the decoder-step kernel and the
-dropout helper with the packed code.
+sorted, padded batch, and the scans carry states past a row's end.  Its
+scans and decoder backward run the frozen cells; it shares only the
+batch check, the decoder-step kernel (and through it the forward cell,
+which the property below checks) and the dropout helper with the packed
+code.
 
 Dropout masks are drawn over packed slots now, so the reference replays
 the packed pass's masks, in the padded layout, through a stand-in
@@ -22,7 +29,7 @@ Gradients sum in a different order and agree to 1e-12 relative.
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doctext.corrector.model import Hyper, init_model
@@ -35,9 +42,39 @@ from doctext.corrector.network import (
     _dropout,
     _encode_batch,
     _forward_batch,
+    _gate_scale,
     _pad_batch,
 )
 from doctext.corrector.vocab import Vocab
+
+
+# ---------------------------------------------------------------------------
+# frozen cells
+
+
+def cell_reference(z, c_prev):
+    hdim = c_prev.shape[1]
+    t = np.tanh(z * _gate_scale(hdim)[0])
+    s = 0.5 * (t + 1.0)  # the sigmoid gates; its g block is unused
+    i = s[:, :hdim]
+    f = s[:, hdim : 2 * hdim]
+    g = t[:, 2 * hdim : 3 * hdim]
+    o = s[:, 3 * hdim :]
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (c_prev, t, i, f, g, o, tc)
+
+
+def cell_backward_reference(dh, dc_in, cache):
+    c_prev, t, i, f, g, o, tc = cache
+    hdim = i.shape[1]
+    dc = dc_in + dh * o * (1.0 - tc * tc)
+    dgate = np.empty(t.shape)
+    np.multiply(dc, g, out=dgate[:, :hdim])
+    np.multiply(dc, c_prev, out=dgate[:, hdim : 2 * hdim])
+    np.multiply(dc, i, out=dgate[:, 2 * hdim : 3 * hdim])
+    np.multiply(dh, tc, out=dgate[:, 3 * hdim :])
+    return dgate * (1.0 - t * t) * _gate_scale(hdim)[1], dc * f
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +105,7 @@ def _scan_forward(xw, counts, u, reverse):
     caches = [None] * t_len
     for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
         n = counts[t]
-        h[:n], c[:n], caches[t] = _cell(xw[:n, t] + h[:n] @ u, c[:n].copy())
+        h[:n], c[:n], caches[t] = cell_reference(xw[:n, t] + h[:n] @ u, c[:n].copy())
         states[:, t] = h
     return states, caches
 
@@ -81,7 +118,7 @@ def _scan_backward(dstates, caches, counts, u, reverse):
     for t in range(t_len) if reverse else range(t_len - 1, -1, -1):
         n = counts[t]
         dh = dh + dstates[:, t]
-        dz[:n, t], dc[:n] = _cell_backward(dh[:n], dc[:n], caches[t])
+        dz[:n, t], dc[:n] = cell_backward_reference(dh[:n], dc[:n], caches[t])
         dh[:n] = dz[:n, t] @ u.T
     return dz
 
@@ -181,7 +218,7 @@ def _padded_decoder_backward(model, tape, grads):
         n = tape.counts[t]
         dh = dcat[:n, t, :hdim]
         for l in range(n_dec - 1, -1, -1):
-            dz[l][:n, t], dc_carry[l][:n] = _cell_backward(
+            dz[l][:n, t], dc_carry[l][:n] = cell_backward_reference(
                 dh + dh_carry[l][:n], dc_carry[l][:n], s.cell_caches[l]
             )
             dh_carry[l][:n] = dz[l][:n, t] @ p[f"dec.{l}.U"].T
@@ -352,3 +389,59 @@ class TestPackedAgainstPadded:
         assert set(grads) == set(ref_grads)
         for name, g in grads.items():
             assert_close(g, ref_grads[name], name)
+
+
+# ---------------------------------------------------------------------------
+# the cells against their frozen copies
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@st.composite
+def cell_inputs(draw):
+    """Pre-activations from exact zeros to saturating magnitudes, and
+    incoming gradients from ordinary to subnormal-producing ones."""
+    rows = draw(st.integers(1, 40))
+    hdim = draw(st.one_of(st.just(33), st.integers(1, 70)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(-1.0, 1.0, (rows, 4 * hdim)) * draw(st.sampled_from([0.0, 1e-3, 1.0, 4.0, 20.0, 50.0]))
+    # exact zeros and saturated units next to the drawn ones
+    z[rng.random(z.shape) < 0.1] = 0.0
+    z[rng.random(z.shape) < 0.1] = 50.0 * rng.choice([-1.0, 1.0])
+    c_prev = rng.uniform(-3.0, 3.0, (rows, hdim))
+    grad_scale = draw(st.sampled_from([1.0, 1e-3, 1e-300, 1e-307]))
+    dh = rng.standard_normal((rows, hdim)) * grad_scale
+    dc_in = rng.standard_normal((rows, hdim)) * grad_scale
+    return z, c_prev, dh, dc_in
+
+
+class TestCellsAgainstFrozen:
+    """``_cell`` overwrites only its pre-activations and ``_cell_backward``
+    only the gradient buffer it fills; both give the frozen cells' bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_inputs())
+    @example((np.zeros((1, 4)), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))))
+    def test_cells_equal_frozen_copies(self, inputs):
+        z, c_prev, dh, dc_in = inputs
+        h_ref, c_ref, cache_ref = cell_reference(z, c_prev)
+        z_in, c_prev_in = z.copy(), c_prev.copy()
+        h, c, cache = _cell(z_in, c_prev_in)
+        assert bits(h) == bits(h_ref) and bits(c) == bits(c_ref)
+        assert len(cache) == len(cache_ref)
+        for k, (got, want) in enumerate(zip(cache, cache_ref)):
+            assert bits(got) == bits(want), f"cache entry {k}"
+        assert bits(c_prev_in) == bits(c_prev)
+        # the only array it writes is z, which holds the gate tanh
+        assert cache[1] is z_in
+
+        dgate_ref, dc_prev_ref = cell_backward_reference(dh, dc_in, cache_ref)
+        given_in = [dh, dc_in, *cache]
+        before = [a.copy() for a in given_in]
+        dgate = np.full(z.shape, np.nan)
+        dc_prev = _cell_backward(dh, dc_in, cache, dgate)
+        assert bits(dgate) == bits(dgate_ref) and bits(dc_prev) == bits(dc_prev_ref)
+        for k, (now, was) in enumerate(zip(given_in, before)):
+            assert bits(now) == bits(was), f"input {k} written"
