@@ -227,7 +227,7 @@ def _cmd_decode(args) -> int:
     if args.greedy:
         words = {bid: alphabet.decode(greedy_decode(mat)) for bid, mat in frames.items()}
     else:
-        words = decode_words(alphabet, frames, 8 if args.beam is None else args.beam)
+        words = decode_words(alphabet, frames, PipelineParams().beam_width if args.beam is None else args.beam)
     write_words(args.out, words)
     print(f"decoded {len(words)} boxes")
     return 0
@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="page PGM")
     p.add_argument("--boxes", required=True, help="boxes JSONL")
     p.add_argument("--out", required=True, type=Path, help="output directory for crops")
-    p.add_argument("--height", type=int, default=32, help="crop height (default 32)")
+    height = PipelineParams().rect_height
+    p.add_argument("--height", type=int, default=height, help=f"crop height (default {height})")
     _add_common(p, params=False)
     p.set_defaults(func=_cmd_rectify)
 
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("decode", help="decode frames into words")
     p.add_argument("--frames", required=True)
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--beam", type=int, default=None, help="beam width (default 8)")
+    p.add_argument("--beam", type=int, default=None, help=f"beam width (default {PipelineParams().beam_width})")
     p.add_argument("--greedy", action="store_true", help="best-path decode instead of beam (no --beam)")
     _add_common(p, params=False)
     p.set_defaults(func=_cmd_decode)

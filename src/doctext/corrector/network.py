@@ -10,20 +10,23 @@ layer feeds the state/context pair through a tanh bottleneck and a
 softmax over the vocabulary.
 
 Everything here is explicit numpy and batched.  Batches come in
-tail-padded with the <pad> token, and one check, ``_check_batch``,
-validates source and target batches.  Inside, a sequence batch is
-packed: its rows are sorted longest first and laid out time-major, so
-that step t owns the contiguous slots ``offs[t]:offs[t + 1]`` of an
-(R, D) array, one slot per real token, the rows still running at t in
-sorted order.  A step of a recurrence reads and writes its own slice,
-and carries each row's state in a (B, H) buffer whose leading rows are
-the ones that step advances.  Every product that does not feed a
-recurrence (input projections, attention keys, the output layer,
-weight and input gradients) is one matrix product over the R real
-slots, and the encoder's embedding lookup is one gather over them.
-Attention alone keeps the padded (B, Tx) layout: keys and summed states
-are scattered into zeros once per batch, and the padded positions are
-masked.
+tail-padded with the <pad> token, and one function, ``_pack``, checks a
+source or target batch and packs it into a ``_Packed`` record, which the
+encoder's bundle and the training tape each carry: its rows are sorted
+longest first and laid out time-major, so that step t owns the
+contiguous slots ``offs[t]:offs[t + 1]`` of an (R, D) array, one slot
+per real token, the rows still running at t in sorted order.  A step of
+a recurrence reads and writes its own slice, and carries each row's
+state in a (B, H) buffer whose leading rows are the ones that step
+advances.  Each recurrence records the hidden state every step read,
+packed as its outputs are (the decoder step in ``h_in``, the encoder
+scan as an (R, H) array), so the recurrent weights' gradients are one
+product each.  Every product that does not feed a recurrence (input
+projections, attention keys, the output layer, weight and input
+gradients) is one matrix product over the R real slots, and the
+encoder's embedding lookup is one gather over them.  Attention alone
+keeps the padded (B, Tx) layout: keys and summed states are scattered
+into zeros once per batch, and the padded positions are masked.
 
 One decoder-step kernel, ``_decoder_advance``, serves both
 teacher-forced training and inference.  Dropout applies between
@@ -126,15 +129,26 @@ def _cell_backward(dh, dc_in, cache, dgate):
     return dc
 
 
-def _check_batch(vocab: Vocab, ids, what: str):
-    """Check a tail-padded (B, T) token id batch (``what`` names it).
+@dataclass(frozen=True)
+class _Packed:
+    """A checked tail-padded (B, T) token batch, packed time-major: its
+    rows sorted longest first, slot ``offs[t] + r`` holds sorted row r at
+    position t."""
 
-    It must be 2-D and non-empty, every id must be in the vocabulary,
-    every row must hold a non-padding token and the padding must trail.
-    Returns the ids, the (B, T) float mask of real tokens, the stable
-    longest-first row order and, for the rows in that order, how many
-    reach each position.
-    """
+    ids: np.ndarray         # (B, T) token ids
+    mask: np.ndarray        # (B, T) 1.0 at real tokens, 0.0 at padding
+    order: np.ndarray       # (B,) batch row of each sorted row, longest first
+    counts: np.ndarray      # (T,) sorted rows reaching each position
+    offs: np.ndarray        # (T + 1,) first slot of each position
+    row: np.ndarray         # (R,) sorted row of each slot
+    col: np.ndarray         # (R,) position of each slot
+
+
+def _pack(vocab: Vocab, ids, what: str) -> _Packed:
+    """Check and pack a tail-padded (B, T) token id batch (``what`` names
+    it).  It must be 2-D and non-empty, every id must be in the
+    vocabulary, every row must hold a non-padding token and the padding
+    must trail."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.size == 0:
         raise InputError(f"{what} batch must be a non-empty 2-D token id array")
@@ -148,29 +162,10 @@ def _check_batch(vocab: Vocab, ids, what: str):
         raise InputError(f"{what} padding must trail every row")
     order = np.argsort(-lengths, kind="stable")
     counts = (lengths[order][:, None] > np.arange(ids.shape[1])).sum(axis=0)
-    return ids, mask, order, counts
-
-
-def _packing(counts):
-    """Time-major packing of rows sorted longest first, ``counts[t]`` of
-    which reach position t.  Slot ``offs[t] + r`` holds sorted row r at
-    position t; returns ``offs`` (T + 1,) and each slot's sorted row and
-    position."""
     offs = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offs[1:])
     col = np.repeat(np.arange(len(counts)), counts)
-    return offs, np.arange(offs[-1]) - offs[col], col
-
-
-def _prev_slots(offs, counts, row, col, reverse):
-    """For each packed slot, the slot whose state its step read: the
-    same row one position earlier (later, in reverse), or ``R`` for a
-    row's first step, which reads the zero state."""
-    n_slots = offs[-1]
-    if not reverse:
-        return np.where(col > 0, np.arange(n_slots) - counts[col - 1], n_slots)
-    has_next = row < np.append(counts, 0)[col + 1]
-    return np.where(has_next, offs[col + 1] + row, n_slots)
+    return _Packed(ids, mask, order, counts, offs, np.arange(offs[-1]) - offs[col], col)
 
 
 def _scatter(packed, row, col, shape):
@@ -196,31 +191,32 @@ def _dropout(a, rate, rng):
     return a * mask, mask
 
 
-def _scan(xw, offs, counts, u, reverse, mm):
-    """Run one LSTM direction over packed input projections.
+def _scan(xw, pk: _Packed, u, reverse, mm):
+    """Run one LSTM direction over the input projections ``xw`` (R, 4H),
+    ``x @ W + b`` at every slot of the packing ``pk``.
 
-    ``xw`` (R, 4H) holds ``x @ W + b`` for every slot.  Returns the
-    (R + 1, H) states, whose last row is the zero state for
-    :func:`_prev_slots`, the per-step cell caches and the (B, H) final
-    carried state: a row's state at its last token (its first, in
-    reverse), in sorted row order.
+    Returns the (R, H) states, the (R, H) hidden states each slot's step
+    read (zero at a row's first step, which is its last in reverse), the
+    per-step cell caches and the (B, H) final carried state: a row's
+    state at its last token (its first, in reverse), in sorted row order.
     """
     hdim = u.shape[0]
-    h = np.zeros((counts[0], hdim))
-    c = np.zeros((counts[0], hdim))
-    states = np.empty((len(xw) + 1, hdim))
-    states[-1] = 0.0
-    caches = [None] * len(counts)
-    for t in reversed(range(len(counts))) if reverse else range(len(counts)):
-        s, n = offs[t], counts[t]
+    h = np.zeros((pk.counts[0], hdim))
+    c = np.zeros((pk.counts[0], hdim))
+    states = np.empty((len(xw), hdim))
+    h_in = np.empty((len(xw), hdim))
+    caches = [None] * len(pk.counts)
+    for t in reversed(range(len(pk.counts))) if reverse else range(len(pk.counts)):
+        s, n = pk.offs[t], pk.counts[t]
+        h_in[s : s + n] = h[:n]
         z = mm(h[:n], u)
         z += xw[s : s + n]
         h[:n], c[:n], caches[t] = _cell(z, c[:n].copy())
         states[s : s + n] = h[:n]
-    return states, caches, h
+    return states, h_in, caches, h
 
 
-def _scan_grad(dstates, caches, offs, counts, u, reverse, dfinal):
+def _scan_grad(dstates, caches, pk: _Packed, u, reverse, dfinal):
     """Backward of :func:`_scan` down to the (R, 4H) pre-activation
     gradients, given the states' gradients and ``dfinal``, the (B, H)
     gradient of the final carried state, which seeds the carry.
@@ -231,8 +227,8 @@ def _scan_grad(dstates, caches, offs, counts, u, reverse, dfinal):
     dz = np.empty((len(dstates), u.shape[1]))
     dh = dfinal.copy()
     dc = np.zeros_like(dh)
-    for t in range(len(counts)) if reverse else reversed(range(len(counts))):
-        s, n = offs[t], counts[t]
+    for t in range(len(pk.counts)) if reverse else reversed(range(len(pk.counts))):
+        s, n = pk.offs[t], pk.counts[t]
         dh[:n] += dstates[s : s + n]
         dc[:n] = _cell_backward(dh[:n], dc[:n], caches[t], dz[s : s + n])
         np.matmul(dz[s : s + n], u.T, out=dh[:n])
@@ -243,16 +239,10 @@ def _scan_grad(dstates, caches, offs, counts, u, reverse, dfinal):
 class _EncBundle:
     """Everything the decoder and the backward pass need from the encoder."""
 
-    x_ids: np.ndarray       # (B, Tx)
-    mask_x: np.ndarray      # (B, Tx)
-    order: np.ndarray       # (B,) the encoder's row order: longest source first
-    counts: np.ndarray      # (Tx,) sorted rows reaching each position
-    offs: np.ndarray        # (Tx + 1,) first slot of each position
-    row: np.ndarray         # (R,) sorted row of each slot
-    col: np.ndarray         # (R,) position of each slot
+    src: _Packed            # the (B, Tx) source batch
     inputs: list            # per layer: (R, D) input (post-dropout)
     drop_masks: list        # per layer: dropout mask on its output, or None
-    scans: list             # per layer: {direction: (states, caches, final)}
+    scans: list             # per layer: {direction: _scan's four results}
     hcat: np.ndarray        # (R, 2H) top layer forward then backward states
     hsum: np.ndarray        # (B, Tx, H), zero at padded positions
     keys: np.ndarray        # (B, Tx, H) attention keys, zero at padded positions
@@ -277,11 +267,7 @@ class _Tape:
     and packed time-major."""
 
     enc: _EncBundle
-    order: np.ndarray       # (B,) batch row of each sorted row
-    counts: np.ndarray      # (Ty,) sorted rows still decoding at each step
-    offs: np.ndarray        # (Ty + 1,) first slot of each step
-    row: np.ndarray         # (R_y,) sorted row of each slot
-    col: np.ndarray         # (R_y,) step of each slot
+    tgt: _Packed            # the (B, Ty) target batch
     keys: np.ndarray        # (B, Tx, H) enc.keys, sorted rows
     hsum: np.ndarray        # (B, Tx, H) enc.hsum, sorted rows
     y_tok: np.ndarray       # (R_y,) target tokens
@@ -298,10 +284,9 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
     p = model.params
     hp = model.hyper
     hdim = hp.hidden_dim
-    x_ids, mask_x, order, counts = _check_batch(model.vocab, x_ids, "source")
-    offs, row, col = _packing(counts)
-    rows = order[row]
-    inp = p["embedding"][x_ids[rows, col]]
+    src = _pack(model.vocab, x_ids, "source")
+    rows = src.order[src.row]
+    inp = p["embedding"][src.ids[rows, src.col]]
     inputs, drop_masks, scans = [], [], []
     for l in range(hp.enc_layers):
         inputs.append(inp)
@@ -309,8 +294,8 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
         for name, reverse in _DIRECTIONS:
             xw = mm(inp, p[f"enc.{l}.{name}.W"])
             xw += p[f"enc.{l}.{name}.b"]
-            scan[name] = _scan(xw, offs, counts, p[f"enc.{l}.{name}.U"], reverse, mm)
-        out = np.concatenate([scan["fwd"][0][:-1], scan["bwd"][0][:-1]], axis=1)
+            scan[name] = _scan(xw, src, p[f"enc.{l}.{name}.U"], reverse, mm)
+        out = np.concatenate([scan["fwd"][0], scan["bwd"][0]], axis=1)
         dm = None
         if rng is not None and l < hp.enc_layers - 1:
             out, dm = _dropout(out, hp.dropout, rng)
@@ -318,22 +303,16 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
         scans.append(scan)
         inp = out
     # the bridge reads each direction's final carried state
-    bridge_in = np.empty((len(order), 2 * hdim))
-    bridge_in[order] = np.concatenate([scan["fwd"][2], scan["bwd"][2]], axis=1)
+    bridge_in = np.empty((len(src.order), 2 * hdim))
+    bridge_in[src.order] = np.concatenate([scan["fwd"][3], scan["bwd"][3]], axis=1)
     return _EncBundle(
-        x_ids=x_ids,
-        mask_x=mask_x,
-        order=order,
-        counts=counts,
-        offs=offs,
-        row=row,
-        col=col,
+        src=src,
         inputs=inputs,
         drop_masks=drop_masks,
         scans=scans,
         hcat=inp,
-        hsum=_scatter(inp[:, :hdim] + inp[:, hdim:], rows, col, x_ids.shape),
-        keys=_scatter(mm(inp, p["att.score"]), rows, col, x_ids.shape),
+        hsum=_scatter(inp[:, :hdim] + inp[:, hdim:], rows, src.col, src.ids.shape),
+        keys=_scatter(mm(inp, p["att.score"]), rows, src.col, src.ids.shape),
         bridge_in=bridge_in,
         s0=mm(bridge_in, p["bridge"]),
     )
@@ -431,19 +410,19 @@ def _forward_batch(model, x_ids, y_ids, rng=None):
     """
     vb = model.vocab
     enc = _encode_batch(model, x_ids, rng, np.matmul)
-    y_ids, _, order, counts = _check_batch(vb, y_ids, "target")
-    if y_ids.shape[0] != enc.x_ids.shape[0]:
+    tgt = _pack(vb, y_ids, "target")
+    if tgt.ids.shape[0] != enc.src.ids.shape[0]:
         raise InputError("target batch must be row-aligned with the source batch")
-    offs, row, col = _packing(counts)
-    y_sorted = y_ids[order]
+    order, offs, row, col = tgt.order, tgt.offs, tgt.row, tgt.col
+    y_sorted = tgt.ids[order]
     y_tok = y_sorted[row, col]
     # Teacher forcing: the decoder reads <go> then the target shifted right.
     y_in = np.where(col > 0, y_sorted[row, col - 1], vb.go_id)
-    keys, hsum, mask_x = enc.keys[order], enc.hsum[order], enc.mask_x[order]
+    keys, hsum, mask_x = enc.keys[order], enc.hsum[order], enc.src.mask[order]
     h = [enc.s0[order] for _ in range(model.hyper.dec_layers)]
     c = [np.zeros_like(s) for s in h]
     steps = []
-    for t, n in enumerate(counts):
+    for t, n in enumerate(tgt.counts):
         runs = [(n, keys[:n], hsum[:n], mask_x[:n])]
         h, c, step = _decoder_advance(
             model, runs, [a[:n] for a in h], [a[:n] for a in c], y_in[offs[t] : offs[t + 1]],
@@ -457,14 +436,10 @@ def _forward_batch(model, x_ids, y_ids, rng=None):
     logp_tok = logits[np.arange(len(y_tok)), y_tok] - np.log(norm)
     # summed over the padded (B, Ty) layout, so that the loss has the bits
     # of a sum over the padded batch, whatever the packing
-    loss_sum = -float(_scatter(logp_tok, row, col, y_ids.shape).sum())
+    loss_sum = -float(_scatter(logp_tok, row, col, tgt.ids.shape).sum())
     tape = _Tape(
         enc=enc,
-        order=order,
-        counts=counts,
-        offs=offs,
-        row=row,
-        col=col,
+        tgt=tgt,
         keys=keys,
         hsum=hsum,
         y_tok=y_tok,
@@ -491,7 +466,7 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
     edim = hp.emb_dim
     n_dec = hp.dec_layers
     steps = tape.steps
-    offs = tape.offs
+    tgt = tape.tgt
 
     # output layer over every slot at once
     dlogits = tape.probs.copy()
@@ -504,14 +479,14 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
 
     # the recurrence, one step's rows at a time; a row's carries stay
     # zero until the step loop, running backwards, reaches its last step
-    t_y = len(tape.counts)
+    t_y = len(tgt.counts)
     dz = [np.empty((len(tape.y_tok), 4 * hdim)) for _ in range(n_dec)]
     demb, dctx, de = [None] * t_y, [None] * t_y, [None] * t_y
-    dh_carry = [np.zeros((len(tape.order), hdim)) for _ in range(n_dec)]
-    dc_carry = [np.zeros((len(tape.order), hdim)) for _ in range(n_dec)]
+    dh_carry = [np.zeros((len(tgt.order), hdim)) for _ in range(n_dec)]
+    dc_carry = [np.zeros((len(tgt.order), hdim)) for _ in range(n_dec)]
     for t in range(t_y - 1, -1, -1):
         st = steps[t]
-        s, n = offs[t], tape.counts[t]
+        s, n = tgt.offs[t], tgt.counts[t]
         dh = dcat[s : s + n, :hdim]
         for l in range(n_dec - 1, -1, -1):
             dz_t, dh_l = dz[l][s : s + n], dh_carry[l][:n]
@@ -542,17 +517,17 @@ def _decoder_backward(model: CorrectorModel, tape: _Tape, grads) -> tuple:
     # batched product over the padded (B, Ty, Tx) attention weights; the
     # top layer's h_in, the last one concatenated, holds the queries
     def padded(parts):
-        return _scatter(np.concatenate(parts), tape.row, tape.col, (len(tape.order), t_y))
+        return _scatter(np.concatenate(parts), tgt.row, tgt.col, tgt.ids.shape)
 
     alpha = padded([st.alphas[0] for st in steps])
     dhsum = np.empty_like(enc.hsum)
-    dhsum[tape.order] = alpha.transpose(0, 2, 1) @ padded(dctx)
+    dhsum[tgt.order] = alpha.transpose(0, 2, 1) @ padded(dctx)
     dkeys = np.empty_like(enc.keys)
-    dkeys[tape.order] = padded(de).transpose(0, 2, 1) @ padded([h_in])
+    dkeys[tgt.order] = padded(de).transpose(0, 2, 1) @ padded([h_in])
     # Every decoder layer starts from s0, so its grad is the sum of the
     # leftover initial-state carries.  Initial cells are constants.
     ds0 = np.empty_like(enc.s0)
-    ds0[tape.order] = sum(dh_carry[1:], dh_carry[0])
+    ds0[tgt.order] = sum(dh_carry[1:], dh_carry[0])
     return dhsum, dkeys, ds0
 
 
@@ -571,33 +546,30 @@ def _backward_batch(model: CorrectorModel, tape: _Tape) -> dict[str, np.ndarray]
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
     dhsum, dkeys, ds0 = _decoder_backward(model, tape, grads)
 
+    src = enc.src
     grads["bridge"] += enc.bridge_in.T @ ds0
-    dbridge_in = (ds0 @ p["bridge"].T)[enc.order]
-    rows = enc.order[enc.row]
-    dkeys = dkeys[rows, enc.col]
+    dbridge_in = (ds0 @ p["bridge"].T)[src.order]
+    rows = src.order[src.row]
+    dkeys = dkeys[rows, src.col]
     grads["att.score"] += enc.hcat.T @ dkeys
     dhcat = dkeys @ p["att.score"].T
-    dhsum = dhsum[rows, enc.col]
+    dhsum = dhsum[rows, src.col]
     dhcat[:, :hdim] += dhsum
     dhcat[:, hdim:] += dhsum
 
     # the encoder, on its packed slots; the bridge reads the top layer's
     # final carried states, so its gradient seeds their carries
-    prev = {
-        name: _prev_slots(enc.offs, enc.counts, enc.row, enc.col, reverse)
-        for name, reverse in _DIRECTIONS
-    }
     top = hp.enc_layers - 1
     for l in range(top, -1, -1):
         dinp = None
         for k, (name, reverse) in enumerate(_DIRECTIONS):
             pre = f"enc.{l}.{name}"
-            states, caches, _ = enc.scans[l][name]
+            _, h_in, caches, _ = enc.scans[l][name]
             half = slice(k * hdim, (k + 1) * hdim)
-            dh = dbridge_in[:, half] if l == top else np.zeros((len(enc.order), hdim))
-            dz = _scan_grad(dhcat[:, half], caches, enc.offs, enc.counts, p[f"{pre}.U"], reverse, dh)
+            dh = dbridge_in[:, half] if l == top else np.zeros((len(src.order), hdim))
+            dz = _scan_grad(dhcat[:, half], caches, src, p[f"{pre}.U"], reverse, dh)
             grads[f"{pre}.W"] += enc.inputs[l].T @ dz
-            grads[f"{pre}.U"] += states[prev[name]].T @ dz
+            grads[f"{pre}.U"] += h_in.T @ dz
             grads[f"{pre}.b"] += dz.sum(axis=0)
             dx = dz @ p[f"{pre}.W"].T
             dinp = dx if dinp is None else dinp + dx
@@ -606,7 +578,7 @@ def _backward_batch(model: CorrectorModel, tape: _Tape) -> dict[str, np.ndarray]
                 dinp = dinp * enc.drop_masks[l - 1]
             dhcat = dinp
         else:
-            np.add.at(grads["embedding"], enc.x_ids[rows, enc.col], dinp)
+            np.add.at(grads["embedding"], src.ids[rows, src.col], dinp)
     return grads
 
 
@@ -631,7 +603,7 @@ class CorrectionResult:
 
 def _forward_pair(model: CorrectorModel, x_ids, y_ids):
     """:func:`_forward_batch` of one pair as a one-row batch, which
-    :func:`_check_batch` checks.  Both sequences must be 1-D without
+    :func:`_pack` checks.  Both sequences must be 1-D without
     padding, and the target must end with the <end> token."""
     x, y = np.asarray(x_ids, dtype=np.int64), np.asarray(y_ids, dtype=np.int64)
     for arr, what in ((x, "source sequence"), (y, "target sequence")):
@@ -690,7 +662,7 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
     enc = _encode_batch(model, _pad_batch(seqs, vb.pad_id))
     # each sequence's attention inputs, as unpadded (1, L, H) views that
     # all its hypotheses' rows share by broadcasting
-    keys, hsum, mask_x = enc.keys[:, None], enc.hsum[:, None], enc.mask_x[:, None]
+    keys, hsum, mask_x = enc.keys[:, None], enc.hsum[:, None], enc.src.mask[:, None]
     att = [(keys[q, :, :n], hsum[q, :, :n], mask_x[q, :, :n]) for q, n in enumerate(map(len, seqs))]
     caps = [4 * len(ids) for ids in seqs]
     live: list[list[tuple[float, tuple[int, ...]]]] = [[(0.0, ())] for _ in seqs]

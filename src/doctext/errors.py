@@ -33,10 +33,11 @@ class DivergenceError(DoctextError):
     """Training produced a non-finite loss."""
 
 
-def check_int(value, what: str, minimum: int) -> None:
+def check_int(value, what: str, minimum: int | None) -> None:
     """``InputError`` unless ``value`` is an integer, Python's or NumPy's
-    but not a bool, of at least ``minimum``; ``what`` names it."""
+    but not a bool, of at least ``minimum`` (when it is not None);
+    ``what`` names it."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InputError(f"{what} must be an integer, not {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise InputError(f"{what} must be >= {minimum}")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateQuadError, FormatError, InputError
+from .errors import DegenerateQuadError, FormatError, InputError, check_int
 
 __all__ = [
     "Point",
@@ -161,12 +161,12 @@ def compute_homography(src: Quad, width: int, height: int) -> Homography:
     Raises
     ------
     InputError
-        If width or height is < 1.
+        If width or height is not an integer >= 1.
     DegenerateQuadError
         If the correspondence system is singular.
     """
-    if int(width) != width or int(height) != height or width < 1 or height < 1:
-        raise InputError("destination size must be integers >= 1")
+    check_int(width, "destination width", 1)
+    check_int(height, "destination height", 1)
     u, v = float(width), float(height)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = ((p.x, p.y) for p in src.corners)
 
@@ -328,10 +328,14 @@ def read_pgm(path) -> GrayImage:
     """Load a binary (P5) PGM file as a GrayImage.
 
     Maxval up to 255 is accepted; intensities are scaled to [0, 1].  A
-    malformed header, a short raster or a byte above maxval raises
-    ``FormatError`` naming the file.
+    file that cannot be read raises ``InputError``, and a malformed
+    header, a short raster or a byte above maxval ``FormatError``; both
+    name the file.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     header = _PGM_HEADER.match(data)
     if header is None:
         raise FormatError(f"{path}: not a binary PGM (P5) file, or a malformed header")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .geometry import GrayImage, _paint_boxes
 
 __all__ = [
@@ -392,6 +392,8 @@ def arrange_document(boxes, params: LayoutParams | None = None) -> DocumentLayou
 
 def render_group_overlay(boxes, labels: dict[int, int], width: int, height: int) -> GrayImage:
     """Debug raster: each box filled with a gray level cycling by group."""
+    check_int(width, "overlay width", None)
+    check_int(height, "overlay height", None)
     if width < 1 or height < 1:
         raise InputError("overlay size must be positive")
     shades = [0.0, 0.25, 0.45, 0.6, 0.75, 0.85]

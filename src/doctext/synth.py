@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .ctc import Alphabet
-from .errors import InputError
+from .errors import InputError, check_int
 from .geometry import GrayImage, _paint_boxes
 from .layout import DocumentLayout, TextBox
 
@@ -67,11 +67,12 @@ CONFUSIONS = _load_confusions()
 
 
 def _check_range(name: str, rng_pair) -> tuple[int, int]:
-    if len(rng_pair) == 2:
-        lo, hi = rng_pair
-        if int(lo) == lo and int(hi) == hi and 1 <= lo <= hi:
-            return int(lo), int(hi)
-    raise InputError(f"{name} must be an integer range with 1 <= lo <= hi")
+    if len(rng_pair) != 2:
+        raise InputError(f"{name} must be an integer range with 1 <= lo <= hi")
+    lo, hi = rng_pair
+    check_int(lo, f"{name} lo", 1)
+    check_int(hi, f"{name} hi", lo)
+    return int(lo), int(hi)
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,8 @@ class SynthSpec:
     words: tuple[str, ...] = DEFAULT_WORDS
 
     def __post_init__(self):
-        if self.page_width < 1 or self.page_height < 1:
-            raise InputError("page size must be positive")
+        check_int(self.page_width, "page_width", 1)
+        check_int(self.page_height, "page_height", 1)
         for name in ("blocks", "lines_per_block", "words_per_line"):
             object.__setattr__(self, name, _check_range(name, getattr(self, name)))
         if not (np.isfinite(self.box_height) and self.box_height > 0):
@@ -300,8 +301,7 @@ def sample_phrase(spec: SynthSpec, rng=None) -> str:
 
 def gen_corpus(spec: SynthSpec, n_pairs: int, rng=None) -> list[tuple[str, str]]:
     """(noisy, clean) phrase pairs using the string-level noise knobs."""
-    if n_pairs < 1:
-        raise InputError("corpus size must be >= 1")
+    check_int(n_pairs, "corpus size", 1)
     rng = _rng(spec, rng)
     pairs = []
     for _ in range(n_pairs):

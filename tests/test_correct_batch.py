@@ -45,7 +45,7 @@ def reference_correct(model, phrase, beam_width):
     degraded = all(i == vb.unk_id for i in content)
     cap = 4 * len(ids)
     enc = _encode_batch(model, np.asarray([ids], dtype=np.int64))
-    att = [(1, enc.keys, enc.hsum, enc.mask_x)]
+    att = [(1, enc.keys, enc.hsum, enc.src.mask)]
     h0, c0 = _start_state(model, enc)
 
     live = [(0.0, (), h0, c0)]

@@ -47,8 +47,8 @@ def encode_one(model, ids):
 def padded_hcat(enc):
     """The top encoder layer's packed states of a bundle, as a (B, Tx, 2H)
     array in batch rows, zero at padded positions."""
-    out = np.zeros(enc.mask_x.shape + enc.hcat.shape[1:])
-    out[enc.order[enc.row], enc.col] = enc.hcat
+    out = np.zeros(enc.src.mask.shape + enc.hcat.shape[1:])
+    out[enc.src.order[enc.src.row], enc.src.col] = enc.hcat
     return out
 
 
@@ -147,8 +147,8 @@ class TestAttend:
         rng = np.random.default_rng(40)
         for _ in range(10):
             s = rng.normal(size=(1, SMALL.hidden_dim))
-            ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s)
-            assert alpha.shape == (1, enc.mask_x.shape[1])
+            ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.src.mask, s)
+            assert alpha.shape == (1, enc.src.mask.shape[1])
             assert np.all(alpha >= 0)
             assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
             assert ctx.shape == (1, SMALL.hidden_dim)
@@ -156,14 +156,14 @@ class TestAttend:
     def test_context_is_weighted_state_sum(self, model, vocab):
         enc = encode_one(model, vocab.preprocess("abcd"))
         s = np.full((1, SMALL.hidden_dim), 0.3)
-        ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s)
+        ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.src.mask, s)
         fwd, bwd = directions(enc)
         want = sum(a * (f + b) for a, f, b in zip(alpha[0], fwd[0], bwd[0]))
         assert np.allclose(ctx[0], want, atol=1e-12)
 
     def test_uniform_when_query_is_zero(self, model, vocab):
         enc = encode_one(model, vocab.preprocess("abc"))
-        _, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, np.zeros((1, SMALL.hidden_dim)))
+        _, alpha = _attend_cached(enc.keys, enc.hsum, enc.src.mask, np.zeros((1, SMALL.hidden_dim)))
         assert np.allclose(alpha, 1.0 / 3.0, atol=1e-12)
 
     def test_padded_positions_get_zero_weight(self, model, vocab):
@@ -174,12 +174,12 @@ class TestAttend:
         x[1, : len(short)] = short
         enc = _encode_batch(model, x)
         s = np.random.default_rng(41).normal(size=(2, SMALL.hidden_dim))
-        ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.mask_x, s)
+        ctx, alpha = _attend_cached(enc.keys, enc.hsum, enc.src.mask, s)
         assert np.all(alpha[1, len(short) :] == 0.0)
         assert alpha[1].sum() == pytest.approx(1.0, abs=1e-12)
         # the padded row attends exactly as its unpadded batch of one does
         alone = encode_one(model, short)
-        ctx1, alpha1 = _attend_cached(alone.keys, alone.hsum, alone.mask_x, s[1:])
+        ctx1, alpha1 = _attend_cached(alone.keys, alone.hsum, alone.src.mask, s[1:])
         assert np.allclose(alpha[1, : len(short)], alpha1[0], atol=1e-12)
         assert np.allclose(ctx[1], ctx1[0], atol=1e-12)
 
@@ -201,7 +201,7 @@ class TestDecoderLoop:
         enc = _encode_batch(model, np.asarray([ids, ids]))
         h, c = _start_state(model, enc)
         tok = np.array([vocab.go_id, ids[0]])
-        logprobs, h2, c2 = _infer_logprobs(model, [(2, enc.keys, enc.hsum, enc.mask_x)], h, c, tok)
+        logprobs, h2, c2 = _infer_logprobs(model, [(2, enc.keys, enc.hsum, enc.src.mask)], h, c, tok)
         assert logprobs.shape == (2, vocab.size)
         dist = np.exp(logprobs)
         assert np.all(dist > 0)
@@ -220,11 +220,11 @@ class TestDecoderLoop:
         tok = np.array([vocab.go_id, vocab.preprocess("a")[0]])
         enc = _encode_batch(m, x)
         h, c = _start_state(m, enc)
-        logp, h2, _ = _infer_logprobs(m, [(2, enc.keys, enc.hsum, enc.mask_x)], h, c, tok)
+        logp, h2, _ = _infer_logprobs(m, [(2, enc.keys, enc.hsum, enc.src.mask)], h, c, tok)
         for i, r in enumerate(rows):
             one = encode_one(m, r)
             hi, ci = _start_state(m, one)
-            li, hi2, _ = _infer_logprobs(m, [(1, one.keys, one.hsum, one.mask_x)], hi, ci, tok[i : i + 1])
+            li, hi2, _ = _infer_logprobs(m, [(1, one.keys, one.hsum, one.src.mask)], hi, ci, tok[i : i + 1])
             assert np.allclose(logp[i], li[0], atol=1e-12)
             assert np.allclose(h2[-1][i], hi2[-1][0], atol=1e-12)
 

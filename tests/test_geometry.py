@@ -139,6 +139,11 @@ class TestHomography:
         with pytest.raises(InputError):
             compute_homography(q, 5, -1)
 
+    @pytest.mark.parametrize("width, height", [(7.0, 3), (7, 3.0), (True, 3), (7, np.True_), (2.5, 3)])
+    def test_non_integer_sizes_rejected(self, width, height):
+        with pytest.raises(InputError, match="must be an integer"):
+            compute_homography(Quad.from_rect(0, 0, 7, 3), width, height)
+
     def test_bad_matrix_rejected(self):
         with pytest.raises(InputError):
             Homography(np.zeros((3, 3)))
@@ -537,6 +542,13 @@ class TestPgm:
         write_pgm(img, p)
         want = np.rint(img.pixels * 255.0).astype(np.uint8)
         assert p.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + want.tobytes()
+
+    @pytest.mark.parametrize("name", ["missing.pgm", "."])
+    def test_unreadable_file_is_input_error(self, tmp_path, name):
+        p = tmp_path / name
+        with pytest.raises(InputError, match=rf"^cannot read {re.escape(str(p))}: ") as info:
+            read_pgm(p)
+        assert type(info.value) is InputError
 
     def test_oversized_maxval_rejected(self, tmp_path):
         p = tmp_path / "m16.pgm"

@@ -550,3 +550,9 @@ class TestOverlay:
         img = render_group_overlay(boxes, group(boxes), width=120, height=40)
         assert img.width == 120 and img.height == 40
         assert img.pixels.min() < 1.0  # something was painted
+
+    @pytest.mark.parametrize("width, height", [(2.5, 3), (120, 40.0), (True, 40), (120, np.True_), ("120", 40)])
+    def test_non_integer_size_rejected(self, width, height):
+        boxes = make_line([0, 1], y=2.0)
+        with pytest.raises(InputError, match="must be an integer"):
+            render_group_overlay(boxes, group(boxes), width, height)

@@ -37,13 +37,15 @@ from doctext.corrector.network import (
     _backward_batch,
     _cell,
     _cell_backward,
-    _check_batch,
     _decoder_advance,
     _dropout,
     _encode_batch,
     _forward_batch,
     _gate_scale,
+    _mm,
+    _pack,
     _pad_batch,
+    _scan,
 )
 from doctext.corrector.vocab import Vocab
 
@@ -126,7 +128,8 @@ def _scan_backward(dstates, caches, counts, u, reverse):
 def padded_encode(model, x_ids, rng=None):
     p = model.params
     hp = model.hyper
-    x_ids, mask_x, order, counts = _check_batch(model.vocab, x_ids, "source")
+    src = _pack(model.vocab, x_ids, "source")
+    x_ids, mask_x, order, counts = src.ids, src.mask, src.order, src.counts
     inp = p["embedding"][x_ids[order]]
     inputs, drop_masks, scans = [], [], []
     for l in range(hp.enc_layers):
@@ -158,7 +161,8 @@ def padded_forward(model, x_ids, y_ids, rng=None):
     vb = model.vocab
     p = model.params
     enc = padded_encode(model, x_ids, rng)
-    y_ids, mask_y, order, counts = _check_batch(vb, y_ids, "target")
+    tgt = _pack(vb, y_ids, "target")
+    y_ids, mask_y, order, counts = tgt.ids, tgt.mask, tgt.order, tgt.counts
     bsz, t_y = y_ids.shape
     y_ids, mask_y = y_ids[order], mask_y[order]
     keys, hsum, mask_x = enc.keys[order], enc.hsum[order], enc.mask_x[order]
@@ -321,8 +325,8 @@ def replayed_masks(tape):
     draws = []
     for dm in enc.drop_masks:
         if dm is not None:
-            u = np.ones(enc.mask_x.shape + dm.shape[1:])
-            u[enc.row, enc.col] = dm > 0
+            u = np.ones(enc.src.mask.shape + dm.shape[1:])
+            u[enc.src.row, enc.src.col] = dm > 0
             draws.append(u)
     for step in tape.steps:
         draws.extend((dm > 0).astype(np.float64) for dm in step.drop_masks if dm is not None)
@@ -373,7 +377,7 @@ class TestPackedAgainstPadded:
         ref_grads = padded_backward(model, ref_tape)
 
         enc, ref = _encode_batch(model, x, mm=np.matmul), padded_encode(model, x)
-        real = enc.mask_x > 0
+        real = enc.src.mask > 0
         assert np.all(enc.keys[~real] == 0.0) and np.all(enc.hsum[~real] == 0.0)
         pairs = [
             (value, ref_value, "loss"),
@@ -445,3 +449,40 @@ class TestCellsAgainstFrozen:
         assert bits(dgate) == bits(dgate_ref) and bits(dc_prev) == bits(dc_prev_ref)
         for k, (now, was) in enumerate(zip(given_in, before)):
             assert bits(now) == bits(was), f"input {k} written"
+
+
+# ---------------------------------------------------------------------------
+# the scan's incoming states
+
+
+class TestScanIncomingStates:
+    """``_scan`` records the hidden state each slot's step read, which the
+    encoder's recurrent-weight gradient multiplies: the same row's state
+    one position earlier (later, in reverse), or zeros at a row's first
+    step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+        hdim=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        reverse=st.booleans(),
+        mm=st.sampled_from([np.matmul, _mm]),
+    )
+    def test_each_slot_reads_its_rows_previous_state(self, lengths, hdim, seed, reverse, mm):
+        rng = np.random.default_rng(seed)
+        pk = _pack(NINE_TOKENS, _pad_batch([[NINE_TOKENS.sep_id] * n for n in lengths], NINE_TOKENS.pad_id), "x")
+        xw = rng.standard_normal((pk.offs[-1], 4 * hdim))
+        u = rng.standard_normal((hdim, 4 * hdim))
+        states, h_in, _, final = _scan(xw, pk, u, reverse, mm)
+        assert h_in.shape == states.shape == (sum(lengths), hdim)
+        row_len = np.asarray(lengths)[pk.order]
+        for slot, (r, t) in enumerate(zip(pk.row, pk.col)):
+            prev = t + 1 if reverse else t - 1
+            if 0 <= prev < row_len[r]:
+                assert bits(h_in[slot]) == bits(states[pk.offs[prev] + r]), (slot, r, t)
+            else:
+                assert np.all(h_in[slot] == 0.0), (slot, r, t)
+            # the final carried state is the row's state at its last step
+            if t == (0 if reverse else row_len[r] - 1):
+                assert bits(final[r]) == bits(states[slot])

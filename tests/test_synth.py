@@ -45,6 +45,25 @@ class TestSpecValidation:
             with pytest.raises(InputError):
                 SynthSpec(words_per_line=pair)
 
+    @pytest.mark.parametrize("pair", [(True, 2), (1, True), (1.0, 2), (1, 2.5), (np.True_, 2)])
+    def test_non_integer_range_ends(self, pair):
+        with pytest.raises(InputError, match="must be an integer"):
+            SynthSpec(blocks=pair)
+
+    def test_numpy_integer_range_ends(self):
+        assert SynthSpec(blocks=(np.int64(1), np.int32(2))).blocks == (1, 2)
+
+    @pytest.mark.parametrize("field", ["page_width", "page_height"])
+    @pytest.mark.parametrize("value", [1000.5, 1000.0, True, "1000"])
+    def test_non_integer_page_size(self, field, value):
+        with pytest.raises(InputError, match="must be an integer"):
+            SynthSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["page_width", "page_height"])
+    def test_page_size_positive(self, field):
+        with pytest.raises(InputError, match=f"{field} must be >= 1"):
+            SynthSpec(**{field: 0})
+
     def test_bad_words(self):
         with pytest.raises(InputError):
             SynthSpec(words=())
@@ -257,3 +276,8 @@ class TestCorpus:
     def test_invalid_size_rejected(self):
         with pytest.raises(InputError):
             gen_corpus(SynthSpec(), 0)
+
+    @pytest.mark.parametrize("n_pairs", [2.0, 2.5, True])
+    def test_non_integer_size_rejected(self, n_pairs):
+        with pytest.raises(InputError, match="must be an integer"):
+            gen_corpus(SynthSpec(), n_pairs)
