@@ -372,7 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("correct", help="correct one phrase")
     p.add_argument("--model", required=True, help="checkpoint JSON")
     p.add_argument("--text", required=True, help="phrase to correct")
-    p.add_argument("--beam", type=int, default=1, help="beam width (default 1)")
+    p.add_argument(
+        "--beam", type=int, default=PipelineParams().correct_beam,
+        help=f"beam width (default {PipelineParams().correct_beam})",
+    )
     _add_common(p, params=False)
     p.set_defaults(func=_cmd_correct)
 

@@ -18,15 +18,16 @@ contiguous slots ``offs[t]:offs[t + 1]`` of an (R, D) array, one slot
 per real token, the rows still running at t in sorted order.  A step of
 a recurrence reads and writes its own slice, and carries each row's
 state in a (B, H) buffer whose leading rows are the ones that step
-advances.  Each recurrence records the hidden state every step read,
-packed as its outputs are (the decoder step in ``h_in``, the encoder
-scan as an (R, H) array), so the recurrent weights' gradients are one
-product each.  Every product that does not feed a recurrence (input
-projections, attention keys, the output layer, weight and input
-gradients) is one matrix product over the R real slots, and the
-encoder's embedding lookup is one gather over them.  Attention alone
-keeps the padded (B, Tx) layout: keys and summed states are scattered
-into zeros once per batch, and the padded positions are masked.
+advances.  In training, each recurrence records the hidden state every
+step read, packed as its outputs are (the decoder step in ``h_in``,
+each encoder direction's ``_scan`` as an (R, H) array), so the
+recurrent weights' gradients are one product each.  Every product that
+does not feed a recurrence (input projections, attention keys, the
+output layer, weight and input gradients) is one matrix product over
+the R real slots, and the encoder's embedding lookup is one gather over
+them.  Attention alone keeps the padded (B, Tx) layout: keys and summed
+states are scattered into zeros once per batch, and the padded
+positions are masked.
 
 One decoder-step kernel, ``_decoder_advance``, serves both
 teacher-forced training and inference.  Dropout applies between
@@ -43,7 +44,11 @@ forward product with a row per sequence or hypothesis runs through
 ``_mm``, whose BLAS calls all have ``_ROWS`` rows, and a phrase's
 hypotheses attend a view of its own unpadded keys, one product per row.
 Training sums a step over its rows, so it passes plain ``np.matmul`` as
-the ``mm`` of the shared kernels and keeps its arithmetic.
+the ``mm`` of the shared kernels and keeps its arithmetic.  The encoder
+is where the two part: training scans each direction apart and keeps
+what the backward pass reads, while inference pairs the directions in
+one loop, ``_paired_scan``, which steps the forward direction at t and
+the backward one at T - 1 - t with one cell call and keeps only states.
 
 All (probs, labels) style losses are sums over tokens, so gradients of
 a batch are the sums of the per-pair gradients.
@@ -191,9 +196,9 @@ def _dropout(a, rate, rng):
     return a * mask, mask
 
 
-def _scan(xw, pk: _Packed, u, reverse, mm):
+def _scan(xw, pk: _Packed, u, reverse):
     """Run one LSTM direction over the input projections ``xw`` (R, 4H),
-    ``x @ W + b`` at every slot of the packing ``pk``.
+    ``x @ W + b`` at every slot of the packing ``pk``, as training does.
 
     Returns the (R, H) states, the (R, H) hidden states each slot's step
     read (zero at a row's first step, which is its last in reverse), the
@@ -209,11 +214,55 @@ def _scan(xw, pk: _Packed, u, reverse, mm):
     for t in reversed(range(len(pk.counts))) if reverse else range(len(pk.counts)):
         s, n = pk.offs[t], pk.counts[t]
         h_in[s : s + n] = h[:n]
-        z = mm(h[:n], u)
+        z = np.matmul(h[:n], u)
         z += xw[s : s + n]
         h[:n], c[:n], caches[t] = _cell(z, c[:n].copy())
         states[s : s + n] = h[:n]
     return states, h_in, caches, h
+
+
+def _paired_scan(xw, pk: _Packed, u):
+    """Run both directions of an inference encoder layer in one loop, over
+    their input projections ``xw`` (R, 4H), packed by ``pk``, and their
+    recurrent weights ``u``, each a (forward, backward) pair, with the
+    4-row products of ``_mm``.
+
+    Step t advances the forward direction at position t and the backward
+    direction at position T - 1 - t, on the rows ``[forward | backward]``
+    of one carry: each direction's running rows rounded up to blocks of
+    ``_ROWS``.  Only running rows take an input.  A finished forward row
+    keeps stepping, but its state is never read.  A backward row that
+    has not started has a zero state, so its cell state stays exactly
+    +0 (``f * +0 + i * tanh(±0)``), and so does its hidden state.
+    Returns the (R, 2H) forward and backward states, packed as ``xw``,
+    and the (B, 2H) final states in sorted row order: a row's forward
+    state at its last token and its backward state at its first.
+    """
+    counts, offs = pk.counts.tolist(), pk.offs.tolist()
+    hdim = u[0].shape[0]
+    nf = [-(-n // _ROWS) * _ROWS for n in counts]  # forward rows of each step
+    nb = nf[::-1]                                  # backward rows of each step
+    states = np.empty((offs[-1], 2 * hdim))
+    z = np.empty((2 * nf[0], 4 * hdim))
+    h = c = np.zeros((nf[0] + nb[0], hdim))
+    for t, (f, b) in enumerate(zip(nf, nb)):
+        if t and (f, b) != (nf[t - 1], nb[t - 1]):
+            # forward blocks only drop out and backward ones only join, at zero
+            pad = np.zeros((b - nb[t - 1], hdim))
+            h, c = (np.concatenate([a[:f], a[nf[t - 1] :], pad]) for a in (h, c))
+        r = len(counts) - 1 - t  # the backward direction's position
+        fwd, bwd = slice(offs[t], offs[t + 1]), slice(offs[r], offs[r + 1])
+        zt = z[: f + b]
+        np.matmul(h[:f].reshape(-1, _ROWS, hdim), u[0], out=zt[:f].reshape(-1, _ROWS, 4 * hdim))
+        np.matmul(h[f:].reshape(-1, _ROWS, hdim), u[1], out=zt[f:].reshape(-1, _ROWS, 4 * hdim))
+        zt[: counts[t]] += xw[0][fwd]
+        zt[f : f + counts[r]] += xw[1][bwd]
+        h, c, _ = _cell(zt, c)
+        states[fwd, :hdim] = h[: counts[t]]
+        states[bwd, hdim:] = h[f : f + counts[r]]
+    lengths = (pk.counts[:, None] > np.arange(counts[0])).sum(axis=0)
+    last = pk.offs[lengths - 1] + np.arange(counts[0])
+    return states, np.concatenate([states[last, :hdim], states[: counts[0], hdim:]], axis=1)
 
 
 def _scan_grad(dstates, caches, pk: _Packed, u, reverse, dfinal):
@@ -240,9 +289,9 @@ class _EncBundle:
     """Everything the decoder and the backward pass need from the encoder."""
 
     src: _Packed            # the (B, Tx) source batch
-    inputs: list            # per layer: (R, D) input (post-dropout)
+    inputs: list            # per layer: (R, D) input (post-dropout); training only
     drop_masks: list        # per layer: dropout mask on its output, or None
-    scans: list             # per layer: {direction: _scan's four results}
+    scans: list             # per layer: {direction: _scan's four results}; training only
     hcat: np.ndarray        # (R, 2H) top layer forward then backward states
     hsum: np.ndarray        # (B, Tx, H), zero at padded positions
     keys: np.ndarray        # (B, Tx, H) attention keys, zero at padded positions
@@ -280,7 +329,12 @@ class _Tape:
 
 def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
     """Encode a tail-padded source batch with the products ``mm``; with a
-    generator ``rng``, dropout applies between the layers."""
+    generator ``rng``, dropout applies between the layers.
+
+    Inference (``mm`` is ``_mm``) steps both directions of a layer in one
+    :func:`_paired_scan` and keeps nothing for the backward pass; training
+    scans them apart and keeps what :func:`_backward_batch` reads.
+    """
     p = model.params
     hp = model.hyper
     hdim = hp.hidden_dim
@@ -289,22 +343,27 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
     inp = p["embedding"][src.ids[rows, src.col]]
     inputs, drop_masks, scans = [], [], []
     for l in range(hp.enc_layers):
-        inputs.append(inp)
-        scan = {}
-        for name, reverse in _DIRECTIONS:
-            xw = mm(inp, p[f"enc.{l}.{name}.W"])
-            xw += p[f"enc.{l}.{name}.b"]
-            scan[name] = _scan(xw, src, p[f"enc.{l}.{name}.U"], reverse, mm)
-        out = np.concatenate([scan["fwd"][0], scan["bwd"][0]], axis=1)
+        pre = [f"enc.{l}.{name}" for name, _ in _DIRECTIONS]
+        xw = [mm(inp, p[f"{d}.W"]) for d in pre]
+        for a, d in zip(xw, pre):
+            a += p[f"{d}.b"]
+        u = [p[f"{d}.U"] for d in pre]
+        if mm is _mm:
+            out, final = _paired_scan(xw, src, u)
+        else:
+            scan = {name: _scan(a, src, w, reverse) for (name, reverse), a, w in zip(_DIRECTIONS, xw, u)}
+            out = np.concatenate([scan["fwd"][0], scan["bwd"][0]], axis=1)
+            final = np.concatenate([scan["fwd"][3], scan["bwd"][3]], axis=1)
+            inputs.append(inp)
+            scans.append(scan)
         dm = None
         if rng is not None and l < hp.enc_layers - 1:
             out, dm = _dropout(out, hp.dropout, rng)
         drop_masks.append(dm)
-        scans.append(scan)
         inp = out
-    # the bridge reads each direction's final carried state
+    # the bridge reads each direction's final state
     bridge_in = np.empty((len(src.order), 2 * hdim))
-    bridge_in[src.order] = np.concatenate([scan["fwd"][3], scan["bwd"][3]], axis=1)
+    bridge_in[src.order] = final
     return _EncBundle(
         src=src,
         inputs=inputs,
@@ -667,6 +726,7 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
     caps = [4 * len(ids) for ids in seqs]
     live: list[list[tuple[float, tuple[int, ...]]]] = [[(0.0, ())] for _ in seqs]
     closed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in seqs]
+    best = [-np.inf for _ in seqs]  # each sequence's best closed score
     # banned as first-class outputs are <go> and <pad>, which carry no text
     go, end, banned = vb.go_id, vb.end_id, (vb.go_id, vb.pad_id)
     width = beam_width + len(banned) + 1
@@ -691,7 +751,9 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
                     if cand in banned:
                         continue
                     if cand == end:
-                        closed[q].append((score + logp[row][cand], toks))
+                        done = score + logp[row][cand]
+                        closed[q].append((done, toks))
+                        best[q] = max(best[q], done)
                     else:
                         expanded.append((score + logp[row][cand], toks + (cand,), row))
                 row += 1
@@ -700,7 +762,7 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
             expanded.sort(key=lambda e: (-e[0], e[1]))
             kept = expanded[:beam_width]
             live[q] = [(score, toks) for score, toks, _ in kept]
-            if closed[q] and live[q][0][0] <= max(cs for cs, _ in closed[q]):
+            if closed[q] and live[q][0][0] <= best[q]:
                 continue
             if t < caps[q]:
                 next_active.append(q)

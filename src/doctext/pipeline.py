@@ -168,7 +168,9 @@ def rectify_boxes(image: GrayImage, records: list[BoxRecord], height: int) -> di
     return crops
 
 
-def decode_words(alphabet: Alphabet, frames_by_id: dict, beam_width: int = 8) -> dict[int, str]:
+def decode_words(
+    alphabet: Alphabet, frames_by_id: dict, beam_width: int = PipelineParams.beam_width
+) -> dict[int, str]:
     """Beam-decode every box's frames into a word, all boxes in one batch.
 
     Every frame matrix must hold one distribution per row over the

@@ -14,6 +14,7 @@ distribution the decoder actually produces.
 
 import json
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 
@@ -67,7 +68,7 @@ CONFUSIONS = _load_confusions()
 
 
 def _check_range(name: str, rng_pair) -> tuple[int, int]:
-    if len(rng_pair) != 2:
+    if not isinstance(rng_pair, Sequence) or len(rng_pair) != 2:
         raise InputError(f"{name} must be an integer range with 1 <= lo <= hi")
     lo, hi = rng_pair
     check_int(lo, f"{name} lo", 1)
@@ -101,6 +102,7 @@ class SynthSpec:
     words: tuple[str, ...] = DEFAULT_WORDS
 
     def __post_init__(self):
+        check_int(self.seed, "seed", 0)
         check_int(self.page_width, "page_width", 1)
         check_int(self.page_height, "page_height", 1)
         for name in ("blocks", "lines_per_block", "words_per_line"):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import doctext.formats
-from doctext.cli import load_params, main
+from doctext.cli import build_parser, load_params, main
 from doctext.corrector import Hyper, TrainConfig
 from doctext.errors import FormatError, InputError
 from doctext.formats import (
@@ -244,6 +244,10 @@ class TestTrainAndCorrect:
         )
         assert code == 0
         assert model3.read_bytes() == model.read_bytes()
+
+    def test_correct_beam_defaults_to_the_pipelines(self):
+        args = build_parser().parse_args(["correct", "--model", "m.json", "--text", "mother"])
+        assert args.beam == PipelineParams().correct_beam
 
     def test_correct_prints_text(self, trained, capsys):
         model, _ = trained

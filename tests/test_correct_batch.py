@@ -24,9 +24,13 @@ from doctext.corrector.network import (
     CorrectionResult,
     _attend_cached,
     _beam_search,
+    _cell,
     _encode_batch,
     _infer_logprobs,
     _mm,
+    _pack,
+    _pad_batch,
+    _paired_scan,
     _start_state,
 )
 from doctext.corrector.vocab import Vocab
@@ -217,6 +221,74 @@ class TestInputs:
             correct_batch(model, ["ab"], beam_width)
         with pytest.raises(InputError, match="beam width"):
             correct(model, "ab", beam_width)
+
+
+def reference_scan(xw, pk, u, reverse):
+    """One encoder direction as inference scanned it before the two
+    directions were paired: its own loop, each step's recurrent product
+    through ``_mm``.  Returns the (R, H) packed states and the (B, H)
+    final carried state in sorted row order."""
+    hdim = u.shape[0]
+    h = np.zeros((pk.counts[0], hdim))
+    c = np.zeros((pk.counts[0], hdim))
+    states = np.empty((len(xw), hdim))
+    for t in reversed(range(len(pk.counts))) if reverse else range(len(pk.counts)):
+        s, n = pk.offs[t], pk.counts[t]
+        z = _mm(h[:n], u)
+        z += xw[s : s + n]
+        h[:n], c[:n], _ = _cell(z, c[:n].copy())
+        states[s : s + n] = h[:n]
+    return states, h
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, the sign of a zero included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_paired_scan(lengths, hdim, seed):
+    """The paired scan over a random ragged batch with rows of ``lengths``
+    has the bits of each direction scanned alone: its packed states and
+    its final states."""
+    rng = np.random.default_rng(seed)
+    pk = _pack(VOCAB, _pad_batch([[VOCAB.sep_id] * n for n in lengths], VOCAB.pad_id), "source")
+    xw = [rng.standard_normal((pk.offs[-1], 4 * hdim)) for _ in range(2)]
+    u = [rng.standard_normal((hdim, 4 * hdim)) / np.sqrt(hdim) for _ in range(2)]
+    states, final = _paired_scan(xw, pk, u)
+    for k, reverse in enumerate((False, True)):
+        ref_states, ref_final = reference_scan(xw[k], pk, u[k], reverse)
+        half = slice(k * hdim, (k + 1) * hdim)
+        assert same_bits(states[:, half], ref_states), ("states", reverse)
+        assert same_bits(final[:, half], ref_final), ("final", reverse)
+
+
+class TestPairedScan:
+    # Rows of 1-13 make each step's running rows cross blocks of four in
+    # both directions: forward rows finish inside a block and keep
+    # stepping, and backward rows wait inside one until they start.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=13),
+        hdim=st.sampled_from([16, 33, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[5, 1, 3, 3, 2], hdim=33, seed=0)
+    def test_equals_each_direction_scanned_alone(self, lengths, hdim, seed):
+        check_paired_scan(lengths, hdim, seed)
+
+    def test_hidden_33_document_of_60_phrases(self):
+        rng = np.random.default_rng(1)
+        check_paired_scan(rng.integers(2, 41, size=60).tolist(), 33, seed=2)
+
+    def test_encoder_equals_training_scans(self):
+        # Inference's encoder and training's, which scans each direction
+        # apart with plain products, agree up to rounding.
+        model = random_model(VOCAB, Hyper(emb_dim=8, hidden_dim=16), 3, 1.0, 0.0)
+        x = _pad_batch([VOCAB.preprocess(p) for p in ["ab cd", "a", "dcba", "bad"]], VOCAB.pad_id)
+        paired, apart = _encode_batch(model, x), _encode_batch(model, x, mm=np.matmul)
+        for name in ("hcat", "bridge_in", "keys", "hsum", "s0"):
+            assert np.allclose(getattr(paired, name), getattr(apart, name), rtol=0, atol=1e-12), name
+        assert paired.scans == [] and paired.inputs == []
 
 
 def check_rows(k, n, counts, seed):

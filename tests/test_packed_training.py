@@ -42,7 +42,6 @@ from doctext.corrector.network import (
     _encode_batch,
     _forward_batch,
     _gate_scale,
-    _mm,
     _pack,
     _pad_batch,
     _scan,
@@ -467,14 +466,13 @@ class TestScanIncomingStates:
         hdim=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
         reverse=st.booleans(),
-        mm=st.sampled_from([np.matmul, _mm]),
     )
-    def test_each_slot_reads_its_rows_previous_state(self, lengths, hdim, seed, reverse, mm):
+    def test_each_slot_reads_its_rows_previous_state(self, lengths, hdim, seed, reverse):
         rng = np.random.default_rng(seed)
         pk = _pack(NINE_TOKENS, _pad_batch([[NINE_TOKENS.sep_id] * n for n in lengths], NINE_TOKENS.pad_id), "x")
         xw = rng.standard_normal((pk.offs[-1], 4 * hdim))
         u = rng.standard_normal((hdim, 4 * hdim))
-        states, h_in, _, final = _scan(xw, pk, u, reverse, mm)
+        states, h_in, _, final = _scan(xw, pk, u, reverse)
         assert h_in.shape == states.shape == (sum(lengths), hdim)
         row_len = np.asarray(lengths)[pk.order]
         for slot, (r, t) in enumerate(zip(pk.row, pk.col)):

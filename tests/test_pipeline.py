@@ -1,6 +1,7 @@
 """Tests for the end-to-end document pipeline and its reports."""
 
 import dataclasses
+import inspect
 import json
 import re
 import tempfile
@@ -114,6 +115,10 @@ class TestEvaluate:
 
 
 class TestDecodeWords:
+    def test_default_beam_is_the_pipelines(self):
+        default = inspect.signature(decode_words).parameters["beam_width"].default
+        assert default == PipelineParams().beam_width
+
     def test_decodes_synth_document(self):
         spec = SynthSpec(seed=40, temperature=0.0)
         doc = gen_document(spec)

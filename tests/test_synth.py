@@ -53,6 +53,23 @@ class TestSpecValidation:
     def test_numpy_integer_range_ends(self):
         assert SynthSpec(blocks=(np.int64(1), np.int32(2))).blocks == (1, 2)
 
+    @pytest.mark.parametrize("value", [3, None, 2.5], ids=repr)
+    def test_range_must_be_a_sequence(self, value):
+        with pytest.raises(InputError, match="blocks must be an integer range"):
+            SynthSpec(blocks=value)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None], ids=repr)
+    def test_non_integer_seed(self, seed):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            SynthSpec(seed=seed)
+
+    def test_negative_seed(self):
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            SynthSpec(seed=-1)
+
+    def test_numpy_integer_seed(self):
+        assert gen_document(SynthSpec(seed=np.int64(5))).boxes == gen_document(SynthSpec(seed=5)).boxes
+
     @pytest.mark.parametrize("field", ["page_width", "page_height"])
     @pytest.mark.parametrize("value", [1000.5, 1000.0, True, "1000"])
     def test_non_integer_page_size(self, field, value):
