@@ -32,7 +32,7 @@ from .corrector.network import correct as correct_phrase
 from .corrector.training import TrainConfig, train
 from .corrector.vocab import Vocab
 from .ctc import greedy_decode
-from .errors import DivergenceError, DoctextError, FormatError, InputError
+from .errors import DivergenceError, DoctextError, FormatError, InputError, check_int
 from .formats import (
     BoxRecord,
     _read_text,
@@ -182,6 +182,7 @@ def _write_crops(crops: dict, out: Path) -> None:
 
 
 def _cmd_rectify(args) -> int:
+    check_int(args.height, "rectify: --height", 1)
     image = read_pgm(args.image)
     crops = rectify_boxes(image, read_boxes(args.boxes), args.height)
     _write_crops(crops, args.out)

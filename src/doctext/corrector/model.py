@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FormatError, InputError, VersionError
+from ..errors import FormatError, InputError, VersionError, check_float
 from ..formats import from_json_value, read_json_file, to_json_value, write_json_file
 from .vocab import Vocab
 
@@ -44,8 +44,8 @@ CHECKPOINT_VERSION = 1
 @dataclass(frozen=True)
 class Hyper:
     """Network sizes.  Defaults are the small configuration used by the
-    bundled tooling; dropout applies between stacked layers and only
-    while training."""
+    bundled tooling; dropout, kept as a float for the checkpoint, applies
+    between stacked layers and only while training."""
 
     emb_dim: int = 32
     hidden_dim: int = 64
@@ -58,6 +58,7 @@ class Hyper:
             v = getattr(self, name)
             if type(v) is not int or v < 1:  # a bool or a NumPy integer is not JSON's
                 raise InputError(f"{name} must be a positive integer")
+        object.__setattr__(self, "dropout", check_float(self.dropout, "dropout"))
         if not 0.0 <= self.dropout < 1.0:
             raise InputError("dropout must lie in [0, 1)")
 

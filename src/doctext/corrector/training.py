@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DivergenceError, InputError, check_int
+from ..errors import DivergenceError, InputError, check_float, check_int
 from .model import CorrectorModel
 from .network import _backward_batch, _forward_batch, _pad_batch
 from .vocab import Vocab
@@ -38,10 +38,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.lr0) and self.lr0 > 0.0):
-            raise InputError("lr0 must be positive")
-        if not (np.isfinite(self.clip_norm) and self.clip_norm > 0.0):
-            raise InputError("clip_norm must be positive")
+        for name in ("lr0", "clip_norm"):
+            if not check_float(getattr(self, name), name) > 0.0:
+                raise InputError(f"{name} must be positive")
         for name in ("decay_start", "halve_every", "batch_size"):
             check_int(getattr(self, name), name, 1)
         check_int(self.max_steps, "max_steps", 0)

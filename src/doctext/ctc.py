@@ -88,37 +88,44 @@ class Alphabet:
         return "".join(out)
 
 
-def _as_frames(probs) -> np.ndarray:
-    """``probs`` as float64 frames x classes (two or more), all finite."""
-    try:
-        arr = np.asarray(probs, dtype=np.float64)
-    except (TypeError, ValueError):
-        # ragged rows, or entries that are not numbers
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] < 2:
-        raise InputError("frame probabilities must be a 2-D array with at least two classes")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("frame probabilities must be finite")
-    return arr
+def _as_frames(probs_list, n_columns: int | None = None) -> list[np.ndarray]:
+    """The frame rule: each matrix as float64 frames x classes (two or more,
+    one count for all, ``n_columns`` if given; shapes first), then every
+    row a distribution: entries in [0, 1] summing to 1, both within 1e-9."""
+    mats = []
+    for probs in probs_list:
+        try:
+            arr = np.asarray(probs, dtype=np.float64)
+        except (TypeError, ValueError):
+            # ragged rows, or entries that are not numbers
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] < 2:
+            raise InputError("frame probabilities must be a 2-D array with at least two classes")
+        mats.append(arr)
+    if not mats:
+        return mats
+    if any(m.shape[1] != mats[0].shape[1] for m in mats):
+        raise InputError("the frame matrices of a batch must have the same number of classes")
+    if n_columns is not None and mats[0].shape[1] != n_columns:
+        raise InputError(f"expected {n_columns} probability columns, got {mats[0].shape[1]}")
+    rows = np.concatenate(mats) if len(mats) > 1 else mats[0]
+    # written so that NaN, which min() and max() propagate, fails it
+    if rows.size and not (rows.min() >= -_PROB_TOL and rows.max() <= 1.0 + _PROB_TOL):
+        raise InputError("frame probabilities must be finite and lie in [0, 1]")
+    if np.any(np.abs(rows.sum(axis=1) - 1.0) > _PROB_TOL):
+        raise InputError("every frame row must sum to 1")
+    return mats
 
 
 def validate_frame_probs(probs, n_columns: int | None = None) -> np.ndarray:
     """Check a frames-by-classes probability matrix and return it as float64.
 
-    Every row must be a distribution: entries in [0, 1] and summing to
-    1, both within 1e-9.  ``n_columns``, when given, pins the expected
-    number of classes (alphabet size plus blank).
+    The frame rule of every function here, plus at least one frame and,
+    when ``n_columns`` is given, that many classes (alphabet plus blank).
     """
-    arr = _as_frames(probs)
+    (arr,) = _as_frames([probs], n_columns)
     if arr.shape[0] < 1:
         raise InputError("frame probabilities need at least one frame")
-    if n_columns is not None and arr.shape[1] != n_columns:
-        raise InputError(f"expected {n_columns} probability columns, got {arr.shape[1]}")
-    if arr.min() < -_PROB_TOL or arr.max() > 1.0 + _PROB_TOL:
-        raise InputError("frame probabilities must lie in [0, 1]")
-    sums = arr.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > _PROB_TOL):
-        raise InputError("every frame row must sum to 1")
     return arr
 
 
@@ -172,7 +179,7 @@ def log_prob(probs, labels: Sequence[int]) -> float:
     sequence in log space.  Frame probabilities are floored at
     ``PROB_FLOOR`` before taking logs.
     """
-    arr = _as_frames(probs)
+    (arr,) = _as_frames([probs])
     n_frames, n_classes = arr.shape
     blank = n_classes - 1
     labels = _check_labels(labels, blank)
@@ -209,7 +216,7 @@ def greedy_decode(probs) -> list[int]:
     Frame ties break toward the lower class index.  Raises
     ``InputError`` for the same frames as :func:`beam_decode`.
     """
-    arr = _as_frames(probs)
+    (arr,) = _as_frames([probs])
     path = np.argmax(arr, axis=1)
     return collapse(path.tolist(), blank=arr.shape[1] - 1)
 
@@ -240,7 +247,7 @@ def beam_decode(probs, beam_width: int = 8) -> list[int]:
     ------
     InputError
         For a beam width below 1, a shape other than frames x classes
-        with at least two classes, or a NaN or infinite probability.
+        with at least two classes, or a row that is not a distribution.
 
     Notes
     -----
@@ -386,12 +393,10 @@ def beam_decode_batch(probs_list, beam_width: int = 8) -> list[list[int]]:
     not depend on the boxes it shares the batch with.
     """
     check_int(beam_width, "beam width", 1)
-    mats = [_as_frames(p) for p in probs_list]
+    mats = _as_frames(probs_list)
     if not mats:
         return []
     n_classes = mats[0].shape[1]
-    if any(m.shape[1] != n_classes for m in mats):
-        raise InputError("the frame matrices of a batch must have the same number of classes")
     blank = n_classes - 1
     order = sorted(range(len(mats)), key=lambda i: -len(mats[i]))
     lengths = [len(mats[i]) for i in order]

@@ -225,7 +225,7 @@ def _quad_of(rec: dict, where: str) -> Quad:
     coords = [_numbers(c, where, "a 'quad' corner") for c in rec["quad"]]
     try:
         return Quad.from_points(coords)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{where}: malformed geometry: {exc}") from exc
     except InputError as exc:
         raise FormatError(f"{where}: {exc}") from exc
@@ -256,11 +256,10 @@ def _box_from_record(rec: dict, where: str) -> BoxRecord:
     if has_rect == ("quad" in rec):
         raise FormatError(f"{where}: box record needs exactly one of 'rect' or 'quad'")
     if has_rect:
-        coords = _numbers(rec["rect"], where, "'rect'")
         quad = None
         try:
-            left, top, right, bottom = map(float, coords)
-        except (ValueError, OverflowError) as exc:
+            left, top, right, bottom = _numbers(rec["rect"], where, "'rect'")
+        except ValueError as exc:  # not four numbers
             raise FormatError(f"{where}: malformed geometry: {exc}") from exc
     else:
         quad = _quad_of(rec, where)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateQuadError, FormatError, InputError, check_int
+from .errors import DegenerateQuadError, FormatError, InputError, check_float, check_int
 
 __all__ = [
     "Point",
@@ -49,10 +49,10 @@ class Point:
 class Quad:
     """Four corners in top-left, top-right, bottom-right, bottom-left order.
 
-    The corners must be in strictly convex position.  With y growing
-    down, that winding makes every consecutive cross product positive,
-    so the signed area is positive as well; collinear or self-crossing
-    corner lists are rejected.
+    The corners, kept as floats, must be finite and in strictly convex
+    position.  With y growing down, that winding makes every
+    consecutive cross product positive, so the signed area is positive
+    as well; collinear or self-crossing corner lists are rejected.
     """
 
     corners: tuple[Point, Point, Point, Point]
@@ -60,9 +60,8 @@ class Quad:
     def __post_init__(self):
         if len(self.corners) != 4:
             raise InputError("a quad needs exactly four corners")
-        for p in self.corners:
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise InputError("quad corners must be finite")
+        object.__setattr__(self, "corners", tuple(
+            Point(check_float(p.x, "quad corner x"), check_float(p.y, "quad corner y")) for p in self.corners))
         crosses = []
         for i in range(4):
             a = self.corners[i]
@@ -78,8 +77,7 @@ class Quad:
     @classmethod
     def from_points(cls, pts) -> "Quad":
         """Build a quad from any iterable of four (x, y) pairs."""
-        corners = tuple(Point(float(x), float(y)) for x, y in pts)
-        return cls(corners)
+        return cls(tuple(Point(x, y) for x, y in pts))
 
     @classmethod
     def from_rect(cls, left: float, top: float, right: float, bottom: float) -> "Quad":
@@ -312,9 +310,14 @@ def rectify(image: GrayImage, src: Quad, width: int, height: int) -> GrayImage:
         np.arange(width, dtype=np.float64) + 0.5,
         (np.arange(height, dtype=np.float64) + 0.5)[:, None],
     )
-    samples = _sample_bilinear(image.pixels, sx, sy)
-    # a bilinear sample of [0, 1] values is in [0, 1] up to rounding, which the clip removes
-    return _trusted_image(np.clip(samples, 0.0, 1.0, out=samples))
+    # The samples need no clip to [0, 1].  The weights t (rounded
+    # fractional parts) and the pixels lie in [0, 1], so every product
+    # and sum is >= 0, and as rounding is monotone each of the two
+    # stages is at most fl(fl(1 - t) + t).  For t >= 1/2, 1 - t is exact
+    # (Sterbenz's lemma) and the sum is exactly 1; for t < 1/2 it is
+    # 1 + e with |e| <= 2**-54, which rounds to 1.  A clip would keep
+    # -0.0 and NaN as they are, so dropping it changes no crop.
+    return _trusted_image(_sample_bilinear(image.pixels, sx, sy))
 
 
 # "P5", then width, height and maxval, each after whitespace and "#"

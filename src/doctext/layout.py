@@ -13,13 +13,12 @@ All distance thresholds scale with the median box height of the
 document, so the same parameters work across resolutions.
 """
 
-import math
 import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, check_int
+from .errors import InputError, check_float, check_int
 from .geometry import GrayImage, _paint_boxes
 
 __all__ = [
@@ -41,9 +40,9 @@ class TextBox:
     """An axis-aligned text region with a document-unique id.
 
     ``word`` carries ground truth or recognized text when known.  The id
-    must be an ``int`` (not a bool), the coordinates numbers other than
-    bools and the word a ``str`` or None, the types that ``read_boxes``
-    gives them.
+    must be a non-negative ``int`` (not a bool), the coordinates finite
+    real numbers (not bools), kept as floats, and the word a ``str`` or
+    None, the types that ``read_boxes`` gives them.
     """
 
     id: int
@@ -56,17 +55,12 @@ class TextBox:
     def __post_init__(self):
         if type(self.id) is not int:
             raise InputError(f"box id must be an integer, not {self.id!r}")
-        if any(type(v) is bool for v in (self.left, self.top, self.right, self.bottom)):
-            raise InputError(f"box {self.id} coordinates must be numbers, not booleans")
+        if self.id < 0:
+            raise InputError("box id must be non-negative")
+        for name in ("left", "top", "right", "bottom"):
+            object.__setattr__(self, name, check_float(getattr(self, name), f"box {self.id} {name}"))
         if self.word is not None and not isinstance(self.word, str):
             raise InputError(f"box {self.id} word must be a string, not {self.word!r}")
-        try:
-            if self.id < 0:
-                raise InputError("box id must be non-negative")
-            if not all(map(math.isfinite, (self.left, self.top, self.right, self.bottom))):
-                raise InputError("box coordinates must be finite")
-        except (TypeError, OverflowError) as exc:
-            raise InputError(f"box coordinates must be numbers: {exc}") from exc
         if not (self.left < self.right and self.top < self.bottom):
             raise InputError(
                 f"box {self.id} must have left < right and top < bottom"
@@ -131,13 +125,8 @@ class LayoutParams:
 
     def __post_init__(self):
         for name in ("kappa_h", "kappa_v", "line_lambda"):
-            v = getattr(self, name)
-            try:
-                ok = math.isfinite(v) and v > 0.0
-            except (TypeError, OverflowError):
-                ok = False
-            if not ok:
-                raise InputError(f"{name} must be positive and finite")
+            if not check_float(getattr(self, name), name) > 0.0:
+                raise InputError(f"{name} must be positive")
 
 
 # Rows per block in the overlap and successor kernels: their temporaries

@@ -60,6 +60,8 @@ class PipelineParams:
     rect_height: int = 32
 
     def __post_init__(self):
+        if not isinstance(self.layout, LayoutParams):
+            raise InputError(f"layout must be a LayoutParams, not {self.layout!r}")
         for name in ("beam_width", "correct_beam", "rect_height"):
             check_int(getattr(self, name), name, 1)
 
@@ -176,15 +178,13 @@ def decode_words(
     Every frame matrix must hold one distribution per row over the
     alphabet plus blank, as :func:`doctext.ctc.validate_frame_probs`
     checks; anything else raises ``InputError`` naming the first bad
-    box.  The values of all boxes are checked in one call on their
-    stacked rows, and box by box only when that fails.
+    box, which is looked for only when the whole batch is refused.
     """
     try:
         mats = [np.asarray(frames, dtype=np.float64) for frames in frames_by_id.values()]
         if not all(m.ndim == 2 and len(m) > 0 and m.shape[1] == alphabet.size for m in mats):
             raise InputError("a frame matrix has the wrong shape")
-        if mats:
-            validate_frame_probs(np.concatenate(mats), n_columns=alphabet.size)
+        labels = beam_decode_batch(mats, beam_width)
     except (InputError, TypeError, ValueError):
         # name the first bad box, with the message of its own check
         for bid, frames in frames_by_id.items():
@@ -193,7 +193,6 @@ def decode_words(
             except InputError as exc:
                 raise InputError(f"frames of box {bid}: {exc}") from exc
         raise
-    labels = beam_decode_batch(mats, beam_width)
     return {int(bid): alphabet.decode(label) for bid, label in zip(frames_by_id, labels)}
 
 

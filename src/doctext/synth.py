@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .ctc import Alphabet
-from .errors import InputError, check_int
+from .errors import InputError, check_float, check_int
 from .geometry import GrayImage, _paint_boxes
 from .layout import DocumentLayout, TextBox
 
@@ -107,24 +107,23 @@ class SynthSpec:
         check_int(self.page_height, "page_height", 1)
         for name in ("blocks", "lines_per_block", "words_per_line"):
             object.__setattr__(self, name, _check_range(name, getattr(self, name)))
-        if not (np.isfinite(self.box_height) and self.box_height > 0):
+        if not check_float(self.box_height, "box_height") > 0:
             raise InputError("box_height must be positive")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise InputError("jitter must lie in [0, 1]")
-        if not (np.isfinite(self.temperature) and self.temperature >= 0.0):
+        if not check_float(self.temperature, "temperature") >= 0.0:
             raise InputError("temperature must be >= 0")
-        for name in ("p_sub", "p_del", "p_ins"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+        for name in ("jitter", "p_sub", "p_del", "p_ins"):
+            if not 0.0 <= check_float(getattr(self, name), name) <= 1.0:
                 raise InputError(f"{name} must lie in [0, 1]")
         if self.p_sub + self.p_del > 1.0:
             raise InputError("p_sub + p_del must not exceed 1")
+        if isinstance(self.words, str) or not isinstance(self.words, Sequence):
+            raise InputError(f"words must be a sequence of words, not {self.words!r}")
         words = tuple(self.words)
         if not words:
             raise InputError("word list must not be empty")
         for w in words:
-            if not w or any(c.isspace() for c in w):
-                raise InputError(f"word {w!r} must be non-empty and contain no spaces")
+            if not isinstance(w, str) or not w or any(c.isspace() for c in w):
+                raise InputError(f"word {w!r} must be a non-empty string without spaces")
         object.__setattr__(self, "words", words)
 
 

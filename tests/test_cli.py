@@ -182,6 +182,19 @@ class TestRectify:
         img = read_pgm(files[0])
         assert img.height == 16
 
+    @pytest.mark.parametrize("height", ["0", "-3"])
+    def test_height_checked_before_reading(self, tmp_path, capsys, height):
+        # with an empty boxes file, --height 0 used to exit 0 and create
+        # --out; with boxes, it failed naming an internal argument
+        boxes = tmp_path / "boxes.jsonl"
+        boxes.write_text("", encoding="utf-8")
+        crops = tmp_path / "crops"
+        code = run_cli("rectify", "--image", tmp_path / "absent.pgm", "--boxes", boxes,
+                       "--out", crops, "--height", height)
+        assert code == 2
+        assert "rectify: --height must be >= 1" in capsys.readouterr().err
+        assert not crops.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, synth_dir):

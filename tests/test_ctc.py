@@ -239,6 +239,12 @@ class TestValidateFrameProbs:
         with pytest.raises(InputError):
             validate_frame_probs([[0.5, 0.5]], n_columns=3)
 
+    @pytest.mark.parametrize("row", [[0.9, 0.9], [float("nan"), 1.0], [2.0, 0.5, 0.5, 0.5]], ids=repr)
+    def test_column_count_checked_before_values(self, row):
+        # a frames file of another alphabet is reported as that, not as bad rows
+        with pytest.raises(InputError, match=f"expected 3 probability columns, got {len(row)}"):
+            validate_frame_probs([row], n_columns=3)
+
     def test_one_dimensional_rejected(self):
         with pytest.raises(InputError):
             validate_frame_probs([0.5, 0.5])
@@ -246,13 +252,35 @@ class TestValidateFrameProbs:
 
 FRAME_READERS = [
     pytest.param(lambda p: beam_decode(p, 8), id="beam_decode"),
+    pytest.param(lambda p: beam_decode_batch([p], 8)[0], id="beam_decode_batch"),
     pytest.param(greedy_decode, id="greedy_decode"),
     pytest.param(lambda p: log_prob(p, []), id="log_prob"),
 ]
 
 
+@st.composite
+def perturbed_frames(draw):
+    """Frame matrices of at least one frame: row-stochastic ones, and ones
+    with an entry or a row moved off a distribution, by far or by about
+    the 1e-9 tolerance of the frame rule."""
+    probs = draw(frame_matrices(max_frames=6, max_classes=5).filter(len)).copy()
+    kind = draw(st.sampled_from(["none", "entry", "shift", "scale"]))
+    t = draw(st.integers(0, len(probs) - 1))
+    c = draw(st.integers(0, probs.shape[1] - 1))
+    if kind == "entry":
+        probs[t, c] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.5, 1.5, 1.0 + 1e-6, -1e-6, 0.0, 1.0]))
+    elif kind == "shift":
+        # by less or more than the tolerance, off one entry or both ways
+        probs[t, c] += draw(st.sampled_from([-2e-9, -5e-10, 5e-10, 2e-9, 1e-6]))
+    elif kind == "scale":
+        probs[t] *= draw(st.sampled_from([0.0, 0.9, 1.0 - 1e-10, 1.0 + 1e-10, 1.1, 2.0]))
+    return probs
+
+
 class TestFrameCheck:
-    """The scorer and both decoders refuse the same frame matrices."""
+    """The scorer, both decoders and the batch decoder refuse the same
+    frame matrices: those that :func:`validate_frame_probs` refuses, bar
+    its pins on the number of frames and of columns."""
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("read", FRAME_READERS)
@@ -270,6 +298,50 @@ class TestFrameCheck:
         with pytest.raises(InputError, match="at least two classes"):
             read(probs)
 
+    @pytest.mark.parametrize(
+        "probs",
+        [[[5.0, -3.0, 0.0]], [[0.0, 0.0, 0.0]], [[1.5, -0.5]], [[0.45, 0.45]], [[0.0, 0.0]],
+         [[1.0 + 1e-6, 0.0]], [[0.5, 0.5], [0.6, 0.6]]],
+        ids=["sums-to-2", "all-zero-3", "outside-0-1", "sums-short", "all-zero", "above-1", "second-row"],
+    )
+    @pytest.mark.parametrize("read", FRAME_READERS)
+    def test_non_distributions_rejected(self, read, probs):
+        with pytest.raises(InputError, match=r"lie in \[0, 1\]|sum to 1"):
+            read(probs)
+        with pytest.raises(InputError):
+            validate_frame_probs(probs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_frames())
+    def test_refuse_exactly_what_validate_refuses(self, probs):
+        try:
+            validate_frame_probs(probs)
+            refused = False
+        except InputError:
+            refused = True
+        for read in [p.values[0] for p in FRAME_READERS]:
+            if refused:
+                with pytest.raises(InputError):
+                    read(probs)
+            else:
+                read(probs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(perturbed_frames(), st.data())
+    def test_batch_refuses_any_refused_box(self, probs, data):
+        # the batch checks its stacked rows once; a bad box anywhere in it
+        # is found, and a batch of good boxes decodes
+        partners = data.draw(st.lists(frame_matrices(max_frames=6, n_classes=probs.shape[1]), max_size=4))
+        at = data.draw(st.integers(0, len(partners)))
+        batch = partners[:at] + [probs] + partners[at:]
+        try:
+            validate_frame_probs(probs)
+        except InputError:
+            with pytest.raises(InputError):
+                beam_decode_batch(batch, 4)
+        else:
+            assert beam_decode_batch(batch, 4)[at] == beam_decode(probs, 4)
+
     def test_zero_frames(self):
         # Only the empty frame path exists, and it collapses to the
         # empty label.
@@ -278,6 +350,7 @@ class TestFrameCheck:
         assert log_prob(empty, [0]) == float("-inf")
         assert greedy_decode(empty) == []
         assert beam_decode(empty) == []
+        assert beam_decode_batch([empty, np.zeros((0, 3))], 8) == [[], []]
 
 
 # --------------------------------------------------------------- collapse

@@ -82,7 +82,7 @@ def _box_reference(rec, where) -> BoxRecord:
         raise FormatError(f"{where}: malformed geometry: 'quad' must be a list of corners")
     try:
         if has_rect:
-            left, top, right, bottom = map(float, coords)
+            left, top, right, bottom = coords
             quad = None
         else:
             quad = Quad.from_points(coords)
@@ -349,7 +349,10 @@ class TestBoxes:
             read_boxes(p)
         # an integer too large for a float
         p.write_text('{"id":0,"rect":[0,0,1' + "0" * 400 + ',1]}\n', encoding="utf-8")
-        with pytest.raises(FormatError, match="malformed geometry"):
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:1: box 0 right must be a finite real number, not 10+$"):
+            read_boxes(p)
+        p.write_text('{"id":0,"rect":[0,0,1]}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:1: malformed geometry: not enough values"):
             read_boxes(p)
 
     def test_error_names_the_file_line(self, tmp_path):
@@ -467,6 +470,12 @@ class TestFrames:
         p = tmp_path / "frames.jsonl"
         p.write_text('{"alphabet":["a","b"]}\n{"box_id":0,"frames":[[0.5,0.5]]}\n', encoding="utf-8")
         with pytest.raises(FormatError, match=r"frames\.jsonl:2: expected 3 probability columns"):
+            read_frames(p)
+
+    def test_wrong_width_non_stochastic_row_reports_the_width(self, tmp_path):
+        p = tmp_path / "frames.jsonl"
+        p.write_text('{"alphabet":["a","b"]}\n{"box_id":0,"frames":[[0.9,0.9]]}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=r"frames\.jsonl:2: expected 3 probability columns, got 2"):
             read_frames(p)
 
     def test_ragged_frames_rejected(self, tmp_path):

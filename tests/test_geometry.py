@@ -191,6 +191,35 @@ class TestBilinearSampling:
         xs, ys = np.meshgrid(np.arange(6) + 0.5, np.arange(5) + 0.5)
         assert np.allclose(_sample_bilinear(pixels, xs, ys), pixels, atol=1e-15)
 
+    # coordinates on half-integers (pixel centres), a hair off them on
+    # either side (weights next to 0, 1/2 and 1), anywhere near the raster,
+    # and far outside it
+    COORDS = (
+        st.integers(-3, 12).map(lambda k: k + 0.5)
+        | st.tuples(st.integers(-3, 12), st.sampled_from([0.0, 0.5]), st.floats(-1e-15, 1e-15)).map(sum)
+        | st.floats(-20.0, 20.0)
+        | st.floats(-1e300, 1e300)
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_samples_stay_in_the_unit_interval(self, page_h, page_w, data):
+        # rectify builds its crop from these samples without a clip; the
+        # proof is in its comment, and this is its check
+        n = page_h * page_w
+        pixels = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+        xs = data.draw(st.lists(self.COORDS, min_size=1, max_size=12))
+        ys = data.draw(st.lists(self.COORDS, min_size=len(xs), max_size=len(xs)))
+        got = _sample_bilinear(np.reshape(pixels, (page_h, page_w)), np.array(xs), np.array(ys))
+        assert ((got >= 0.0) & (got <= 1.0)).all()
+
+    def test_ones_sampled_where_one_minus_t_rounds(self):
+        # weights just below and above 1/2, and t with 1 - t inexact
+        t = np.array([np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 2**-53, 2**-54, 1e-17, 0.1, 0.3])
+        xs, ys = np.meshgrid(np.concatenate([t + 0.5, t + 1.5]), t + 0.5)
+        got = _sample_bilinear(np.ones((2, 3)), xs, ys)
+        assert (got == 1.0).all()
+
 
 class TestRectify:
     def test_integer_crop_is_exact(self):

@@ -151,6 +151,26 @@ class TestCheckpoint:
         for k, v in m.params.items():
             assert back.params[k].tobytes() == v.tobytes()
 
+    @pytest.mark.parametrize("dropout", [0, np.float32(0.25), 0.5], ids=repr)
+    def test_dropout_round_trip(self, vocab, tmp_path, dropout):
+        # a checkpoint stores dropout as a JSON number, which loads as a float
+        m = init_model(vocab, Hyper(emb_dim=2, hidden_dim=2, enc_layers=1, dec_layers=1, dropout=dropout))
+        p = tmp_path / "model.json"
+        save_model(m, p)
+        assert load_model(p).hyper == m.hyper
+        assert m.hyper.dropout == float(dropout)
+
+    def test_bool_dropout_never_saved(self, vocab, tmp_path):
+        # Hyper(dropout=False) used to construct and save a checkpoint
+        # with "dropout": false, which load_model then refused
+        with pytest.raises(InputError, match="dropout"):
+            Hyper(dropout=False)
+        p = tmp_path / "model.json"
+        save_model(init_model(vocab, Hyper(emb_dim=2, hidden_dim=2, enc_layers=1, dec_layers=1)), p)
+        p.write_text(p.read_text().replace('"dropout":0.0', '"dropout":false'))
+        with pytest.raises(FormatError, match="dropout"):
+            load_model(p)
+
     def test_save_is_canonical(self, vocab, tmp_path):
         m = init_model(vocab, Hyper(emb_dim=2, hidden_dim=2, enc_layers=1, dec_layers=1), seed=4)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -89,6 +89,12 @@ class TestPipelineParams:
     def test_numpy_integers_accepted(self):
         assert PipelineParams(beam_width=np.int64(4), correct_beam=np.int32(2)).beam_width == 4
 
+    @pytest.mark.parametrize("layout", [None, {"kappa_h": 1.0}], ids=repr)
+    def test_layout_must_be_layout_params(self, layout):
+        # a dict used to construct, and run ended in an AttributeError
+        with pytest.raises(InputError, match="layout must be a LayoutParams"):
+            PipelineParams(layout=layout)
+
 
 class TestEvaluate:
     def test_exact_match_fraction(self):

@@ -87,6 +87,21 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             SynthSpec(words=("two words",))
 
+    @pytest.mark.parametrize("words", ["abc", "", 3, None], ids=repr)
+    def test_words_must_be_a_sequence_of_words(self, words):
+        # a string used to become the word list ('a', 'b', 'c')
+        with pytest.raises(InputError, match="words must be a sequence of words"):
+            SynthSpec(words=words)
+
+    @pytest.mark.parametrize("word", [1, None, b"ab", ("a", "b")], ids=repr)
+    def test_words_must_be_strings(self, word):
+        # [1] used to end in a bare TypeError
+        with pytest.raises(InputError, match="must be a non-empty string without spaces"):
+            SynthSpec(words=["time", word])
+
+    def test_word_list_kinds_accepted(self):
+        assert SynthSpec(words=["ab", "cd"]).words == SynthSpec(words=("ab", "cd")).words == ("ab", "cd")
+
     def test_negative_temperature(self):
         with pytest.raises(InputError):
             SynthSpec(temperature=-1.0)
