@@ -18,10 +18,10 @@ contiguous slots ``offs[t]:offs[t + 1]`` of an (R, D) array, one slot
 per real token, the rows still running at t in sorted order.  A step of
 a recurrence reads and writes its own slice, and carries each row's
 state in a (B, H) buffer whose leading rows are the ones that step
-advances.  In training, each recurrence records the hidden state every
-step read, packed as its outputs are (the decoder step in ``h_in``,
-each encoder direction's ``_scan`` as an (R, H) array), so the
-recurrent weights' gradients are one product each.  Every product that
+advances.  Each recurrence records the hidden state every step read,
+packed as its outputs are (the decoder step in ``h_in``, the encoder's
+``_scan`` as one (R, H) array per direction), so the recurrent
+weights' gradients are one product each.  Every product that
 does not feed a recurrence (input projections, attention keys, the
 output layer, weight and input gradients) is one matrix product over
 the R real slots, and the encoder's embedding lookup is one gather over
@@ -45,10 +45,11 @@ forward product with a row per sequence or hypothesis runs through
 hypotheses attend a view of its own unpadded keys, one product per row.
 Training sums a step over its rows, so it passes plain ``np.matmul`` as
 the ``mm`` of the shared kernels and keeps its arithmetic.  The encoder
-is where the two part: training scans each direction apart and keeps
-what the backward pass reads, while inference pairs the directions in
-one loop, ``_paired_scan``, which steps the forward direction at t and
-the backward one at T - 1 - t with one cell call and keeps only states.
+layer's kernel, ``_scan``, is shared too: it steps the forward
+direction at t and the backward one at T - 1 - t with one cell call,
+each direction's carry in whole blocks of the products' rows (exact
+rows for training), and ``_scan_backward`` undoes its steps in reverse
+with one cell call each.
 
 All (probs, labels) style losses are sums over tokens, so gradients of
 a batch are the sums of the per-pair gradients.
@@ -66,16 +67,19 @@ from .vocab import Vocab
 __all__ = ["CorrectionResult", "loss", "backward", "correct", "correct_batch"]
 
 _ATT_MASK = 1e30  # additive pre-softmax penalty for padded positions
-_DIRECTIONS = (("fwd", False), ("bwd", True))  # encoder directions: name, reverse
+_DIRECTIONS = ("fwd", "bwd")  # encoder directions, in the scan's order
 _ROWS = 4  # rows of every BLAS call that ``_mm`` makes
 
 
-def _mm(a, w):
-    """``a @ w`` as one product per block of ``_ROWS`` rows of ``a``, zero-padded."""
+def _mm(a, w, out=None):
+    """``a @ w`` as one product per block of ``_ROWS`` rows of ``a``,
+    zero-padded; into ``out`` when given, a contiguous array whose rows
+    fill whole blocks."""
     n, k = a.shape
     if n % _ROWS:
         a = np.concatenate([a, np.zeros((-n % _ROWS, k))])
-    return (a.reshape(-1, _ROWS, k) @ w).reshape(-1, w.shape[1])[:n]
+    blocks = None if out is None else out.reshape(-1, _ROWS, w.shape[1])
+    return np.matmul(a.reshape(-1, _ROWS, k), w, out=blocks).reshape(-1, w.shape[1])[:n]
 
 
 @lru_cache(maxsize=None)
@@ -196,91 +200,87 @@ def _dropout(a, rate, rng):
     return a * mask, mask
 
 
-def _scan(xw, pk: _Packed, u, reverse):
-    """Run one LSTM direction over the input projections ``xw`` (R, 4H),
-    ``x @ W + b`` at every slot of the packing ``pk``, as training does.
-
-    Returns the (R, H) states, the (R, H) hidden states each slot's step
-    read (zero at a row's first step, which is its last in reverse), the
-    per-step cell caches and the (B, H) final carried state: a row's
-    state at its last token (its first, in reverse), in sorted row order.
-    """
-    hdim = u.shape[0]
-    h = np.zeros((pk.counts[0], hdim))
-    c = np.zeros((pk.counts[0], hdim))
-    states = np.empty((len(xw), hdim))
-    h_in = np.empty((len(xw), hdim))
-    caches = [None] * len(pk.counts)
-    for t in reversed(range(len(pk.counts))) if reverse else range(len(pk.counts)):
-        s, n = pk.offs[t], pk.counts[t]
-        h_in[s : s + n] = h[:n]
-        z = np.matmul(h[:n], u)
-        z += xw[s : s + n]
-        h[:n], c[:n], caches[t] = _cell(z, c[:n].copy())
-        states[s : s + n] = h[:n]
-    return states, h_in, caches, h
-
-
-def _paired_scan(xw, pk: _Packed, u):
-    """Run both directions of an inference encoder layer in one loop, over
-    their input projections ``xw`` (R, 4H), packed by ``pk``, and their
-    recurrent weights ``u``, each a (forward, backward) pair, with the
-    4-row products of ``_mm``.
+def _scan(xw, pk: _Packed, u, mm):
+    """Run both directions of an encoder layer over their input
+    projections ``xw`` (R, 4H), packed by ``pk``, and recurrent weights
+    ``u``, each a (forward, backward) pair, with the products ``mm``.
 
     Step t advances the forward direction at position t and the backward
-    direction at position T - 1 - t, on the rows ``[forward | backward]``
-    of one carry: each direction's running rows rounded up to blocks of
-    ``_ROWS``.  Only running rows take an input.  A finished forward row
-    keeps stepping, but its state is never read.  A backward row that
-    has not started has a zero state, so its cell state stays exactly
-    +0 (``f * +0 + i * tanh(±0)``), and so does its hidden state.
-    Returns the (R, 2H) forward and backward states, packed as ``xw``,
-    and the (B, 2H) final states in sorted row order: a row's forward
-    state at its last token and its backward state at its first.
+    one at T - 1 - t with one cell call, on a carry ``[forward |
+    backward]`` that holds each direction's running rows in whole blocks
+    of the products' rows: ``_ROWS`` for ``_mm``, exact rows otherwise.
+    Only running rows take an input: a finished forward row keeps
+    stepping but is never read, and a backward row that has not started
+    keeps an exactly +0 state (``f * +0 + i * tanh(±0)``).
+
+    Returns the (R, 2H) states, packed as ``xw``; per direction, the
+    (R, H) hidden states each slot's step read; the step caches; and the
+    (B, 2H) final states in sorted row order, a row's forward state at
+    its last token and its backward state at its first.
     """
     counts, offs = pk.counts.tolist(), pk.offs.tolist()
     hdim = u[0].shape[0]
-    nf = [-(-n // _ROWS) * _ROWS for n in counts]  # forward rows of each step
-    nb = nf[::-1]                                  # backward rows of each step
+    rows = _ROWS if mm is _mm else 1
+    nf = [-(-n // rows) * rows for n in counts]  # forward rows of each step
+    nb = nf[::-1]                                # backward rows of each step
     states = np.empty((offs[-1], 2 * hdim))
-    z = np.empty((2 * nf[0], 4 * hdim))
+    h_in = [np.empty((offs[-1], hdim)) for _ in u]
+    caches = []
     h = c = np.zeros((nf[0] + nb[0], hdim))
     for t, (f, b) in enumerate(zip(nf, nb)):
         if t and (f, b) != (nf[t - 1], nb[t - 1]):
-            # forward blocks only drop out and backward ones only join, at zero
+            # forward rows only drop out and backward ones only join, at zero
             pad = np.zeros((b - nb[t - 1], hdim))
             h, c = (np.concatenate([a[:f], a[nf[t - 1] :], pad]) for a in (h, c))
         r = len(counts) - 1 - t  # the backward direction's position
         fwd, bwd = slice(offs[t], offs[t + 1]), slice(offs[r], offs[r + 1])
-        zt = z[: f + b]
-        np.matmul(h[:f].reshape(-1, _ROWS, hdim), u[0], out=zt[:f].reshape(-1, _ROWS, 4 * hdim))
-        np.matmul(h[f:].reshape(-1, _ROWS, hdim), u[1], out=zt[f:].reshape(-1, _ROWS, 4 * hdim))
-        zt[: counts[t]] += xw[0][fwd]
-        zt[f : f + counts[r]] += xw[1][bwd]
-        h, c, _ = _cell(zt, c)
+        h_in[0][fwd] = h[: counts[t]]
+        h_in[1][bwd] = h[f : f + counts[r]]
+        z = np.empty((f + b, 4 * hdim))  # new each step: the cell's cache keeps it
+        mm(h[:f], u[0], out=z[:f])
+        mm(h[f:], u[1], out=z[f:])
+        z[: counts[t]] += xw[0][fwd]
+        z[f : f + counts[r]] += xw[1][bwd]
+        h, c, cache = _cell(z, c)
+        caches.append(cache)
         states[fwd, :hdim] = h[: counts[t]]
         states[bwd, hdim:] = h[f : f + counts[r]]
     lengths = (pk.counts[:, None] > np.arange(counts[0])).sum(axis=0)
     last = pk.offs[lengths - 1] + np.arange(counts[0])
-    return states, np.concatenate([states[last, :hdim], states[: counts[0], hdim:]], axis=1)
+    final = np.concatenate([states[last, :hdim], states[: counts[0], hdim:]], axis=1)
+    return states, h_in, caches, final
 
 
-def _scan_grad(dstates, caches, pk: _Packed, u, reverse, dfinal):
-    """Backward of :func:`_scan` down to the (R, 4H) pre-activation
-    gradients, given the states' gradients and ``dfinal``, the (B, H)
-    gradient of the final carried state, which seeds the carry.
-
-    Only the recurrent product runs per step; the caller turns the
-    result into weight, bias and input gradients with one product each.
-    """
-    dz = np.empty((len(dstates), u.shape[1]))
-    dh = dfinal.copy()
+def _scan_backward(dstates, caches, pk: _Packed, u, dfinal):
+    """Backward of an exact-row :func:`_scan`, as training runs it, down to
+    each direction's (R, 4H) pre-activation gradients, given the (R, 2H)
+    states' gradients and the (B, 2H) final states' gradients ``dfinal``.
+    Step t undoes the scan's step t; only the recurrent products run per
+    step, and the caller makes the weight, bias and input gradients."""
+    counts, offs = pk.counts.tolist(), pk.offs.tolist()
+    hdim = u[0].shape[0]
+    top = len(counts) - 1
+    dz = [np.empty((offs[-1], 4 * hdim)) for _ in u]
+    dh = np.concatenate([dfinal[: counts[top], :hdim], dfinal[:, hdim:]])
     dc = np.zeros_like(dh)
-    for t in range(len(pk.counts)) if reverse else reversed(range(len(pk.counts))):
-        s, n = pk.offs[t], pk.counts[t]
-        dh[:n] += dstates[s : s + n]
-        dc[:n] = _cell_backward(dh[:n], dc[:n], caches[t], dz[s : s + n])
-        np.matmul(dz[s : s + n], u.T, out=dh[:n])
+    for t in range(top, -1, -1):
+        r = top - t  # the backward direction's position
+        f, b = counts[t], counts[r]
+        if t < top and (f, b) != (counts[t + 1], counts[r - 1]):
+            # forward rows only join, seeded by their final states'
+            # gradients, and backward ones only drop out
+            g = counts[t + 1]
+            dh = np.concatenate([dh[:g], dfinal[g:f, :hdim], dh[g : g + b]])
+            dc = np.concatenate([dc[:g], np.zeros((f - g, hdim)), dc[g : g + b]])
+        fwd, bwd = slice(offs[t], offs[t + 1]), slice(offs[r], offs[r + 1])
+        dh[:f] += dstates[fwd, :hdim]
+        dh[f:] += dstates[bwd, hdim:]
+        dgate = np.empty((f + b, 4 * hdim))
+        dc = _cell_backward(dh, dc, caches[t], dgate)
+        dz[0][fwd] = dgate[:f]
+        dz[1][bwd] = dgate[f:]
+        np.matmul(dgate[:f], u[0].T, out=dh[:f])
+        np.matmul(dgate[f:], u[1].T, out=dh[f:])
     return dz
 
 
@@ -289,9 +289,9 @@ class _EncBundle:
     """Everything the decoder and the backward pass need from the encoder."""
 
     src: _Packed            # the (B, Tx) source batch
-    inputs: list            # per layer: (R, D) input (post-dropout); training only
+    inputs: list            # per layer: (R, D) input (post-dropout)
     drop_masks: list        # per layer: dropout mask on its output, or None
-    scans: list             # per layer: {direction: _scan's four results}; training only
+    scans: list             # per layer: _scan's incoming states and cell caches
     hcat: np.ndarray        # (R, 2H) top layer forward then backward states
     hsum: np.ndarray        # (B, Tx, H), zero at padded positions
     keys: np.ndarray        # (B, Tx, H) attention keys, zero at padded positions
@@ -328,13 +328,9 @@ class _Tape:
 
 
 def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
-    """Encode a tail-padded source batch with the products ``mm``; with a
-    generator ``rng``, dropout applies between the layers.
-
-    Inference (``mm`` is ``_mm``) steps both directions of a layer in one
-    :func:`_paired_scan` and keeps nothing for the backward pass; training
-    scans them apart and keeps what :func:`_backward_batch` reads.
-    """
+    """Encode a tail-padded source batch with the products ``mm``, one
+    :func:`_scan` per layer; with a generator ``rng``, dropout applies
+    between the layers."""
     p = model.params
     hp = model.hyper
     hdim = hp.hidden_dim
@@ -343,19 +339,13 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
     inp = p["embedding"][src.ids[rows, src.col]]
     inputs, drop_masks, scans = [], [], []
     for l in range(hp.enc_layers):
-        pre = [f"enc.{l}.{name}" for name, _ in _DIRECTIONS]
+        pre = [f"enc.{l}.{name}" for name in _DIRECTIONS]
         xw = [mm(inp, p[f"{d}.W"]) for d in pre]
         for a, d in zip(xw, pre):
             a += p[f"{d}.b"]
-        u = [p[f"{d}.U"] for d in pre]
-        if mm is _mm:
-            out, final = _paired_scan(xw, src, u)
-        else:
-            scan = {name: _scan(a, src, w, reverse) for (name, reverse), a, w in zip(_DIRECTIONS, xw, u)}
-            out = np.concatenate([scan["fwd"][0], scan["bwd"][0]], axis=1)
-            final = np.concatenate([scan["fwd"][3], scan["bwd"][3]], axis=1)
-            inputs.append(inp)
-            scans.append(scan)
+        out, h_in, caches, final = _scan(xw, src, [p[f"{d}.U"] for d in pre], mm)
+        inputs.append(inp)
+        scans.append((h_in, caches))
         dm = None
         if rng is not None and l < hp.enc_layers - 1:
             out, dm = _dropout(out, hp.dropout, rng)
@@ -620,17 +610,16 @@ def _backward_batch(model: CorrectorModel, tape: _Tape) -> dict[str, np.ndarray]
     # final carried states, so its gradient seeds their carries
     top = hp.enc_layers - 1
     for l in range(top, -1, -1):
+        pre = [f"enc.{l}.{name}" for name in _DIRECTIONS]
+        h_in, caches = enc.scans[l]
+        dfinal = dbridge_in if l == top else np.zeros_like(dbridge_in)
+        dz = _scan_backward(dhcat, caches, src, [p[f"{d}.U"] for d in pre], dfinal)
         dinp = None
-        for k, (name, reverse) in enumerate(_DIRECTIONS):
-            pre = f"enc.{l}.{name}"
-            _, h_in, caches, _ = enc.scans[l][name]
-            half = slice(k * hdim, (k + 1) * hdim)
-            dh = dbridge_in[:, half] if l == top else np.zeros((len(src.order), hdim))
-            dz = _scan_grad(dhcat[:, half], caches, src, p[f"{pre}.U"], reverse, dh)
-            grads[f"{pre}.W"] += enc.inputs[l].T @ dz
-            grads[f"{pre}.U"] += h_in.T @ dz
-            grads[f"{pre}.b"] += dz.sum(axis=0)
-            dx = dz @ p[f"{pre}.W"].T
+        for d, h_in_d, dz_d in zip(pre, h_in, dz):
+            grads[f"{d}.W"] += enc.inputs[l].T @ dz_d
+            grads[f"{d}.U"] += h_in_d.T @ dz_d
+            grads[f"{d}.b"] += dz_d.sum(axis=0)
+            dx = dz_d @ p[f"{d}.W"].T
             dinp = dx if dinp is None else dinp + dx
         if l > 0:
             if enc.drop_masks[l - 1] is not None:

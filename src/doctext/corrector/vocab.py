@@ -52,7 +52,10 @@ class Vocab:
             if t == " ":
                 raise InputError("space cannot be a vocabulary character; it maps to the separator")
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(tokens)})
+        # the one table tokenizing reads: every token's index, and a space's
+        index = {t: i for i, t in enumerate(tokens)}
+        index[" "] = self.sep_id
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_chars(cls, chars: Iterable[str]) -> "Vocab":
@@ -95,7 +98,8 @@ class Vocab:
         return 4
 
     def id(self, token: str) -> int:
-        """Index of a token; unknown characters map to the <unk> index."""
+        """Index of a token; a space maps to the separator and unknown
+        characters to the <unk> index."""
         return self._index.get(token, self.unk_id)
 
     def token(self, index: int) -> str:
@@ -111,16 +115,11 @@ class Vocab:
         contains content tokens only: no start, end, or padding markers.
         An empty (or all-space) phrase is rejected.
         """
-        words = phrase.split()
-        if not words:
+        text = " ".join(phrase.split())
+        if not text:
             raise InputError("cannot tokenize an empty phrase")
-        ids: list[int] = []
-        for k, word in enumerate(words):
-            if k > 0:
-                ids.append(self.sep_id)
-            for ch in word:
-                ids.append(self.id(ch))
-        return ids
+        get, unk = self._index.get, self.unk_id
+        return [get(ch, unk) for ch in text]
 
     def render(self, ids: Sequence[int]) -> str:
         """Inverse of :meth:`preprocess` for display.

@@ -1,5 +1,6 @@
 """The packed training passes against the padded (B, T) passes they
-replaced, and the LSTM cell kernels against frozen copies of themselves.
+replaced, and the LSTM cell kernels and the encoder scan against frozen
+copies of what they replaced.
 
 ``_cell`` and ``_cell_backward`` compute in place; ``cell_reference``
 and ``cell_backward_reference`` below are the kernels as they were
@@ -24,6 +25,11 @@ change its last bits with its row count, which the packed and padded
 layouts do not share (a hidden-16 model over a 9-token vocabulary, for
 one), so there they agree to 1e-12 relative.
 Gradients sum in a different order and agree to 1e-12 relative.
+
+``_scan`` runs both encoder directions in one loop, and
+``_scan_backward`` undoes it; ``scan_reference`` and
+``scan_grad_reference`` below are training's per-direction scans as
+they were before, and must give the same bits.
 """
 
 from types import SimpleNamespace
@@ -32,6 +38,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from doctext.corrector import network
 from doctext.corrector.model import Hyper, init_model
 from doctext.corrector.network import (
     _backward_batch,
@@ -45,6 +52,7 @@ from doctext.corrector.network import (
     _pack,
     _pad_batch,
     _scan,
+    _scan_backward,
 )
 from doctext.corrector.vocab import Vocab
 
@@ -97,7 +105,7 @@ def _stack_steps(parts, bsz):
     return out
 
 
-def _scan_forward(xw, counts, u, reverse):
+def _padded_scan(xw, counts, u, reverse):
     bsz, t_len, _ = xw.shape
     hdim = u.shape[0]
     h = np.zeros((bsz, hdim))
@@ -111,7 +119,7 @@ def _scan_forward(xw, counts, u, reverse):
     return states, caches
 
 
-def _scan_backward(dstates, caches, counts, u, reverse):
+def _padded_scan_grad(dstates, caches, counts, u, reverse):
     bsz, t_len, hdim = dstates.shape
     dz = np.zeros((bsz, t_len, 4 * hdim))
     dh = np.zeros((bsz, hdim))
@@ -137,7 +145,7 @@ def padded_encode(model, x_ids, rng=None):
         for name, reverse in (("fwd", False), ("bwd", True)):
             xw = _mm(inp, p[f"enc.{l}.{name}.W"])
             xw += p[f"enc.{l}.{name}.b"]
-            scan[name] = _scan_forward(xw, counts, p[f"enc.{l}.{name}.U"], reverse)
+            scan[name] = _padded_scan(xw, counts, p[f"enc.{l}.{name}.U"], reverse)
         out = np.concatenate([scan["fwd"][0], scan["bwd"][0]], axis=2)
         dm = None
         if rng is not None and l < hp.enc_layers - 1:
@@ -253,7 +261,7 @@ def _padded_decoder_backward(model, tape, grads):
 
 def _padded_direction_backward(p, name, scan, inp, d_states, counts, reverse, grads):
     states, caches = scan
-    dz = _scan_backward(d_states, caches, counts, p[f"{name}.U"], reverse)
+    dz = _padded_scan_grad(d_states, caches, counts, p[f"{name}.U"], reverse)
     h_prev = np.zeros_like(states)
     if reverse:
         h_prev[:, :-1] = states[:, 1:]
@@ -451,6 +459,82 @@ class TestCellsAgainstFrozen:
 
 
 # ---------------------------------------------------------------------------
+# the encoder scan against training's frozen per-direction scans
+
+
+def scan_reference(xw, pk, u, reverse):
+    """One encoder direction as training scanned it before the two were
+    paired: exact rows and a plain product per step.  Returns the (R, H)
+    states, the (R, H) hidden states each slot's step read, the per-step
+    cell caches and the (B, H) final carried state."""
+    hdim = u.shape[0]
+    h = np.zeros((pk.counts[0], hdim))
+    c = np.zeros((pk.counts[0], hdim))
+    states = np.empty((len(xw), hdim))
+    h_in = np.empty((len(xw), hdim))
+    caches = [None] * len(pk.counts)
+    for t in reversed(range(len(pk.counts))) if reverse else range(len(pk.counts)):
+        s, n = pk.offs[t], pk.counts[t]
+        h_in[s : s + n] = h[:n]
+        z = np.matmul(h[:n], u)
+        z += xw[s : s + n]
+        h[:n], c[:n], caches[t] = _cell(z, c[:n].copy())
+        states[s : s + n] = h[:n]
+    return states, h_in, caches, h
+
+
+def scan_grad_reference(dstates, caches, pk, u, reverse, dfinal):
+    """The backward of :func:`scan_reference` down to the (R, 4H)
+    pre-activation gradients, as training ran it before."""
+    dz = np.empty((len(dstates), u.shape[1]))
+    dh = dfinal.copy()
+    dc = np.zeros_like(dh)
+    for t in range(len(pk.counts)) if reverse else reversed(range(len(pk.counts))):
+        s, n = pk.offs[t], pk.counts[t]
+        dh[:n] += dstates[s : s + n]
+        dc[:n] = _cell_backward(dh[:n], dc[:n], caches[t], dz[s : s + n])
+        np.matmul(dz[s : s + n], u.T, out=dh[:n])
+    return dz
+
+
+def ragged_pack(lengths):
+    return _pack(NINE_TOKENS, _pad_batch([[NINE_TOKENS.sep_id] * n for n in lengths], NINE_TOKENS.pad_id), "x")
+
+
+class TestScanAgainstFrozen:
+    """With plain products, ``_scan`` gives the states, incoming states and
+    final states of two per-direction scans, and ``_scan_backward`` their
+    two backward scans' pre-activation gradients, bit for bit."""
+
+    # Rows of 1-39 and lengths of 1-44 make rows join and leave the
+    # carries of both directions at most steps, in both passes.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 44), min_size=1, max_size=39),
+        hdim=st.sampled_from([4, 16, 33, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[5, 1, 3, 3, 2], hdim=33, seed=0)
+    def test_equals_each_direction_scanned_alone(self, lengths, hdim, seed):
+        rng = np.random.default_rng(seed)
+        pk = ragged_pack(lengths)
+        xw = [rng.standard_normal((pk.offs[-1], 4 * hdim)) for _ in range(2)]
+        u = [rng.standard_normal((hdim, 4 * hdim)) / np.sqrt(hdim) for _ in range(2)]
+        dstates = rng.standard_normal((pk.offs[-1], 2 * hdim))
+        dfinal = rng.standard_normal((len(lengths), 2 * hdim))
+        states, h_in, caches, final = _scan(xw, pk, u, np.matmul)
+        dz = _scan_backward(dstates, caches, pk, u, dfinal)
+        for k, reverse in enumerate((False, True)):
+            half = slice(k * hdim, (k + 1) * hdim)
+            ref_states, ref_h_in, ref_caches, ref_final = scan_reference(xw[k], pk, u[k], reverse)
+            assert bits(np.ascontiguousarray(states[:, half])) == bits(ref_states), ("states", reverse)
+            assert bits(h_in[k]) == bits(ref_h_in), ("h_in", reverse)
+            assert bits(np.ascontiguousarray(final[:, half])) == bits(ref_final), ("final", reverse)
+            ref_dz = scan_grad_reference(dstates[:, half], ref_caches, pk, u[k], reverse, dfinal[:, half])
+            assert bits(dz[k]) == bits(ref_dz), ("dz", reverse)
+
+
+# ---------------------------------------------------------------------------
 # the scan's incoming states
 
 
@@ -458,29 +542,32 @@ class TestScanIncomingStates:
     """``_scan`` records the hidden state each slot's step read, which the
     encoder's recurrent-weight gradient multiplies: the same row's state
     one position earlier (later, in reverse), or zeros at a row's first
-    step."""
+    step.  It does with either products."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
         hdim=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
-        reverse=st.booleans(),
+        mm=st.sampled_from([np.matmul, network._mm]),
     )
-    def test_each_slot_reads_its_rows_previous_state(self, lengths, hdim, seed, reverse):
+    def test_each_slot_reads_its_rows_previous_state(self, lengths, hdim, seed, mm):
         rng = np.random.default_rng(seed)
-        pk = _pack(NINE_TOKENS, _pad_batch([[NINE_TOKENS.sep_id] * n for n in lengths], NINE_TOKENS.pad_id), "x")
-        xw = rng.standard_normal((pk.offs[-1], 4 * hdim))
-        u = rng.standard_normal((hdim, 4 * hdim))
-        states, h_in, _, final = _scan(xw, pk, u, reverse)
-        assert h_in.shape == states.shape == (sum(lengths), hdim)
+        pk = ragged_pack(lengths)
+        xw = [rng.standard_normal((pk.offs[-1], 4 * hdim)) for _ in range(2)]
+        u = [rng.standard_normal((hdim, 4 * hdim)) for _ in range(2)]
+        states, h_in, _, final = _scan(xw, pk, u, mm)
+        assert states.shape == (sum(lengths), 2 * hdim) and final.shape == (len(lengths), 2 * hdim)
         row_len = np.asarray(lengths)[pk.order]
-        for slot, (r, t) in enumerate(zip(pk.row, pk.col)):
-            prev = t + 1 if reverse else t - 1
-            if 0 <= prev < row_len[r]:
-                assert bits(h_in[slot]) == bits(states[pk.offs[prev] + r]), (slot, r, t)
-            else:
-                assert np.all(h_in[slot] == 0.0), (slot, r, t)
-            # the final carried state is the row's state at its last step
-            if t == (0 if reverse else row_len[r] - 1):
-                assert bits(final[r]) == bits(states[slot])
+        for k, reverse in enumerate((False, True)):
+            half = slice(k * hdim, (k + 1) * hdim)
+            assert h_in[k].shape == (sum(lengths), hdim)
+            for slot, (r, t) in enumerate(zip(pk.row, pk.col)):
+                prev = t + 1 if reverse else t - 1
+                if 0 <= prev < row_len[r]:
+                    assert bits(h_in[k][slot]) == bits(states[pk.offs[prev] + r, half]), (slot, r, t)
+                else:
+                    assert np.all(h_in[k][slot] == 0.0), (slot, r, t)
+                # the final state is the row's state at its last step
+                if t == (0 if reverse else row_len[r] - 1):
+                    assert bits(final[r, half]) == bits(states[slot, half])

@@ -102,3 +102,43 @@ class TestPreprocess:
     def test_render_drops_markers(self, vocab):
         ids = [vocab.go_id] + vocab.preprocess("sitting room") + [vocab.end_id, vocab.pad_id]
         assert vocab.render(ids) == "sitting room"
+
+
+def preprocess_reference(vocab, phrase):
+    """``preprocess`` as it was before it read one table: a method call
+    per character and a separator between words."""
+    words = phrase.split()
+    if not words:
+        raise InputError("cannot tokenize an empty phrase")
+    ids = []
+    for k, word in enumerate(words):
+        if k > 0:
+            ids.append(vocab.sep_id)
+        for ch in word:
+            ids.append(vocab.id(ch))
+    return ids
+
+
+class TestPreprocessAgainstFrozen:
+    # Runs of spaces, tabs, newlines and other Unicode whitespace; the
+    # backtick, which is the separator's own token; characters outside
+    # the vocabulary.
+    @given(st.text(alphabet="ab-" + SEP + "Z7\u00e9 \t\n\r\x0b\x0c\u00a0\u2003", max_size=30))
+    def test_equals_the_word_loop(self, phrase):
+        vocab = Vocab.from_chars(LOWER + "-")
+        try:
+            want = preprocess_reference(vocab, phrase)
+        except InputError:
+            with pytest.raises(InputError):
+                vocab.preprocess(phrase)
+        else:
+            assert vocab.preprocess(phrase) == want
+
+    @pytest.mark.parametrize("phrase", ["", " ", "\t\n ", "\u00a0\u2003"], ids=repr)
+    def test_all_whitespace_refused(self, phrase):
+        with pytest.raises(InputError):
+            Vocab.from_chars(LOWER).preprocess(phrase)
+
+    def test_space_reads_as_the_separator(self):
+        vocab = Vocab.from_chars(LOWER)
+        assert vocab.id(" ") == vocab.sep_id == vocab.id(SEP)
