@@ -25,7 +25,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .ctc import Alphabet, validate_frame_probs
+from .ctc import Alphabet, _as_frames, validate_frame_probs
 from .errors import FormatError, InputError
 from .geometry import Quad
 from .layout import TextBox, _trusted_boxes
@@ -367,7 +367,9 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
     Every frame matrix must have alphabet-size + 1 columns of
     row-stochastic probabilities, and box ids must be unique integers,
     as :func:`from_json_value` types them; anything else raises
-    ``FormatError`` naming ``path:line``.
+    ``FormatError`` naming ``path:line``.  The frames of the whole file
+    are checked in one call of the frame rule; when anything is refused,
+    the records are checked again one by one, to name the first refusal.
     """
     records = _numbered_records(path)
     header = records[0][1] if records else {}
@@ -377,8 +379,17 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
         alphabet = Alphabet(from_json_value(tuple[str, ...], header["alphabet"]))
     except (TypeError, InputError) as exc:
         raise FormatError(f"{path}: bad alphabet header: {exc}") from exc
-    frames: dict[int, np.ndarray] = {}
-    for n, rec in records[1:]:
+    numbered = records[1:]
+    try:
+        fields = [_fields(rec, f"{path}:{n}", "frame record", box_id=int, frames=None) for n, rec in numbered]
+        mats = _as_frames([probs for _, probs in fields], n_columns=alphabet.size)
+        frames = {bid: mat for (bid, _), mat in zip(fields, mats)}
+        if len(frames) == len(mats) and all(len(mat) for mat in mats):
+            return alphabet, frames
+    except (InputError, OverflowError):  # OverflowError: an integer beyond the float range
+        pass
+    frames = {}
+    for n, rec in numbered:
         bid, probs = _fields(rec, f"{path}:{n}", "frame record", box_id=int, frames=None)
         if bid in frames:
             raise FormatError(f"{path}:{n}: duplicate frames for box {bid}")
@@ -387,7 +398,7 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
         except InputError as exc:
             raise FormatError(f"{path}:{n}: {exc}") from exc
         frames[bid] = mat
-    return alphabet, frames
+    raise AssertionError(f"{path}: the file's frame check refused frame records that the record check accepts")
 
 
 def write_frames(path, alphabet: Alphabet, frames_by_id: dict[int, np.ndarray]) -> None:

@@ -8,6 +8,13 @@ the four corner correspondences, applies it with bilinear resampling,
 and reads and writes binary (P5) PGM images so results can be
 inspected.
 
+One function makes the 8x8 correspondence systems, for any number of
+quads at once.  :func:`compute_homography` solves the system of one
+quad; :func:`_crop_maps` solves those of every box of a page with one
+batched solve and one batched inversion, and gives each crop's map onto
+the page bit for bit as ``compute_homography(...).inverse()`` would.  So
+:func:`rectify` takes its source either as a ``Quad`` or as that map.
+
 Conventions used throughout:
 
 * image coordinates have x growing right and y growing down;
@@ -62,6 +69,7 @@ class Quad:
             raise InputError("a quad needs exactly four corners")
         object.__setattr__(self, "corners", tuple(
             Point(check_float(p.x, "quad corner x"), check_float(p.y, "quad corner y")) for p in self.corners))
+        # _strictly_convex is this test as array arithmetic, for many quads at once
         crosses = []
         for i in range(4):
             a = self.corners[i]
@@ -82,9 +90,27 @@ class Quad:
     @classmethod
     def from_rect(cls, left: float, top: float, right: float, bottom: float) -> "Quad":
         """Axis-aligned rectangle as a quad."""
-        return cls.from_points(
-            [(left, top), (right, top), (right, bottom), (left, bottom)]
-        )
+        return cls.from_points(_rect_corners(left, top, right, bottom))
+
+
+def _rect_corners(left, top, right, bottom) -> list[tuple]:
+    """The corners of an axis-aligned rectangle, in a quad's order."""
+    return [(left, top), (right, top), (right, bottom), (left, bottom)]
+
+
+_NEXT = [1, 2, 3, 0]  # the corner after each corner, going round a quad
+
+
+def _strictly_convex(corners: np.ndarray) -> np.ndarray:
+    """Whether the corners of each quad of the (..., 4, 2) array ``corners``
+    pass ``Quad``'s convexity test: every cross product of consecutive
+    edges, computed as ``Quad`` computes it, is positive (NaN is not).
+    Overflows warn, unlike ``Quad``'s float arithmetic; callers silence
+    them."""
+    edge = corners[..., _NEXT, :] - corners
+    turn = edge[..., _NEXT, :]
+    cross = edge[..., 0] * turn[..., 1] - edge[..., 1] * turn[..., 0]
+    return np.all(cross > 0.0, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -134,14 +160,50 @@ class Homography:
         return Homography(inv)
 
 
+# the destination corners as multiples of the width and of the height
+_DST_U = np.array([0.0, 1.0, 1.0, 0.0])
+_DST_V = np.array([0.0, 0.0, 1.0, 1.0])
+
+
+def _homographies(corners: np.ndarray, widths, height) -> np.ndarray:
+    """The homographies sending the quads of the (N, 4, 2) array ``corners``
+    onto ``widths[k]`` x ``height`` rectangles, as an (N, 3, 3) array with
+    h33 = 1: the one place that builds the correspondence systems.
+
+    Each correspondence (x, y) -> (u', v') gives two rows of the standard
+    direct linear system in the eight unknowns h11..h32:
+    [x, y, 1, 0, 0, 0, -u' x, -u' y] = u' and [0, 0, 0, x, y, 1, -v' x, -v' y] = v',
+    with the corners going to (0, 0), (w, 0), (w, h) and (0, h).  A zero
+    u' or v' gives the terms -0.0 * x and -0.0 * y, as the formula does,
+    and a term that overflows is an infinity without a warning, as in
+    float arithmetic.  Four point pairs pin down the eight free parameters
+    exactly, so each system is solved directly (Gaussian elimination with
+    partial pivoting, one LAPACK call per system in ``numpy.linalg.solve``);
+    no least squares is involved.  A singular system raises
+    ``numpy.linalg.LinAlgError``.
+    """
+    n = len(corners)
+    u = np.asarray(widths, dtype=np.float64)[:, None] * _DST_U
+    v = np.broadcast_to(float(height) * _DST_V, u.shape)
+    a = np.zeros((n, 4, 2, 8))
+    a[:, :, 0, 0:2] = corners
+    a[:, :, 0, 2] = 1.0
+    a[:, :, 1, 3:5] = corners
+    a[:, :, 1, 5] = 1.0
+    with np.errstate(over="ignore"):
+        np.multiply(-u[..., None], corners, out=a[:, :, 0, 6:8])
+        np.multiply(-v[..., None], corners, out=a[:, :, 1, 6:8])
+    b = np.stack([u, v], axis=-1).reshape(n, 8, 1)
+    h = np.linalg.solve(a.reshape(n, 8, 8), b)[:, :, 0]
+    return np.concatenate([h, np.ones((n, 1))], axis=1).reshape(n, 3, 3)
+
+
 def compute_homography(src: Quad, width: int, height: int) -> Homography:
     """Estimate the homography sending ``src`` onto a width x height rectangle.
 
     The four corners of ``src`` are mapped, in order, to (0, 0),
-    (width, 0), (width, height) and (0, height).  Four point pairs pin
-    down the eight free parameters exactly, so the 8x8 linear system is
-    solved directly (Gaussian elimination with partial pivoting via
-    ``numpy.linalg.solve``); no least squares is involved.
+    (width, 0), (width, height) and (0, height).  The 8x8 linear system
+    is :func:`_homographies`' for this one quad.
 
     Parameters
     ----------
@@ -165,31 +227,43 @@ def compute_homography(src: Quad, width: int, height: int) -> Homography:
     """
     check_int(width, "destination width", 1)
     check_int(height, "destination height", 1)
-    u, v = float(width), float(height)
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = ((p.x, p.y) for p in src.corners)
-
-    # Each correspondence (x, y) -> (u', v') gives two rows of the standard
-    # direct linear system in the eight unknowns h11..h32:
-    # [x, y, 1, 0, 0, 0, -u' x, -u' y] = u' and [0, 0, 0, x, y, 1, -v' x, -v' y] = v',
-    # with the corners going to (0, 0), (u, 0), (u, v) and (0, v).  A zero
-    # u' or v' gives the terms -0.0 * x and -0.0 * y, as the formula does.
-    a = np.array([
-        [x0, y0, 1.0, 0.0, 0.0, 0.0, -0.0 * x0, -0.0 * y0],
-        [0.0, 0.0, 0.0, x0, y0, 1.0, -0.0 * x0, -0.0 * y0],
-        [x1, y1, 1.0, 0.0, 0.0, 0.0, -u * x1, -u * y1],
-        [0.0, 0.0, 0.0, x1, y1, 1.0, -0.0 * x1, -0.0 * y1],
-        [x2, y2, 1.0, 0.0, 0.0, 0.0, -u * x2, -u * y2],
-        [0.0, 0.0, 0.0, x2, y2, 1.0, -v * x2, -v * y2],
-        [x3, y3, 1.0, 0.0, 0.0, 0.0, -0.0 * x3, -0.0 * y3],
-        [0.0, 0.0, 0.0, x3, y3, 1.0, -v * x3, -v * y3],
-    ], dtype=np.float64)
-    b = np.array([0.0, 0.0, u, 0.0, u, v, 0.0, v])
+    corners = np.array([[(p.x, p.y) for p in src.corners]])
     try:
-        h = np.linalg.solve(a, b)
+        (matrix,) = _homographies(corners, [width], height)
     except np.linalg.LinAlgError as exc:
         raise DegenerateQuadError("degenerate quad: correspondence system is singular") from exc
-    matrix = np.append(h, 1.0).reshape(3, 3)
     return Homography(matrix)
+
+
+def _crop_maps(corners: np.ndarray, widths: list[int], height: int) -> list[Homography] | None:
+    """The map of each crop onto the page, for every box of a page at once.
+
+    Map k is, bit for bit, ``compute_homography(quad, widths[k],
+    height).inverse()`` of the quad with the corners ``corners[k]`` (an
+    (N, 4, 2) array): one solve and one inversion serve all N boxes, and
+    NumPy calls LAPACK once per matrix of a batch.  ``Quad``'s checks
+    (finite, strictly convex corners) and ``Homography``'s (finite, h33
+    != 0) run once, as array tests.  None when any box would be refused
+    on the way, or its map overflow where ``Homography`` normalises it,
+    so that the caller can go box by box and raise what the first such
+    box raises; ``height`` is a checked integer >= 1.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not (np.isfinite(corners).all() and _strictly_convex(corners).all()):
+            return None
+        try:
+            forward = _homographies(corners, widths, height)
+            if not np.isfinite(forward).all():
+                return None
+            inverse = np.linalg.inv(forward)
+        except np.linalg.LinAlgError:
+            return None
+        # Homography's normalisation: a map that is not finite, has h33 = 0
+        # or overflows here leaves a non-finite entry
+        inverse = inverse / inverse[:, 2:, 2:]
+    if not np.isfinite(inverse).all():
+        return None
+    return [_trusted(Homography, matrix=m) for m in inverse]
 
 
 @dataclass(frozen=True)
@@ -216,12 +290,16 @@ class GrayImage:
         return self.pixels.shape[1]
 
 
-def _trusted_image(pixels: np.ndarray) -> GrayImage:
-    """A GrayImage of ``pixels`` without the check and copy of ``GrayImage``:
-    the caller knows them to be a non-empty 2-D float64 array in [0, 1]."""
-    image = object.__new__(GrayImage)
-    object.__setattr__(image, "pixels", pixels)
-    return image
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields``, without
+    the check and copy of its ``__post_init__``: the caller knows the
+    fields to pass it (a GrayImage's pixels a non-empty 2-D float64 array
+    in [0, 1], a Homography's matrix a finite 3x3 float64 array with h33
+    = 1)."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _paint_boxes(boxes, shades, width: int, height: int) -> GrayImage:
@@ -233,7 +311,7 @@ def _paint_boxes(boxes, shades, width: int, height: int) -> GrayImage:
         rows = slice(max(0, math.floor(b.top)), max(0, math.ceil(b.bottom)))
         cols = slice(max(0, math.floor(b.left)), max(0, math.ceil(b.right)))
         px[rows, cols] = shade
-    return _trusted_image(px)
+    return _trusted(GrayImage, pixels=px)
 
 
 def _sample_bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -279,11 +357,13 @@ def _sample_bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.n
     return np.add(top, bot, out=top)
 
 
-def rectify(image: GrayImage, src: Quad, width: int, height: int) -> GrayImage:
+def rectify(image: GrayImage, src: Quad | Homography, width: int, height: int) -> GrayImage:
     """Resample the quad ``src`` of ``image`` onto a width x height raster.
 
-    Every destination pixel centre (u + 0.5, v + 0.5) is pulled back
-    through the inverse homography and the source image is sampled
+    ``src`` is the quad, or the map from the raster onto ``image`` (the
+    inverse of the quad's homography, as :func:`_crop_maps` gives it for
+    every box of a page).  Every destination pixel centre (u + 0.5,
+    v + 0.5) is pulled back through that map and the source image is sampled
     bilinearly at the resulting point; samples outside the source clamp
     to the nearest edge pixel.  The pullback broadcasts a row of the
     width u + 0.5 against a column of the height v + 0.5, so each pixel
@@ -295,17 +375,19 @@ def rectify(image: GrayImage, src: Quad, width: int, height: int) -> GrayImage:
     ----------
     image : GrayImage
         Source raster.
-    src : Quad
-        Region to rectify.
+    src : Quad or Homography
+        Region to rectify, or the map from the output raster onto it.
     width, height : int
-        Output size in pixels.
+        Output size in pixels; both must be >= 1.
 
     Returns
     -------
     GrayImage
         The rectified patch.
     """
-    hinv = compute_homography(src, width, height).inverse()
+    check_int(width, "destination width", 1)
+    check_int(height, "destination height", 1)
+    hinv = src if isinstance(src, Homography) else compute_homography(src, width, height).inverse()
     sx, sy = hinv.apply(
         np.arange(width, dtype=np.float64) + 0.5,
         (np.arange(height, dtype=np.float64) + 0.5)[:, None],
@@ -317,7 +399,7 @@ def rectify(image: GrayImage, src: Quad, width: int, height: int) -> GrayImage:
     # (Sterbenz's lemma) and the sum is exactly 1; for t < 1/2 it is
     # 1 + e with |e| <= 2**-54, which rounds to 1.  A clip would keep
     # -0.0 and NaN as they are, so dropping it changes no crop.
-    return _trusted_image(_sample_bilinear(image.pixels, sx, sy))
+    return _trusted(GrayImage, pixels=_sample_bilinear(image.pixels, sx, sy))
 
 
 # "P5", then width, height and maxval, each after whitespace and "#"
@@ -358,7 +440,7 @@ def read_pgm(path) -> GrayImage:
     if brightest > maxval:
         raise FormatError(f"{path}: PGM value {brightest} exceeds maxval {maxval}")
     # every byte is at most maxval, so every value lies in [0, 1]
-    return _trusted_image(np.divide(px, float(maxval), dtype=np.float64))
+    return _trusted(GrayImage, pixels=np.divide(px, float(maxval), dtype=np.float64))
 
 
 def write_pgm(image: GrayImage, path) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from .ctc import Alphabet, beam_decode, beam_decode_batch, validate_frame_probs  # noqa: F401
 from .errors import FormatError, InputError, VersionError, check_int
 from .formats import BoxRecord, from_json_value, read_json_file, to_json_value, truth_from_boxes, write_json_file
-from .geometry import GrayImage, Quad, rectify
+from .geometry import GrayImage, Quad, _crop_maps, _rect_corners, rectify
 from .layout import DocumentLayout, LayoutParams, arrange_document
 from .corrector.model import CorrectorModel
 # ``correct`` is not called here; perfbench/tracing.py looks it up in this module
@@ -160,14 +160,40 @@ class RunResult:
 
 def rectify_boxes(image: GrayImage, records: list[BoxRecord], height: int) -> dict[int, GrayImage]:
     """Each box of ``records`` rectified out of ``image`` from its own ``quad``, else its rectangle,
-    by box id: ``height`` pixels tall, keeping its width to height ratio, rounded, at least 1 wide."""
-    crops = {}
-    for rec in records:
-        b = rec.box
-        quad = rec.quad if rec.quad is not None else Quad.from_rect(b.left, b.top, b.right, b.bottom)
-        width = max(1, round(b.width / b.height * height))
-        crops[b.id] = rectify(image, quad, width, height)
-    return crops
+    by box id: ``height`` pixels tall, keeping its width to height ratio, rounded, at least 1 wide.
+
+    The maps of all boxes onto the page come from one batched solve (:func:`_crop_maps`), and each
+    crop is one ``rectify`` call given its map.  When that refuses a box, the boxes go one by one
+    from their quads instead, so the first box refused in record order raises what it raises alone.
+    """
+    if not records:
+        return {}
+    try:
+        check_int(height, "destination height", 1)
+        widths = [_crop_width(rec.box, height) for rec in records]
+        maps = _crop_maps(np.array([_corners(rec) for rec in records]), widths, height)
+    except (InputError, OverflowError):  # a bad height, or a width too large to round
+        maps = None
+    if maps is None:
+        # lazily, so that each box's quad and width are made, and may be
+        # refused, only after the crops of the boxes before it
+        sources = ((rec.quad if rec.quad is not None else Quad.from_points(_corners(rec)),
+                    _crop_width(rec.box, height)) for rec in records)
+    else:
+        sources = zip(maps, widths)
+    return {rec.box.id: rectify(image, src, width, height) for rec, (src, width) in zip(records, sources)}
+
+
+def _corners(rec: BoxRecord) -> list[tuple]:
+    """The corners a box is rectified from: its own quad's, else its rectangle's."""
+    if rec.quad is not None:
+        return [(p.x, p.y) for p in rec.quad.corners]
+    b = rec.box
+    return _rect_corners(b.left, b.top, b.right, b.bottom)
+
+
+def _crop_width(box, height: int) -> int:
+    return max(1, round(box.width / box.height * height))
 
 
 def decode_words(

@@ -10,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doctext.cli import load_params
+from doctext.ctc import Alphabet, validate_frame_probs
 from doctext.corrector.model import Hyper, load_model
 from doctext.errors import FormatError, InputError
 from doctext.formats import (
     BoxRecord,
+    _fields,
     _numbered_records,
     canonical_dumps,
     from_json_value,
@@ -435,7 +437,93 @@ class TestBoxes:
         assert truth_from_boxes(recs) == {0: "w"}
 
 
+def read_frames_reference(path):
+    """:func:`read_frames` as it was when it checked each box line on its
+    own, kept unchanged as an oracle."""
+    records = _numbered_records(path)
+    header = records[0][1] if records else {}
+    if not isinstance(header, dict) or "alphabet" not in header:
+        raise FormatError(f"{path}: first line must be an alphabet header")
+    try:
+        alphabet = Alphabet(from_json_value(tuple[str, ...], header["alphabet"]))
+    except (TypeError, InputError) as exc:
+        raise FormatError(f"{path}: bad alphabet header: {exc}") from exc
+    frames = {}
+    for n, rec in records[1:]:
+        bid, probs = _fields(rec, f"{path}:{n}", "frame record", box_id=int, frames=None)
+        if bid in frames:
+            raise FormatError(f"{path}:{n}: duplicate frames for box {bid}")
+        try:
+            mat = validate_frame_probs(probs, n_columns=alphabet.size)
+        except InputError as exc:
+            raise FormatError(f"{path}:{n}: {exc}") from exc
+        frames[bid] = mat
+    return alphabet, frames
+
+
+def frames_outcome(path):
+    """The alphabet and the id, dtype, shape and bytes of each matrix that
+    both readers give for ``path``, or the class and message they raise."""
+    out = []
+    for reader in (read_frames, read_frames_reference):
+        try:
+            alphabet, frames = reader(path)
+        except Exception as exc:  # the class is what is compared
+            out.append((type(exc), str(exc)))
+            continue
+        out.append((alphabet.chars, [(bid, m.dtype, m.shape, m.tobytes()) for bid, m in frames.items()]))
+    return out
+
+
+# one frame record per kind: good (two of them), rows that do not sum to 1,
+# a wrong column count, ragged rows, no frames, an integer beyond the float
+# range, a bad box id and a missing field
+FRAME_LINES = {
+    "good": '{{"box_id":{k},"frames":[[0.5,0.25,0.25],[0.0,0.0,1.0]]}}',
+    "good2": '{{"box_id":{k},"frames":[[0.125,0.375,0.5]]}}',
+    "sum": '{{"box_id":{k},"frames":[[0.9,0.9,0.9]]}}',
+    "columns": '{{"box_id":{k},"frames":[[0.5,0.5]]}}',
+    "ragged": '{{"box_id":{k},"frames":[[0.5,0.5,0.0],[1.0]]}}',
+    "empty": '{{"box_id":{k},"frames":[]}}',
+    "huge": '{{"box_id":{k},"frames":[[1' + "0" * 400 + ',0,0]]}}',
+    "id": '{{"box_id":"{k}","frames":[[0.5,0.25,0.25]]}}',
+    "field": '{{"box":{k}}}',
+}
+
+
 class TestFrames:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(FRAME_LINES)), st.integers(0, 5)), max_size=8))
+    @example([("good", 0), ("good", 1), ("sum", 2), ("good", 3), ("good", 1)])
+    def test_file_check_equals_line_check(self, tmp_path_factory, lines):
+        p = tmp_path_factory.mktemp("frames") / "frames.jsonl"
+        body = "".join(FRAME_LINES[kind].format(k=k) + "\n" for kind, k in lines)
+        p.write_text('{"alphabet":["a","b"]}\n' + body, encoding="utf-8")
+        mine, oracle = frames_outcome(p)
+        assert mine == oracle
+
+    def test_bad_frames_before_a_duplicate_id_are_named(self, tmp_path):
+        p = tmp_path / "frames.jsonl"
+        p.write_text(
+            '{"alphabet":["a"]}\n'
+            '{"box_id":0,"frames":[[0.5,0.5]]}\n'
+            '{"box_id":1,"frames":[[0.9,0.9]]}\n'
+            '{"box_id":2,"frames":[[0.5,0.5]]}\n'
+            '{"box_id":0,"frames":[[0.5,0.5]]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError, match=r"frames\.jsonl:3: every frame row must sum to 1"):
+            read_frames(p)
+
+    @pytest.mark.parametrize("seed", [7, 3, 30])
+    def test_arrays_equal_the_line_by_line_check(self, tmp_path, seed):
+        spec = SynthSpec(seed=seed, temperature=0.515)
+        alpha, frames = gen_frames(gen_document(spec), spec)
+        p = tmp_path / "frames.jsonl"
+        write_frames(p, alpha, frames)
+        mine, oracle = frames_outcome(p)
+        assert mine == oracle and len(mine[1]) == len(frames)
+
     def test_round_trip(self, tmp_path):
         spec = SynthSpec(seed=30, temperature=0.5)
         doc = gen_document(spec)

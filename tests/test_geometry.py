@@ -17,8 +17,10 @@ from doctext.geometry import (
     Homography,
     Point,
     Quad,
+    _crop_maps,
     _paint_boxes,
     _sample_bilinear,
+    _strictly_convex,
     compute_homography,
     read_pgm,
     rectify,
@@ -496,6 +498,164 @@ class TestFrozenOracle:
         for b in doc.boxes:
             want = rectify_reference(page, Quad.from_rect(b.left, b.top, b.right, b.bottom), crops[b.id].width, 32)
             assert same_image(crops[b.id], want)
+
+
+def rectify_boxes_reference(image, records, height):
+    """:func:`rectify_boxes` as it was before one solve served a whole
+    page: each box's quad built, its homography solved and inverted and
+    its crop sampled, one box at a time, kept unchanged as an oracle."""
+    crops = {}
+    for rec in records:
+        b = rec.box
+        quad = rec.quad if rec.quad is not None else Quad.from_rect(b.left, b.top, b.right, b.bottom)
+        width = max(1, round(b.width / b.height * height))
+        crops[b.id] = rectify(image, quad, width, height)
+    return crops
+
+
+def outcome(fn, *args):
+    """What a call of ``fn`` gives: the shape and bytes of each crop by box
+    id, or the class and message of what it raises."""
+    try:
+        crops = fn(*args)
+    except Exception as exc:  # the class is what is compared
+        return type(exc), str(exc)
+    return {bid: (c.pixels.shape, c.pixels.tobytes()) for bid, c in crops.items()}
+
+
+# box sizes from too small for Quad (below about 1e-162 its cross products
+# underflow to 0) to too large for a finite homography (about 1e306)
+SCALES = [1e-200, 1e-160, 1e-100, 1e-6, 1.0, 30.0, 1e4, 1e100, 1e200, 1e300, 1e306, 1e307]
+
+
+def box_corners(rng, scale, aspect):
+    """A random box's corners, about ``scale`` wide and ``aspect`` times as
+    wide as tall, near the origin: a rectangle, or a jittered one, which
+    need not be convex."""
+    left, top = rng.uniform(-2.0, 2.0, size=2) * scale
+    w = rng.uniform(0.5, 1.0) * scale
+    h = w / aspect
+    base = [(left, top), (left + w, top), (left + w, top + h), (left, top + h)]
+    if rng.random() < 0.5:
+        return base
+    jitter = rng.uniform(-0.3, 0.3, size=(4, 2)) * min(w, h)
+    return [(x + dx, y + dy) for (x, y), (dx, dy) in zip(base, jitter)]
+
+
+def page_records(rng, scales, height):
+    """A box record per scale, with a crop width of 1-400 at ``height``:
+    its rectangle, or half the time its quad too, when ``Quad`` takes it."""
+    records = []
+    for k, scale in enumerate(scales):
+        c = box_corners(rng, scale, int(rng.integers(1, 401)) / height)
+        xs, ys = zip(*c)
+        quad = None
+        if rng.random() < 0.5:
+            try:
+                quad = Quad.from_points(c)
+            except DegenerateQuadError:
+                pass
+        records.append(BoxRecord(box=TextBox(k, min(xs), min(ys), max(xs), max(ys)), quad=quad))
+    return records
+
+
+class TestBatchedMaps:
+    """One solve and one inversion serve every box of a page
+    (:func:`_crop_maps`): each map must be the bits of its box's own
+    homography and inverse, and a page with a box that any check refuses
+    must raise what the first such box raises in the box-by-box loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(SCALES), min_size=1, max_size=6), st.integers(1, 64))
+    @example(seed=0, scales=[1.0, 30.0, 1e4], height=1)
+    def test_maps_equal_the_oracle(self, seed, scales, height):
+        rng = np.random.default_rng(seed)
+        widths = [int(w) for w in rng.integers(1, 401, size=len(scales))]
+        corners = [box_corners(rng, s, w / height) for s, w in zip(scales, widths)]
+        want = []
+        for c, w in zip(corners, widths):
+            try:
+                q = Quad.from_points(c)
+                forward = homography_reference(q, w, height)
+            except (InputError, np.linalg.LinAlgError):
+                want.append(None)
+                continue
+            assert compute_homography(q, w, height).matrix.tobytes() == forward.matrix.tobytes()
+            try:
+                with np.errstate(over="ignore"):  # Homography normalises without a finite check
+                    want.append(forward.inverse())
+            except InputError:
+                want.append(None)
+        maps = _crop_maps(np.array(corners), widths, height)
+        if all(m is not None and np.isfinite(m.matrix).all() for m in want):
+            assert [m.matrix.tobytes() for m in maps] == [m.matrix.tobytes() for m in want]
+        else:
+            assert maps is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(SCALES[2:-2]), min_size=1, max_size=6),
+           st.integers(1, 64), st.integers(1, 40))
+    @example(seed=0, scales=[1.0, 30.0, 1e4], height=64, page=1)
+    def test_crops_equal_per_box_rectify(self, seed, scales, height, page):
+        rng = np.random.default_rng(seed)
+        image = GrayImage(rng.choice([0.0, 1.0, rng.random()], size=(page, page + 3)))
+        records = page_records(rng, [s * page / 30.0 for s in scales], height)
+        got = outcome(rectify_boxes, image, records, height)
+        assert isinstance(got, dict) and got == outcome(rectify_boxes_reference, image, records, height)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(SCALES[2:-2]), max_size=5),
+           st.lists(st.sampled_from(["tiny", "wide", "far"]), min_size=1, max_size=3), st.integers(1, 64))
+    @example(seed=0, scales=[1.0, 1.0], bad=["tiny"], height=16)
+    def test_first_refused_box_raises(self, seed, scales, bad, height):
+        rng = np.random.default_rng(seed)
+        records = page_records(rng, scales, height)
+        # a rectangle whose cross products underflow, one too wide to round
+        # its crop width and one too far out for a finite homography
+        kinds = {"tiny": (0.0, 0.0, 1e-200, 1e-200), "wide": (0.0, 0.0, 1e300, 1e-10),
+                 "far": (1e307, 1e307, 1.7e308, 1.7e307)}
+        first = None
+        for k, kind in enumerate(bad, len(records)):
+            rec = BoxRecord(box=TextBox(k, *kinds[kind]))
+            at = int(rng.integers(0, len(records) + 1))
+            records.insert(at, rec)
+            if first is None or at <= records.index(first):
+                first = rec
+        image = GrayImage(rng.random((20, 30)))
+        got = outcome(rectify_boxes, image, records, height)
+        assert got == outcome(rectify_boxes_reference, image, records, height)
+        assert got == outcome(rectify_boxes_reference, image, [first], height)
+        assert not isinstance(got, dict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SCALES), st.floats(0.0, 2.0))
+    def test_convexity_agrees_with_quad(self, seed, scale, jitter):
+        rng = np.random.default_rng(seed)
+        c = np.array(box_corners(rng, scale, rng.uniform(0.1, 10.0)))
+        c += rng.uniform(-jitter, jitter, size=(4, 2)) * scale
+        try:
+            Quad.from_points(c.tolist())
+            accepted = True
+        except DegenerateQuadError:
+            accepted = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _strictly_convex(c[None]).tolist() == [accepted]
+
+    def test_empty_page_and_bad_height(self):
+        image = GrayImage(np.zeros((4, 4)))
+        assert rectify_boxes(image, [], 0) == {}
+        records = [BoxRecord(box=TextBox(0, 0.0, 0.0, 2.0, 1.0))]
+        for height in (0, 2.0, True):
+            assert outcome(rectify_boxes, image, records, height) == outcome(
+                rectify_boxes_reference, image, records, height)
+
+    def test_map_and_quad_give_one_crop(self):
+        image = GrayImage(np.random.default_rng(32).random((30, 30)))
+        q = Quad.from_points([(2, 3), (25, 5), (27, 26), (4, 24)])
+        hinv = compute_homography(q, 40, 12).inverse()
+        assert same_image(rectify(image, hinv, 40, 12), rectify(image, q, 40, 12))
+        with pytest.raises(InputError, match="must be an integer"):
+            rectify(image, hinv, 40.0, 12)
 
 
 class TestPgm:
