@@ -91,11 +91,15 @@ class Alphabet:
 def _as_frames(probs_list, n_columns: int | None = None) -> list[np.ndarray]:
     """The frame rule: each matrix as float64 frames x classes (two or more,
     one count for all, ``n_columns`` if given; shapes first), then every
-    row a distribution: entries in [0, 1] summing to 1, both within 1e-9."""
+    row a distribution: entries in [0, 1] summing to 1, both within 1e-9.
+    An integer entry beyond the float range leaves no array to take a
+    shape from, so it is refused as out of range where it is met."""
     mats = []
     for probs in probs_list:
         try:
             arr = np.asarray(probs, dtype=np.float64)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise InputError("frame probabilities must be finite and lie in [0, 1]") from exc
         except (TypeError, ValueError):
             # ragged rows, or entries that are not numbers
             arr = None

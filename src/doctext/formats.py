@@ -8,7 +8,8 @@ alphabet, then one per-frame probability matrix per box).  Decoded
 words are JSONL word rows, one ``{"box_id", "word"}`` object per box.
 Corpora for corrector training are JSONL (noisy, clean) phrase pairs.
 Every reader's refusal names the file, and ``path:line`` for a JSONL
-record.
+record.  A boxes file is read in one loop that checks each record once,
+in line order; ``TextBox`` states the rule for a box's values.
 
 Reports and checkpoints are single canonical-JSON documents: keys
 sorted, separators fixed, floats carried at full repr precision, one
@@ -18,7 +19,6 @@ bytes, which makes reproducibility checks a file compare.
 
 import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from itertools import chain
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin
@@ -28,7 +28,7 @@ import numpy as np
 from .ctc import Alphabet, _as_frames, validate_frame_probs
 from .errors import FormatError, InputError
 from .geometry import Quad
-from .layout import TextBox, _trusted_boxes
+from .layout import TextBox
 
 __all__ = [
     "BoxRecord",
@@ -207,6 +207,8 @@ class BoxRecord:
 
 
 _NUMBER_TYPES = frozenset((int, float))  # JSON numbers; bool is not among them
+_INF = float("inf")
+_set_field = object.__setattr__
 
 
 def _numbers(values, where: str, what: str) -> list:
@@ -218,28 +220,38 @@ def _numbers(values, where: str, what: str) -> list:
     return values
 
 
-def _quad_of(rec: dict, where: str) -> Quad:
-    """The quad of a box record that has a 'quad', or ``FormatError``."""
-    if type(rec["quad"]) is not list:
-        raise FormatError(f"{where}: malformed geometry: 'quad' must be a list of corners")
-    coords = [_numbers(c, where, "a 'quad' corner") for c in rec["quad"]]
-    try:
-        return Quad.from_points(coords)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: malformed geometry: {exc}") from exc
-    except InputError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+def _box_from_record(rec, path, n: int) -> BoxRecord:
+    """The box record on line ``n`` of the boxes file ``path``.
 
-
-def _bounds(quad: Quad) -> list[float]:
-    """The left, top, right and bottom edges of the box around ``quad``."""
-    xs = [p.x for p in quad.corners]
-    ys = [p.y for p in quad.corners]
-    return [min(xs), min(ys), max(xs), max(ys)]
-
-
-def _box_from_record(rec: dict, where: str) -> BoxRecord:
-    """One box record, checked field by field; a refusal names ``where``."""
+    A rect record with an ``int`` id, a string or no word and four JSON
+    numbers for a finite, ordered box whose centre lies right of its
+    left edge passes one fast test, and its box is built without the
+    check of ``TextBox``.  Any other record is checked field by field
+    and its box built by ``TextBox``, which states the box rule; a
+    refusal names ``path:n``.
+    """
+    if type(rec) is dict and "quad" not in rec:
+        bid, rect, word = rec.get("id"), rec.get("rect"), rec.get("word")
+        if (type(bid) is int and bid >= 0 and (word is None or type(word) is str)
+                and type(rect) is list and len(rect) == 4 and _NUMBER_TYPES.issuperset(map(type, rect))):
+            try:
+                left, top, right, bottom = map(float, rect)
+            except OverflowError:  # an integer beyond the float range, which TextBox names
+                pass
+            else:
+                # NaN fails every comparison; a left edge of -inf fails the last
+                if -_INF < top < bottom < _INF > right > left < 0.5 * (left + right):
+                    # field by field, as the frozen dataclass's __init__ does: writing box.__dict__
+                    # gives each box a dict of its own, which slowed layout-dense (ROADMAP, Settled)
+                    box = object.__new__(TextBox)
+                    _set_field(box, "id", bid)
+                    _set_field(box, "left", left)
+                    _set_field(box, "top", top)
+                    _set_field(box, "right", right)
+                    _set_field(box, "bottom", bottom)
+                    _set_field(box, "word", word)
+                    return BoxRecord(box)
+    where = f"{path}:{n}"
     if not isinstance(rec, dict):
         raise FormatError(f"{where}: box record must be an object")
     if "id" not in rec:
@@ -256,95 +268,50 @@ def _box_from_record(rec: dict, where: str) -> BoxRecord:
     if has_rect == ("quad" in rec):
         raise FormatError(f"{where}: box record needs exactly one of 'rect' or 'quad'")
     if has_rect:
-        quad = None
-        try:
-            left, top, right, bottom = _numbers(rec["rect"], where, "'rect'")
-        except ValueError as exc:  # not four numbers
-            raise FormatError(f"{where}: malformed geometry: {exc}") from exc
+        coords = _numbers(rec["rect"], where, "'rect'")
+    elif type(rec["quad"]) is list:
+        coords = [_numbers(c, where, "a 'quad' corner") for c in rec["quad"]]
     else:
-        quad = _quad_of(rec, where)
-        left, top, right, bottom = _bounds(quad)
+        raise FormatError(f"{where}: malformed geometry: 'quad' must be a list of corners")
+    quad = None
     try:
+        if has_rect:
+            left, top, right, bottom = coords
+        else:
+            quad = Quad.from_points(coords)
+            xs, ys = [p.x for p in quad.corners], [p.y for p in quad.corners]
+            left, top, right, bottom = min(xs), min(ys), max(xs), max(ys)
         box = TextBox(id=bid, left=left, top=top, right=right, bottom=bottom, word=word)
-    except InputError as exc:
+    except (TypeError, ValueError) as exc:  # not four numbers, or not four corners of two
+        raise FormatError(f"{where}: malformed geometry: {exc}") from exc
+    except InputError as exc:  # the rule of Quad or of TextBox
         raise FormatError(f"{where}: {exc}") from exc
     return BoxRecord(box=box, quad=quad)
-
-
-def _boxes_by_column(recs: list) -> list[BoxRecord] | None:
-    """The box records of the parsed lines ``recs``, or None when one of
-    them would fail :func:`_box_from_record` or repeat an id.
-
-    Types are checked a column at a time, and the ``TextBox`` checks run
-    on one float64 array of every box's edges; each box is then built
-    once, from that array's values, without checking it again.
-    """
-    if not {dict}.issuperset(map(type, recs)):
-        return None
-    try:
-        ids = [rec["id"] for rec in recs]
-    except KeyError:
-        return None
-    if not {int}.issuperset(map(type, ids)):
-        ids = [int(i) if type(i) is float and i.is_integer() else i for i in ids]
-        if not {int}.issuperset(map(type, ids)):
-            return None
-    if min(ids, default=0) < 0 or len(set(ids)) != len(ids):
-        return None
-    words = [rec.get("word") for rec in recs]
-    if not {str, type(None)}.issuperset(map(type, words)):
-        return None
-    # a record without 'rect' has None here, unless it has a 'quad'
-    edges = [rec.get("rect") for rec in recs]
-    quads: list[Quad | None] = [None] * len(recs)
-    for k in [k for k, rec in enumerate(recs) if "quad" in rec]:
-        if "rect" in recs[k]:
-            return None
-        try:
-            quads[k] = _quad_of(recs[k], "")
-        except FormatError:
-            return None
-        edges[k] = _bounds(quads[k])
-    if not {list}.issuperset(map(type, edges)) or not {4}.issuperset(map(len, edges)):
-        return None
-    flat = list(chain.from_iterable(edges))
-    if not _NUMBER_TYPES.issuperset(map(type, flat)):
-        return None
-    try:
-        box_edges = np.array(flat, dtype=np.float64).reshape(-1, 4)
-    except OverflowError:  # an integer beyond the float range, as float() refuses it
-        return None
-    left, top, right, bottom = box_edges.T
-    with np.errstate(over="ignore"):  # as in Python floats, a sum that overflows is inf
-        if not (np.isfinite(box_edges).all() and (left < right).all() and (top < bottom).all()
-                and (0.5 * (left + right) > left).all()):
-            return None
-    return list(map(BoxRecord, _trusted_boxes(ids, box_edges.tolist(), words), quads))
 
 
 def read_boxes(path) -> list[BoxRecord]:
     """Load a boxes JSONL file; ids must be unique (``FormatError``).
 
-    The records are checked column by column and each box is built once
-    (:func:`_boxes_by_column`).  When that check fails, the records are
-    checked again one by one, to name the first refusal with its
+    Each record is checked once, in line order, by
+    :func:`_box_from_record`, so the first refusal names its
     ``path:line``.
     """
     return _boxes_of(path, _numbered_records(path))
 
 
 def _boxes_of(path, numbered: list) -> list[BoxRecord]:
-    """The box records of the numbered lines of the boxes file ``path``."""
-    records = _boxes_by_column([rec for _, rec in numbered])
-    if records is not None:
-        return records
-    seen: set[int] = set()
+    """The box records of the numbered lines of the boxes file ``path``:
+    each record checked and its box built, then its id tested against
+    the ids of the lines before it."""
+    records, seen = [], set()
     for n, rec in numbered:
-        record = _box_from_record(rec, f"{path}:{n}")
-        if record.box.id in seen:
-            raise FormatError(f"{path}:{n}: duplicate box id {record.box.id}")
-        seen.add(record.box.id)
-    raise AssertionError(f"{path}: the column check refused box records that the record check accepts")
+        record = _box_from_record(rec, path, n)
+        bid = record.box.id
+        if bid in seen:
+            raise FormatError(f"{path}:{n}: duplicate box id {bid}")
+        seen.add(bid)
+        records.append(record)
+    return records
 
 
 def write_boxes(path, records) -> None:
@@ -386,7 +353,7 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
         frames = {bid: mat for (bid, _), mat in zip(fields, mats)}
         if len(frames) == len(mats) and all(len(mat) for mat in mats):
             return alphabet, frames
-    except (InputError, OverflowError):  # OverflowError: an integer beyond the float range
+    except InputError:
         pass
     frames = {}
     for n, rec in numbered:

@@ -88,26 +88,6 @@ class TextBox:
         return 0.5 * (self.top + self.bottom)
 
 
-_set_field = object.__setattr__  # as the dataclass __init__ sets a frozen field
-
-
-def _trusted_boxes(ids, edges, words) -> list[TextBox]:
-    """A TextBox for each id, (left, top, right, bottom) edge row and
-    word, without the check of ``TextBox``: the caller knows them to pass
-    it, as Python ints, floats and strings or None."""
-    boxes = []
-    for bid, (left, top, right, bottom), word in zip(ids, edges, words):
-        box = object.__new__(TextBox)
-        _set_field(box, "id", bid)
-        _set_field(box, "left", left)
-        _set_field(box, "top", top)
-        _set_field(box, "right", right)
-        _set_field(box, "bottom", bottom)
-        _set_field(box, "word", word)
-        boxes.append(box)
-    return boxes
-
-
 @dataclass(frozen=True)
 class LayoutParams:
     """Thresholds for grouping and line chaining.

@@ -14,6 +14,7 @@ word count; otherwise the group keeps its baseline words and is
 flagged, so correction can never lose a box.
 """
 
+import math
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -172,7 +173,7 @@ def rectify_boxes(image: GrayImage, records: list[BoxRecord], height: int) -> di
         check_int(height, "destination height", 1)
         widths = [_crop_width(rec.box, height) for rec in records]
         maps = _crop_maps(np.array([_corners(rec) for rec in records]), widths, height)
-    except (InputError, OverflowError):  # a bad height, or a width too large to round
+    except InputError:  # a bad height or crop width
         maps = None
     if maps is None:
         # lazily, so that each box's quad and width are made, and may be
@@ -193,7 +194,12 @@ def _corners(rec: BoxRecord) -> list[tuple]:
 
 
 def _crop_width(box, height: int) -> int:
-    return max(1, round(box.width / box.height * height))
+    """The width of ``box``'s crop ``height`` pixels tall: its width to height ratio kept,
+    rounded, at least 1; ``InputError`` naming the box when that width is not finite."""
+    width = box.width / box.height * height
+    if not math.isfinite(width):  # inf or NaN, which round() cannot take
+        raise InputError(f"box {box.id} has no finite crop width at height {height}")
+    return max(1, round(width))
 
 
 def decode_words(
@@ -211,7 +217,7 @@ def decode_words(
         if not all(m.ndim == 2 and len(m) > 0 and m.shape[1] == alphabet.size for m in mats):
             raise InputError("a frame matrix has the wrong shape")
         labels = beam_decode_batch(mats, beam_width)
-    except (InputError, TypeError, ValueError):
+    except (InputError, TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond the float range
         # name the first bad box, with the message of its own check
         for bid, frames in frames_by_id.items():
             try:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import doctext.formats
@@ -12,7 +13,7 @@ from doctext.errors import FormatError, InputError
 from doctext.formats import (
     read_boxes, read_corpus, read_frames, read_jsonl, read_words, truth_from_boxes, write_words,
 )
-from doctext.geometry import read_pgm
+from doctext.geometry import GrayImage, read_pgm, write_pgm
 from doctext.layout import LayoutParams
 from doctext.pipeline import PipelineParams, decode_words, evaluate
 from doctext.synth import SynthSpec
@@ -452,6 +453,34 @@ class TestExitCodes:
         assert run_cli(*[inputs.get(a, tmp_path / a if a.endswith(files) else a) for a in argv]) == 2
         assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, where", [
+        (("decode", "--frames", "HUGE", "--out", "o.jsonl"), "{HUGE}:2: frame probabilities must be finite"),
+        (("run", "--boxes", "BOXES", "--frames", "HUGE", "--out", "o.json"),
+         "{HUGE}:2: frame probabilities must be finite"),
+        (("rectify", "--image", "PAGE", "--boxes", "WIDE", "--out", "crops"),
+         "box 0 has no finite crop width at height 32"),
+        (("run", "--boxes", "WIDE", "--frames", "FRAMES", "--image", "PAGE", "--crops-dir", "crops",
+          "--out", "o.json"), "box 0 has no finite crop width at height 32"),
+    ], ids=["decode_frames", "run_frames", "rectify_boxes", "run_image"])
+    def test_values_beyond_the_float_range_exit_2(self, tmp_path, capsys, argv, where):
+        # a frame entry that float() cannot take, and a box whose crop width
+        # overflows to inf, once ended in an OverflowError traceback
+        files = {
+            "BOXES": '{"id":0,"rect":[0,0,2,1]}\n',
+            "WIDE": '{"id":0,"rect":[0,0,1e308,1e-300]}\n',
+            "FRAMES": '{"alphabet":["a"]}\n{"box_id":0,"frames":[[0.5,0.5]]}\n',
+            "HUGE": '{"alphabet":["a"]}\n{"box_id":0,"frames":[[1' + "0" * 400 + ',0]]}\n',
+        }
+        paths = {name: tmp_path / f"{name}.jsonl" for name in files}
+        for name, text in files.items():
+            paths[name].write_text(text, encoding="utf-8")
+        paths["PAGE"] = tmp_path / "page.pgm"
+        write_pgm(GrayImage(np.zeros((4, 4))), paths["PAGE"])
+        code = run_cli(*[paths.get(a, tmp_path / a if a.startswith(("o.", "crops")) else a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+        assert where.format(**paths) in err
+
     def test_divergence_exit_code(self, synth_dir, tmp_path):
         params = tmp_path / "explode.json"
         params.write_text(
@@ -461,8 +490,6 @@ class TestExitCodes:
             }),
             encoding="utf-8",
         )
-        import numpy as np
-
         with np.errstate(over="ignore", invalid="ignore"):
             code = run_cli(
                 "train-corrector", "--corpus", synth_dir / "corpus.jsonl",

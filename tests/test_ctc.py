@@ -288,6 +288,14 @@ class TestFrameCheck:
         with pytest.raises(InputError, match="finite"):
             read([[0.2, 0.8], [bad, 0.5]])
 
+    @pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["huge", "-huge"])
+    @pytest.mark.parametrize(
+        "read", FRAME_READERS + [pytest.param(validate_frame_probs, id="validate_frame_probs")])
+    def test_integers_beyond_the_float_range_rejected(self, read, bad):
+        # float() of such an integer raises OverflowError, not a DoctextError
+        with pytest.raises(InputError, match=r"finite and lie in \[0, 1\]"):
+            read([[0.5, 0.5], [bad, 0]])
+
     @pytest.mark.parametrize(
         "probs",
         [[0.5, 0.5], [[1.0], [1.0]], [[0.5, 0.5], [1.0]], [["a", "b"]]],

@@ -429,6 +429,41 @@ class TestBoxes:
             TextBox(id=0, left=0, top=0, right=1, bottom=1)
         assert read_boxes(p) == expected and len(expected) > 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.integers() | st.sampled_from([10**400, -(10**400), 2**1024 - 2**970]),
+                    min_size=4, max_size=4),
+           st.sampled_from([1, -1, 2.0, True]), st.sampled_from([_ABSENT, None, "w", 7]))
+    @example([1e308, 0.0, 1.7e308, 1.0], 1, _ABSENT)  # its centre overflows to inf
+    @example([1.7e308, 0.0, 1e308, 1.0], 1, _ABSENT)  # inverted, its centre inf
+    @example([-1.7e308, 0.0, 1.7e308, 1.0], 1, _ABSENT)
+    @example([1e16, 0.0, 1e16 + 2, 1.0], 1, _ABSENT)
+    @example([0.0, 0.0, 1.0, float("inf")], 1, _ABSENT)
+    @example([-0.0, -0.0, 1, 1], 1, "w")
+    @example([-1, -1, -0.0, -0.0], 1, None)
+    @example([0, 0, 10**400, 1], 1, _ABSENT)
+    @example([-(10**400), 0, 1, 1], 1, _ABSENT)
+    @example([0, 0, 1, 1], 1, 7)
+    @example([0, 0, 1, 1], -1, _ABSENT)
+    def test_fast_test_agrees_with_textbox(self, tmp_path_factory, rect, bid, word):
+        # a record after a good one, in and out of the reader's fast test: any
+        # four JSON numbers as its rect, NaN and infinities among them
+        rec = {"id": bid, "rect": rect} if word is _ABSENT else {"id": bid, "rect": rect, "word": word}
+        p = tmp_path_factory.mktemp("boxes") / "boxes.jsonl"
+        p.write_text('{"id":0,"rect":[0,0,1,1]}\n' + json.dumps(rec) + "\n", encoding="utf-8")
+        mine, oracle = read_outcome(read_boxes, p), read_outcome(read_boxes_reference, p)
+        assert mine == oracle and repr(mine) == repr(oracle)  # == does not see the sign of a zero
+
+    def test_bad_record_after_good_ones_names_its_line(self, tmp_path):
+        p = tmp_path / "boxes.jsonl"
+        good = [json.dumps({"id": k, "rect": [k, 0, k + 1, 1]}) for k in range(300)]
+        p.write_text("\n".join(good + ['{"id":300,"rect":[0,0,1,"1"]}', '{"id":0,"rect":[0,0,1,1]}']) + "\n",
+                     encoding="utf-8")
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:301: malformed geometry"):
+            read_boxes(p)
+        p.write_text("\n".join(good + ['{"id":299,"rect":[0,0,1,1]}']) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"boxes\.jsonl:301: duplicate box id 299"):
+            read_boxes(p)
+
     def test_truth_from_boxes(self):
         recs = [
             BoxRecord(box=TextBox(id=0, left=0, top=0, right=1, bottom=1, word="w")),
@@ -501,6 +536,12 @@ class TestFrames:
         p.write_text('{"alphabet":["a","b"]}\n' + body, encoding="utf-8")
         mine, oracle = frames_outcome(p)
         assert mine == oracle
+
+    def test_integer_beyond_the_float_range_is_a_format_error(self, tmp_path):
+        p = tmp_path / "frames.jsonl"
+        p.write_text('{"alphabet":["a","b"]}\n' + FRAME_LINES["huge"].format(k=0) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"frames\.jsonl:2: frame probabilities must be finite"):
+            read_frames(p)
 
     def test_bad_frames_before_a_duplicate_id_are_named(self, tmp_path):
         p = tmp_path / "frames.jsonl"

@@ -622,10 +622,26 @@ class TestBatchedMaps:
             if first is None or at <= records.index(first):
                 first = rec
         image = GrayImage(rng.random((20, 30)))
+
+        def named(want):
+            # the oracle's round() overflows on a "wide" box's crop width,
+            # where the crop-size rule raises an InputError naming the box
+            if want[0] is OverflowError:
+                return InputError, f"box {first.box.id} has no finite crop width at height {height}"
+            return want
+
         got = outcome(rectify_boxes, image, records, height)
-        assert got == outcome(rectify_boxes_reference, image, records, height)
-        assert got == outcome(rectify_boxes_reference, image, [first], height)
+        assert got == named(outcome(rectify_boxes_reference, image, records, height))
+        assert got == named(outcome(rectify_boxes_reference, image, [first], height))
         assert not isinstance(got, dict)
+
+    @pytest.mark.parametrize("rect", [(0.0, 0.0, 1e308, 1e-300), (-1e308, -1e308, 1e308, 1e308)],
+                             ids=["inf", "nan"])
+    def test_crop_width_beyond_float_range_names_the_box(self, rect):
+        image = GrayImage(np.zeros((4, 4)))
+        records = [BoxRecord(box=TextBox(0, 0.0, 0.0, 2.0, 1.0)), BoxRecord(box=TextBox(5, *rect))]
+        with pytest.raises(InputError, match="^box 5 has no finite crop width at height 16$"):
+            rectify_boxes(image, records, 16)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(SCALES), st.floats(0.0, 2.0))

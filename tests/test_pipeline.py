@@ -147,6 +147,12 @@ class TestDecodeWords:
         with pytest.raises(InputError, match="box 1"):
             decode_words(alpha, frames)
 
+    def test_rejects_integers_beyond_the_float_range(self):
+        alpha = Alphabet(("a",))
+        frames = {0: [[0.5, 0.5]], 1: [[0.5, 0.5], [10**400, 0]]}
+        with pytest.raises(InputError, match=r"box 1: frame probabilities must be finite"):
+            decode_words(alpha, frames)
+
     def test_rejects_ragged_frames(self):
         alpha = Alphabet(("a", "b"))
         frames = {0: one_hot_frames(alpha, "ab"), 1: [[0.5, 0.25, 0.25], [1.0, 0.0]]}
