@@ -18,16 +18,19 @@ contiguous slots ``offs[t]:offs[t + 1]`` of an (R, D) array, one slot
 per real token, the rows still running at t in sorted order.  A step of
 a recurrence reads and writes its own slice, and carries each row's
 state in a (B, H) buffer whose leading rows are the ones that step
-advances.  Each recurrence records the hidden state every step read,
-packed as its outputs are (the decoder step in ``h_in``, the encoder's
-``_scan`` as one (R, H) array per direction), so the recurrent
-weights' gradients are one product each.  Every product that
-does not feed a recurrence (input projections, attention keys, the
-output layer, weight and input gradients) is one matrix product over
-the R real slots, and the encoder's embedding lookup is one gather over
-them.  Attention alone keeps the padded (B, Tx) layout: keys and summed
-states are scattered into zeros once per batch, and the padded
-positions are masked.
+advances.  In training, each recurrence records the hidden state every
+step read, packed as its outputs are (the decoder step in ``h_in``, the
+encoder's ``_scan`` as one (R, H) array per direction), so the recurrent
+weights' gradients are one product each.  Inference has no backward
+pass, so its encoder records neither those states nor its step caches,
+and no step's gates outlive the step.  Every product that does not feed
+a recurrence (input projections, attention keys, the output layer,
+weight and input gradients) is one matrix product over the R real
+slots, and the encoder's embedding lookup is one gather over them.
+Attention alone keeps the padded (B, Tx) layout: keys and summed states
+are scattered into zeros once per batch, and training masks the padded
+positions.  Inference attends each phrase's unpadded views, which need
+no mask.
 
 One decoder-step kernel, ``_decoder_advance``, serves both
 teacher-forced training and inference.  Dropout applies between
@@ -216,15 +219,19 @@ def _scan(xw, pk: _Packed, u, mm):
     Returns the (R, 2H) states, packed as ``xw``; per direction, the
     (R, H) hidden states each slot's step read; the step caches; and the
     (B, 2H) final states in sorted row order, a row's forward state at
-    its last token and its backward state at its first.
+    its last token and its backward state at its first.  The incoming
+    states and the caches are the tape that :func:`_scan_backward` reads,
+    so only an exact-row scan, as training runs, records them; with
+    ``_mm`` both are empty lists.
     """
     counts, offs = pk.counts.tolist(), pk.offs.tolist()
     hdim = u[0].shape[0]
-    rows = _ROWS if mm is _mm else 1
+    tape = mm is not _mm  # exact rows: training's scan, which is differentiated
+    rows = 1 if tape else _ROWS
     nf = [-(-n // rows) * rows for n in counts]  # forward rows of each step
     nb = nf[::-1]                                # backward rows of each step
     states = np.empty((offs[-1], 2 * hdim))
-    h_in = [np.empty((offs[-1], hdim)) for _ in u]
+    h_in = [np.empty((offs[-1], hdim)) for _ in u] if tape else []
     caches = []
     h = c = np.zeros((nf[0] + nb[0], hdim))
     for t, (f, b) in enumerate(zip(nf, nb)):
@@ -234,15 +241,17 @@ def _scan(xw, pk: _Packed, u, mm):
             h, c = (np.concatenate([a[:f], a[nf[t - 1] :], pad]) for a in (h, c))
         r = len(counts) - 1 - t  # the backward direction's position
         fwd, bwd = slice(offs[t], offs[t + 1]), slice(offs[r], offs[r + 1])
-        h_in[0][fwd] = h[: counts[t]]
-        h_in[1][bwd] = h[f : f + counts[r]]
+        if tape:
+            h_in[0][fwd] = h[: counts[t]]
+            h_in[1][bwd] = h[f : f + counts[r]]
         z = np.empty((f + b, 4 * hdim))  # new each step: the cell's cache keeps it
         mm(h[:f], u[0], out=z[:f])
         mm(h[f:], u[1], out=z[f:])
         z[: counts[t]] += xw[0][fwd]
         z[f : f + counts[r]] += xw[1][bwd]
         h, c, cache = _cell(z, c)
-        caches.append(cache)
+        if tape:
+            caches.append(cache)
         states[fwd, :hdim] = h[: counts[t]]
         states[bwd, hdim:] = h[f : f + counts[r]]
     lengths = (pk.counts[:, None] > np.arange(counts[0])).sum(axis=0)
@@ -291,7 +300,8 @@ class _EncBundle:
     src: _Packed            # the (B, Tx) source batch
     inputs: list            # per layer: (R, D) input (post-dropout)
     drop_masks: list        # per layer: dropout mask on its output, or None
-    scans: list             # per layer: _scan's incoming states and cell caches
+    scans: list             # per layer: _scan's incoming states and cell caches,
+                            # which the backward pass reads; empty in inference
     hcat: np.ndarray        # (R, 2H) top layer forward then backward states
     hsum: np.ndarray        # (B, Tx, H), zero at padded positions
     keys: np.ndarray        # (B, Tx, H) attention keys, zero at padded positions
@@ -345,7 +355,8 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
             a += p[f"{d}.b"]
         out, h_in, caches, final = _scan(xw, src, [p[f"{d}.U"] for d in pre], mm)
         inputs.append(inp)
-        scans.append((h_in, caches))
+        if caches:
+            scans.append((h_in, caches))
         dm = None
         if rng is not None and l < hp.enc_layers - 1:
             out, dm = _dropout(out, hp.dropout, rng)
@@ -370,12 +381,22 @@ def _encode_batch(model: CorrectorModel, x_ids, rng=None, mm=_mm) -> _EncBundle:
 def _attend_cached(keys, hsum, mask_x, s_prev):
     """Attention weights and context given precomputed keys.
 
-    Padded positions get an additive -1e30 score and an explicit zero
-    weight, so they never influence the context.
+    Padded positions, where ``mask_x`` is 0, get an additive -1e30 score
+    and an explicit zero weight, so they never influence the context.
+    ``mask_x`` None attends every position, for keys without padding, as
+    the beam search's views of a phrase's own positions are.  An all-ones
+    mask would add +0.0 to each score, which changes only a -0.0 score to
+    +0.0, and multiply each weight by 1.0; the max shift and ``exp`` give
+    both zeros the same result, so attending without a mask has the bits
+    of attending with that mask.
     """
-    e = (keys @ s_prev[:, :, None])[:, :, 0] + (mask_x - 1.0) * _ATT_MASK
-    e = e - e.max(axis=1, keepdims=True)
-    w = np.exp(e) * mask_x
+    e = (keys @ s_prev[:, :, None])[:, :, 0]
+    if mask_x is not None:
+        e += (mask_x - 1.0) * _ATT_MASK
+    e -= e.max(axis=1, keepdims=True)
+    w = np.exp(e)
+    if mask_x is not None:
+        w *= mask_x
     alpha = w / w.sum(axis=1, keepdims=True)
     ctx = (alpha[:, None, :] @ hsum)[:, 0]
     return ctx, alpha
@@ -394,9 +415,10 @@ def _decoder_advance(model: CorrectorModel, runs, h, c, tok, rng=None, mm=_mm):
     ``runs`` splits the rows into consecutive runs, each given as its
     row count and the (keys, hsum, mask_x) its rows attend: one per row,
     or (1, L, ...) views that its rows share by broadcasting; training
-    passes one run, inference one per phrase.  Attends each run with the
-    top layer's state, then advances every layer over all rows with the
-    products ``mm`` (with a generator ``rng``, dropout between layers).
+    passes one padded, masked run, inference one unpadded run per phrase
+    with ``mask_x`` None.  Attends each run with the top layer's state,
+    then advances every layer over all rows with the products ``mm``
+    (with a generator ``rng``, dropout between layers).
     Returns the new states and cache; ``cache.cat`` pairs the new top
     state with the context for :func:`_output_logits`.
     """
@@ -704,14 +726,15 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
     Each sequence follows the rules :func:`correct` documents, with its
     own cap and early stop.  The decoder rows are the live hypotheses of
     the unfinished sequences, in sequence order; each sequence's rows are
-    one attention run over views of its own unpadded keys.
+    one attention run over views of its own unpadded keys, without a
+    mask.
     """
     vb = model.vocab
     enc = _encode_batch(model, _pad_batch(seqs, vb.pad_id))
     # each sequence's attention inputs, as unpadded (1, L, H) views that
-    # all its hypotheses' rows share by broadcasting
-    keys, hsum, mask_x = enc.keys[:, None], enc.hsum[:, None], enc.src.mask[:, None]
-    att = [(keys[q, :, :n], hsum[q, :, :n], mask_x[q, :, :n]) for q, n in enumerate(map(len, seqs))]
+    # all its hypotheses' rows share by broadcasting; no position is padded
+    keys, hsum = enc.keys[:, None], enc.hsum[:, None]
+    att = [(keys[q, :, :n], hsum[q, :, :n], None) for q, n in enumerate(map(len, seqs))]
     caps = [4 * len(ids) for ids in seqs]
     live: list[list[tuple[float, tuple[int, ...]]]] = [[(0.0, ())] for _ in seqs]
     closed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in seqs]
@@ -726,6 +749,7 @@ def _beam_search(model: CorrectorModel, seqs: list[list[int]], beam_width: int):
         # one run of rows per sequence, and the state row each continues
         runs = [(len(live[q]), *att[q]) for q in active]
         prev = [toks[-1] if toks else go for q in active for _, toks in live[q]]
+        sel = np.array(sel)  # one index array for every layer's two gathers
         h, c = [a[sel] for a in h], [a[sel] for a in c]
         logp, h, c = _infer_logprobs(model, runs, h, c, np.array(prev))
         top = np.argsort(-logp, axis=1, kind="stable")[:, :width].tolist()

@@ -44,10 +44,12 @@ __all__ = [
     "load_report",
     "REPORT_FORMAT",
     "REPORT_VERSION",
+    "MAX_CROP_PIXELS",
 ]
 
 REPORT_FORMAT = "doctext-report"
 REPORT_VERSION = 1
+MAX_CROP_PIXELS = 2**24  # the most pixels one rectified crop may hold (128 MiB of float64)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,8 @@ class RunResult:
 
 def rectify_boxes(image: GrayImage, records: list[BoxRecord], height: int) -> dict[int, GrayImage]:
     """Each box of ``records`` rectified out of ``image`` from its own ``quad``, else its rectangle,
-    by box id: ``height`` pixels tall, keeping its width to height ratio, rounded, at least 1 wide.
+    by box id: ``height`` pixels tall, keeping its width to height ratio, rounded, at least 1 wide,
+    and at most ``MAX_CROP_PIXELS`` pixels in all.
 
     The maps of all boxes onto the page come from one batched solve (:func:`_crop_maps`), and each
     crop is one ``rectify`` call given its map.  When that refuses a box, the boxes go one by one
@@ -195,11 +198,16 @@ def _corners(rec: BoxRecord) -> list[tuple]:
 
 def _crop_width(box, height: int) -> int:
     """The width of ``box``'s crop ``height`` pixels tall: its width to height ratio kept,
-    rounded, at least 1; ``InputError`` naming the box when that width is not finite."""
+    rounded, at least 1; ``InputError`` naming the box when that width is not finite or the
+    crop would hold more than ``MAX_CROP_PIXELS`` pixels, so before anything is allocated."""
     width = box.width / box.height * height
     if not math.isfinite(width):  # inf or NaN, which round() cannot take
         raise InputError(f"box {box.id} has no finite crop width at height {height}")
-    return max(1, round(width))
+    width = max(1, round(width))
+    if width * height > MAX_CROP_PIXELS:
+        raise InputError(
+            f"box {box.id} crop of {width} x {height} pixels is over the {MAX_CROP_PIXELS} pixel limit")
+    return width
 
 
 def decode_words(

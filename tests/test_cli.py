@@ -481,6 +481,26 @@ class TestExitCodes:
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err
         assert where.format(**paths) in err
 
+    @pytest.mark.parametrize("argv", [
+        ("rectify", "--image", "PAGE", "--boxes", "WIDE", "--out", "crops"),
+        ("run", "--boxes", "WIDE", "--frames", "FRAMES", "--image", "PAGE", "--crops-dir", "crops",
+         "--out", "o.json"),
+    ], ids=["rectify", "run_image"])
+    def test_crop_over_the_pixel_limit_exit_2(self, tmp_path, capsys, argv):
+        # a 1e6:1 box at height 32 once asked for a 32 x 32,000,000 crop
+        # (7.6 GiB) and ended in a MemoryError traceback; this box is just
+        # over the limit, so that a regression costs little memory
+        paths = {"WIDE": tmp_path / "wide.jsonl", "FRAMES": tmp_path / "frames.jsonl", "PAGE": tmp_path / "p.pgm"}
+        paths["WIDE"].write_text('{"id":0,"rect":[0,0,16385,1]}\n', encoding="utf-8")
+        paths["FRAMES"].write_text('{"alphabet":["a"]}\n{"box_id":0,"frames":[[0.5,0.5]]}\n', encoding="utf-8")
+        write_pgm(GrayImage(np.zeros((20, 20))), paths["PAGE"])
+        code = run_cli(*[paths.get(a, tmp_path / a) if a.isupper() or a.startswith(("o.", "crops")) else a
+                         for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: box 0 crop of 524320 x 32 pixels is over the 16777216 pixel limit")
+        assert not (tmp_path / "crops").exists() and not (tmp_path / "o.json").exists()
+
     def test_divergence_exit_code(self, synth_dir, tmp_path):
         params = tmp_path / "explode.json"
         params.write_text(

@@ -10,7 +10,10 @@ broadcasting.  What the construction rests on is checked here, on the
 BLAS the tests run on, at the corrector's own shapes and over random
 ones: a row of ``_mm`` has the same bits whatever rows share its
 product, and a row of the batched attention, on its own keys or on a
-shared view, equals that row attended alone.
+shared view, equals that row attended alone.  Inference computes only
+what its outputs read: its encoder keeps no tape for a backward pass,
+and its unpadded views attend without a mask, which has the bits of
+the all-ones mask.
 """
 
 import numpy as np
@@ -420,3 +423,41 @@ def check_attention(rows, length, width, seed):
         one = slice(i, i + 1)
         ctx_i, alpha_i = _attend_cached(*(a.copy() for a in view), query[one])
         assert np.array_equal(ctx_i, ctx[one]) and np.array_equal(alpha_i, alpha[one]), f"view row {i}"
+
+
+class TestInferenceKeepsNoTape:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_only_training_encoder_keeps_a_tape(self, layers):
+        # the backward pass reads every layer's incoming states and step
+        # caches; inference, which has none, keeps neither
+        model = random_model(VOCAB, Hyper(emb_dim=4, hidden_dim=5, enc_layers=layers), 2, 1.0, 0.0)
+        x = _pad_batch([VOCAB.preprocess(p) for p in ["ab cd", "a", "dcba", "bad ab"]], VOCAB.pad_id)
+        assert _encode_batch(model, x).scans == []
+        train = _encode_batch(model, x, mm=np.matmul)
+        slots, steps = train.src.offs[-1], len(train.src.counts)
+        assert len(train.scans) == layers
+        for h_in, caches in train.scans:
+            assert [a.shape for a in h_in] == [(slots, 5)] * 2 and len(caches) == steps
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        length=st.integers(1, 40),
+        width=st.integers(1, 130),
+        shared=st.booleans(),
+        scale=st.sampled_from([1.0, 30.0, 0.0, -0.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=4, length=7, width=16, shared=True, scale=0.0, seed=0)  # every score is ±0.0
+    @example(rows=4, length=7, width=16, shared=False, scale=-0.0, seed=0)
+    @example(rows=3, length=1, width=16, shared=True, scale=1.0, seed=0)  # a one-position phrase
+    def test_no_mask_equals_all_ones_mask(self, rows, length, width, shared, scale, seed):
+        # the beam search attends each phrase's unpadded (1, L, H) views
+        # without a mask; training's padded batches pass theirs
+        rng = np.random.default_rng(seed)
+        keys, hsum = (rng.standard_normal((1 if shared else rows, length, width)) for _ in range(2))
+        query = scale * rng.standard_normal((rows, width))
+        ones = np.ones(keys.shape[:2])
+        ctx, alpha = _attend_cached(keys, hsum, None, query)
+        ctx_m, alpha_m = _attend_cached(keys, hsum, ones, query)
+        assert same_bits(ctx, ctx_m) and same_bits(alpha, alpha_m)

@@ -28,7 +28,7 @@ from doctext.geometry import (
 )
 from doctext.formats import BoxRecord
 from doctext.layout import TextBox, render_group_overlay
-from doctext.pipeline import rectify_boxes
+from doctext.pipeline import MAX_CROP_PIXELS, _crop_width, rectify_boxes
 from doctext.synth import SynthSpec, gen_document, render_page
 
 
@@ -642,6 +642,31 @@ class TestBatchedMaps:
         records = [BoxRecord(box=TextBox(0, 0.0, 0.0, 2.0, 1.0)), BoxRecord(box=TextBox(5, *rect))]
         with pytest.raises(InputError, match="^box 5 has no finite crop width at height 16$"):
             rectify_boxes(image, records, 16)
+
+    def test_crop_over_the_pixel_limit_names_the_box(self):
+        # refused before the crop is allocated; the box is just over the
+        # limit, so that a regression costs little memory
+        image = GrayImage(np.zeros((20, 20)))
+        good = page_records(np.random.default_rng(5), [1.0, 30.0, 1e4], 32)
+        wide = BoxRecord(box=TextBox(7, 0.0, 0.0, 2**14 + 1, 1.0))
+        want = "^box 7 crop of 524320 x 32 pixels is over the 16777216 pixel limit$"
+        for records in ([wide], [*good, wide], [good[0], wide, *good[1:]]):
+            with pytest.raises(InputError, match=want):
+                rectify_boxes(image, records, 32)
+        # a height alone can make any box's crop too large
+        with pytest.raises(InputError, match="^box 0 crop of 4097 x 4097 pixels is over"):
+            rectify_boxes(image, [BoxRecord(box=TextBox(0, 0.0, 0.0, 1.0, 1.0))], 4097)
+
+    @pytest.mark.parametrize("right, height, fits", [(2**14, 32, True), (2**14 + 1, 32, False),
+                                                     (1.0, 2**12, True), (1.0, 2**12 + 1, False),
+                                                     (1e-9, 2**24, True), (1e-9, 2**24 + 1, False)])
+    def test_pixel_limit_is_inclusive(self, right, height, fits):
+        box = TextBox(3, 0.0, 0.0, right, 1.0)
+        if fits:
+            assert _crop_width(box, height) * height <= MAX_CROP_PIXELS == 2**24
+        else:
+            with pytest.raises(InputError, match="^box 3 crop of .* pixels is over the 16777216 pixel limit$"):
+                _crop_width(box, height)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(SCALES), st.floats(0.0, 2.0))

@@ -539,10 +539,12 @@ class TestScanAgainstFrozen:
 
 
 class TestScanIncomingStates:
-    """``_scan`` records the hidden state each slot's step read, which the
-    encoder's recurrent-weight gradient multiplies: the same row's state
-    one position earlier (later, in reverse), or zeros at a row's first
-    step.  It does with either products."""
+    """With plain products, ``_scan`` records the hidden state each slot's
+    step read, which the encoder's recurrent-weight gradient multiplies:
+    the same row's state one position earlier (later, in reverse), or
+    zeros at a row's first step.  With ``_mm``'s products, as inference
+    runs it, it records neither those states nor the step caches.  The
+    final states are each row's state at its last step either way."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -556,17 +558,19 @@ class TestScanIncomingStates:
         pk = ragged_pack(lengths)
         xw = [rng.standard_normal((pk.offs[-1], 4 * hdim)) for _ in range(2)]
         u = [rng.standard_normal((hdim, 4 * hdim)) for _ in range(2)]
-        states, h_in, _, final = _scan(xw, pk, u, mm)
+        states, h_in, caches, final = _scan(xw, pk, u, mm)
         assert states.shape == (sum(lengths), 2 * hdim) and final.shape == (len(lengths), 2 * hdim)
+        tape = mm is np.matmul
+        assert (len(h_in), len(caches)) == ((2, len(pk.counts)) if tape else (0, 0))
         row_len = np.asarray(lengths)[pk.order]
         for k, reverse in enumerate((False, True)):
             half = slice(k * hdim, (k + 1) * hdim)
-            assert h_in[k].shape == (sum(lengths), hdim)
+            assert not tape or h_in[k].shape == (sum(lengths), hdim)
             for slot, (r, t) in enumerate(zip(pk.row, pk.col)):
                 prev = t + 1 if reverse else t - 1
-                if 0 <= prev < row_len[r]:
+                if tape and 0 <= prev < row_len[r]:
                     assert bits(h_in[k][slot]) == bits(states[pk.offs[prev] + r, half]), (slot, r, t)
-                else:
+                elif tape:
                     assert np.all(h_in[k][slot] == 0.0), (slot, r, t)
                 # the final state is the row's state at its last step
                 if t == (0 if reverse else row_len[r] - 1):
