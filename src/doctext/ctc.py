@@ -88,48 +88,80 @@ class Alphabet:
         return "".join(out)
 
 
-def _as_frames(probs_list, n_columns: int | None = None) -> list[np.ndarray]:
-    """The frame rule: each matrix as float64 frames x classes (two or more,
-    one count for all, ``n_columns`` if given; shapes first), then every
-    row a distribution: entries in [0, 1] summing to 1, both within 1e-9.
-    An integer entry beyond the float range leaves no array to take a
-    shape from, so it is refused as out of range where it is met."""
-    mats = []
+_SHAPE = "frame probabilities must be a 2-D array with at least two classes"
+_RANGE = "frame probabilities must be finite and lie in [0, 1]"
+
+
+def _as_frames(probs_list, n_columns: int | None = None, nonempty: bool = False) -> list[np.ndarray]:
+    """The frame rule: each matrix as a float64 frames x classes array.
+
+    A matrix is refused by the first check it fails, in this order: a
+    2-D array of two or more classes (an integer entry beyond the float
+    range is refused as out of range); ``n_columns`` classes, else the
+    first matrix's count; entries in [0, 1] and rows summing to 1, both
+    within 1e-9, checked over the stacked rows of all matrices in one
+    pass; a frame, when ``nonempty``.  The ``InputError`` raised is the
+    first refused matrix's, in input order, with its position as ``index``.
+    """
+    mats: list[np.ndarray] = []
+    columns = n_columns
+    refusal = None
+    # shapes up to the first matrix that they refuse (a matrix with no
+    # frames has no values to refuse), then the values before it
     for probs in probs_list:
         try:
             arr = np.asarray(probs, dtype=np.float64)
-        except OverflowError as exc:  # an integer beyond the float range
-            raise InputError("frame probabilities must be finite and lie in [0, 1]") from exc
-        except (TypeError, ValueError):
-            # ragged rows, or entries that are not numbers
-            arr = None
-        if arr is None or arr.ndim != 2 or arr.shape[1] < 2:
-            raise InputError("frame probabilities must be a 2-D array with at least two classes")
+        except OverflowError:  # an integer beyond the float range
+            refusal = _RANGE
+            break
+        except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+            refusal = _SHAPE
+            break
+        if arr.ndim != 2 or arr.shape[1] < 2:
+            refusal = _SHAPE
+        elif columns is not None and arr.shape[1] != columns:
+            refusal = (f"expected {columns} probability columns, got {arr.shape[1]}" if n_columns is not None
+                       else "the frame matrices of a batch must have the same number of classes")
+        elif nonempty and not len(arr):
+            refusal = "frame probabilities need at least one frame"
+        if refusal is not None:
+            break
+        columns = arr.shape[1]
         mats.append(arr)
-    if not mats:
+    index = len(mats)
+    if mats and _value_refusal(np.concatenate(mats) if len(mats) > 1 else mats[0]):
+        index, refusal = next((i, r) for i, arr in enumerate(mats) if (r := _value_refusal(arr)))
+    if refusal is None:
         return mats
-    if any(m.shape[1] != mats[0].shape[1] for m in mats):
-        raise InputError("the frame matrices of a batch must have the same number of classes")
-    if n_columns is not None and mats[0].shape[1] != n_columns:
-        raise InputError(f"expected {n_columns} probability columns, got {mats[0].shape[1]}")
-    rows = np.concatenate(mats) if len(mats) > 1 else mats[0]
+    exc = InputError(refusal)
+    exc.index = index
+    raise exc
+
+
+def _value_refusal(rows: np.ndarray) -> str | None:
+    """Why the frame rows ``rows`` are not distributions, or None.
+
+    The rows are summed in C order, in which a row's sum does not depend
+    on the rows stacked with it, so a matrix gets one verdict alone and
+    in any batch; a Fortran-ordered matrix's sums can round otherwise.
+    """
+    rows = np.ascontiguousarray(rows)
     # written so that NaN, which min() and max() propagate, fails it
     if rows.size and not (rows.min() >= -_PROB_TOL and rows.max() <= 1.0 + _PROB_TOL):
-        raise InputError("frame probabilities must be finite and lie in [0, 1]")
+        return _RANGE
     if np.any(np.abs(rows.sum(axis=1) - 1.0) > _PROB_TOL):
-        raise InputError("every frame row must sum to 1")
-    return mats
+        return "every frame row must sum to 1"
+    return None
 
 
 def validate_frame_probs(probs, n_columns: int | None = None) -> np.ndarray:
     """Check a frames-by-classes probability matrix and return it as float64.
 
-    The frame rule of every function here, plus at least one frame and,
-    when ``n_columns`` is given, that many classes (alphabet plus blank).
+    The frame rule of every function here with its two pins: at least
+    one frame and, when ``n_columns`` is given, that many classes
+    (alphabet plus blank).
     """
-    (arr,) = _as_frames([probs], n_columns)
-    if arr.shape[0] < 1:
-        raise InputError("frame probabilities need at least one frame")
+    (arr,) = _as_frames([probs], n_columns, nonempty=True)
     return arr
 
 
@@ -380,9 +412,9 @@ def beam_decode_batch(probs_list, beam_width: int = 8) -> list[list[int]]:
     Raises
     ------
     InputError
-        For a beam width below 1 (also with an empty batch), a matrix
-        that :func:`beam_decode` refuses, or matrices with different
-        numbers of classes.
+        For a beam width below 1 (also with an empty batch), or for the
+        first matrix, in input order, that :func:`beam_decode` refuses
+        or whose number of classes is not the first matrix's.
 
     Notes
     -----
@@ -397,7 +429,12 @@ def beam_decode_batch(probs_list, beam_width: int = 8) -> list[list[int]]:
     not depend on the boxes it shares the batch with.
     """
     check_int(beam_width, "beam width", 1)
-    mats = _as_frames(probs_list)
+    return _beam_search(_as_frames(probs_list), beam_width)
+
+
+def _beam_search(mats: list[np.ndarray], beam_width: int) -> list[list[int]]:
+    """:func:`beam_decode_batch` of matrices that passed the frame rule,
+    at a beam width already checked."""
     if not mats:
         return []
     n_classes = mats[0].shape[1]

@@ -25,7 +25,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .ctc import Alphabet, _as_frames, validate_frame_probs
+from .ctc import Alphabet, _as_frames
 from .errors import FormatError, InputError
 from .geometry import Quad
 from .layout import TextBox
@@ -331,12 +331,13 @@ def write_boxes(path, records) -> None:
 def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
     """Load a frames JSONL file: alphabet header, then one record per box.
 
-    Every frame matrix must have alphabet-size + 1 columns of
-    row-stochastic probabilities, and box ids must be unique integers,
-    as :func:`from_json_value` types them; anything else raises
-    ``FormatError`` naming ``path:line``.  The frames of the whole file
-    are checked in one call of the frame rule; when anything is refused,
-    the records are checked again one by one, to name the first refusal.
+    Every frame matrix must pass :func:`doctext.ctc.validate_frame_probs`
+    for the alphabet, and box ids must be unique integers, as
+    :func:`from_json_value` types them; anything else raises
+    ``FormatError`` naming ``path:line``.  The records are read in one
+    loop up to the first bad field or duplicate id, and the frames
+    before it are checked in one call of the frame rule, so the first
+    refusal in line order is the one raised.
     """
     records = _numbered_records(path)
     header = records[0][1] if records else {}
@@ -346,26 +347,25 @@ def read_frames(path) -> tuple[Alphabet, dict[int, np.ndarray]]:
         alphabet = Alphabet(from_json_value(tuple[str, ...], header["alphabet"]))
     except (TypeError, InputError) as exc:
         raise FormatError(f"{path}: bad alphabet header: {exc}") from exc
-    numbered = records[1:]
-    try:
-        fields = [_fields(rec, f"{path}:{n}", "frame record", box_id=int, frames=None) for n, rec in numbered]
-        mats = _as_frames([probs for _, probs in fields], n_columns=alphabet.size)
-        frames = {bid: mat for (bid, _), mat in zip(fields, mats)}
-        if len(frames) == len(mats) and all(len(mat) for mat in mats):
-            return alphabet, frames
-    except InputError:
-        pass
-    frames = {}
-    for n, rec in numbered:
-        bid, probs = _fields(rec, f"{path}:{n}", "frame record", box_id=int, frames=None)
-        if bid in frames:
-            raise FormatError(f"{path}:{n}: duplicate frames for box {bid}")
+    probs_by_id, lines, refusal = {}, [], None
+    for n, rec in records[1:]:
         try:
-            mat = validate_frame_probs(probs, n_columns=alphabet.size)
-        except InputError as exc:
-            raise FormatError(f"{path}:{n}: {exc}") from exc
-        frames[bid] = mat
-    raise AssertionError(f"{path}: the file's frame check refused frame records that the record check accepts")
+            bid, probs = _fields(rec, f"{path}:{n}", "frame record", box_id=int, frames=None)
+        except FormatError as exc:
+            refusal = exc
+            break
+        if bid in probs_by_id:
+            refusal = FormatError(f"{path}:{n}: duplicate frames for box {bid}")
+            break
+        probs_by_id[bid] = probs
+        lines.append(n)
+    try:
+        mats = _as_frames(probs_by_id.values(), n_columns=alphabet.size, nonempty=True)
+    except InputError as exc:
+        raise FormatError(f"{path}:{lines[exc.index]}: {exc}") from exc
+    if refusal is not None:
+        raise refusal
+    return alphabet, dict(zip(probs_by_id, mats))
 
 
 def write_frames(path, alphabet: Alphabet, frames_by_id: dict[int, np.ndarray]) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # ``beam_decode`` is not called here; perfbench/tracing.py looks it up in this module
-from .ctc import Alphabet, beam_decode, beam_decode_batch, validate_frame_probs  # noqa: F401
+from .ctc import Alphabet, _as_frames, _beam_search, beam_decode  # noqa: F401
 from .errors import FormatError, InputError, VersionError, check_int
 from .formats import BoxRecord, from_json_value, read_json_file, to_json_value, truth_from_boxes, write_json_file
 from .geometry import GrayImage, Quad, _crop_maps, _rect_corners, rectify
@@ -172,11 +172,11 @@ def rectify_boxes(image: GrayImage, records: list[BoxRecord], height: int) -> di
     """
     if not records:
         return {}
+    check_int(height, "destination height", 1)
     try:
-        check_int(height, "destination height", 1)
         widths = [_crop_width(rec.box, height) for rec in records]
         maps = _crop_maps(np.array([_corners(rec) for rec in records]), widths, height)
-    except InputError:  # a bad height or crop width
+    except InputError:  # a bad crop width
         maps = None
     if maps is None:
         # lazily, so that each box's quad and width are made, and may be
@@ -218,21 +218,16 @@ def decode_words(
     Every frame matrix must hold one distribution per row over the
     alphabet plus blank, as :func:`doctext.ctc.validate_frame_probs`
     checks; anything else raises ``InputError`` naming the first bad
-    box, which is looked for only when the whole batch is refused.
+    box, ``frames of box N``, with the message of that check.  The
+    frames are checked once, by one call of the frame rule, before the
+    beam width.
     """
     try:
-        mats = [np.asarray(frames, dtype=np.float64) for frames in frames_by_id.values()]
-        if not all(m.ndim == 2 and len(m) > 0 and m.shape[1] == alphabet.size for m in mats):
-            raise InputError("a frame matrix has the wrong shape")
-        labels = beam_decode_batch(mats, beam_width)
-    except (InputError, TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond the float range
-        # name the first bad box, with the message of its own check
-        for bid, frames in frames_by_id.items():
-            try:
-                validate_frame_probs(frames, n_columns=alphabet.size)
-            except InputError as exc:
-                raise InputError(f"frames of box {bid}: {exc}") from exc
-        raise
+        mats = _as_frames(frames_by_id.values(), n_columns=alphabet.size, nonempty=True)
+    except InputError as exc:
+        raise InputError(f"frames of box {list(frames_by_id)[exc.index]}: {exc}") from exc
+    check_int(beam_width, "beam width", 1)
+    labels = _beam_search(mats, beam_width)
     return {int(bid): alphabet.decode(label) for bid, label in zip(frames_by_id, labels)}
 
 

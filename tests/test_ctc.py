@@ -249,6 +249,15 @@ class TestValidateFrameProbs:
         with pytest.raises(InputError):
             validate_frame_probs([0.5, 0.5])
 
+    @pytest.mark.parametrize("probs, message", [
+        ([], "2-D array"), (np.zeros((0,)), "2-D array"), (np.zeros((0, 1)), "2-D array"),
+        (np.zeros((0, 2)), "expected 3 probability columns, got 2"), (np.zeros((0, 3)), "at least one frame"),
+    ], ids=["empty-list", "1-D", "one-column", "two-columns", "no-frames"])
+    def test_frame_count_checked_last(self, probs, message):
+        # a matrix with no frames is refused by its shape first
+        with pytest.raises(InputError, match=message):
+            validate_frame_probs(probs, n_columns=3)
+
 
 FRAME_READERS = [
     pytest.param(lambda p: beam_decode(p, 8), id="beam_decode"),
@@ -275,6 +284,12 @@ def perturbed_frames(draw):
     elif kind == "scale":
         probs[t] *= draw(st.sampled_from([0.0, 0.9, 1.0 - 1e-10, 1.0 + 1e-10, 1.1, 2.0]))
     return probs
+
+
+# frames refused by their shape, a conversion, or their column count:
+# perturbed_frames draws at most five columns
+LATER_BAD_FRAMES = [[0.5, 0.5], [[0.5, 0.5], [1.0]], [["a", "b"]], [[10**400, 0]],
+                    np.full((1, 6), 1 / 6), np.full((1, 7), 0.5)]
 
 
 class TestFrameCheck:
@@ -344,11 +359,37 @@ class TestFrameCheck:
         batch = partners[:at] + [probs] + partners[at:]
         try:
             validate_frame_probs(probs)
-        except InputError:
-            with pytest.raises(InputError):
+        except InputError as exc:
+            # boxes after it may be bad in any other way: the refusal is
+            # still the first bad box's, named by its index
+            batch += data.draw(st.lists(st.sampled_from(LATER_BAD_FRAMES), max_size=2))
+            with pytest.raises(InputError) as refused:
                 beam_decode_batch(batch, 4)
+            assert refused.value.index == at
+            assert str(refused.value) == str(exc)
         else:
             assert beam_decode_batch(batch, 4)[at] == beam_decode(probs, 4)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_verdict_does_not_depend_on_memory_order(self, order):
+        # rows off by about the tolerance, where a row summed in another
+        # order can round to the other side of it
+        rng = np.random.default_rng(33)
+        good = np.full((1, 40), 1 / 40)
+        for _ in range(200):
+            probs = rng.random((2, 40))
+            probs /= probs.sum(axis=1, keepdims=True)
+            probs[0] *= 1.0 + 1e-9 * (1.0 + rng.uniform(-1e-6, 1e-6))
+            probs = np.asarray(probs, order=order)
+            verdicts = []
+            for read in (validate_frame_probs, lambda p: beam_decode_batch([good, p], 2),
+                         lambda p: validate_frame_probs(np.ascontiguousarray(p))):
+                try:
+                    read(probs)
+                    verdicts.append(None)
+                except InputError as exc:
+                    verdicts.append(str(exc))
+            assert verdicts[0] == verdicts[1] == verdicts[2]
 
     def test_zero_frames(self):
         # Only the empty frame path exists, and it collapses to the

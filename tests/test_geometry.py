@@ -689,6 +689,10 @@ class TestBatchedMaps:
         for height in (0, 2.0, True):
             assert outcome(rectify_boxes, image, records, height) == outcome(
                 rectify_boxes_reference, image, records, height)
+        # the oracle lets a TypeError escape for these
+        for height in ("32", None):
+            with pytest.raises(InputError, match="destination height must be an integer"):
+                rectify_boxes(image, records, height)
 
     def test_map_and_quad_give_one_crop(self):
         image = GrayImage(np.random.default_rng(32).random((30, 30)))

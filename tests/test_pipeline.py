@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import doctext.pipeline
 from doctext.corrector import CorrectionResult, Hyper, TrainConfig, Vocab, init_model, train
-from doctext.ctc import Alphabet
+from doctext.ctc import Alphabet, beam_decode_batch, validate_frame_probs
 from doctext.errors import FormatError, InputError, VersionError
 from doctext.formats import BoxRecord, canonical_dumps
 from doctext.geometry import GrayImage, Quad
@@ -120,7 +121,87 @@ class TestEvaluate:
             evaluate({}, {})
 
 
+def decode_words_reference(alphabet, frames_by_id, beam_width=PipelineParams.beam_width):
+    """:func:`decode_words` as it was when it checked shapes itself and,
+    when the batch was refused, checked the boxes one by one to name the
+    first bad one, kept unchanged as an oracle."""
+    try:
+        mats = [np.asarray(frames, dtype=np.float64) for frames in frames_by_id.values()]
+        if not all(m.ndim == 2 and len(m) > 0 and m.shape[1] == alphabet.size for m in mats):
+            raise InputError("a frame matrix has the wrong shape")
+        labels = beam_decode_batch(mats, beam_width)
+    except (InputError, TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond the float range
+        # name the first bad box, with the message of its own check
+        for bid, frames in frames_by_id.items():
+            try:
+                validate_frame_probs(frames, n_columns=alphabet.size)
+            except InputError as exc:
+                raise InputError(f"frames of box {bid}: {exc}") from exc
+        raise
+    return {int(bid): alphabet.decode(label) for bid, label in zip(frames_by_id, labels)}
+
+
+def decode_outcome(decode, alphabet, frames_by_id, beam_width):
+    """The words that ``decode`` gives, or the class and message it raises."""
+    try:
+        return decode(alphabet, frames_by_id, beam_width)
+    except Exception as exc:  # the class is what is compared
+        return type(exc), str(exc)
+
+
+TWO_CHARS = Alphabet(("a", "b"))  # three columns with the blank
+
+
+@st.composite
+def stochastic(draw, n_columns=TWO_CHARS.size):
+    n_frames = draw(st.integers(1, 4))
+    weights = draw(arrays(np.float64, (n_frames, n_columns), elements=st.floats(1e-3, 1.0)))
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def box_frames(draw):
+    """One box's frames for ``TWO_CHARS``: a distribution per row, or
+    frames refused in one of the ways a frames file can be wrong."""
+    probs = draw(stochastic())
+    kind = draw(st.sampled_from(
+        ["good", "good", "sums", "range", "nan", "columns", "ragged", "zero", "huge", "1-D", "strings"]))
+    t = draw(st.integers(0, len(probs) - 1))
+    if kind == "sums":
+        probs[t] *= 0.9
+    elif kind == "range":
+        probs[t] = [1.5, -0.5, 0.0]
+    elif kind == "nan":
+        probs[t, draw(st.integers(0, 2))] = np.nan
+    elif kind == "columns":
+        probs = draw(stochastic(n_columns=draw(st.sampled_from([2, 4]))))
+    elif kind == "ragged":
+        probs = probs.tolist() + [[1.0]]
+    elif kind == "zero":
+        probs = draw(st.sampled_from([np.zeros((0, 3)), []]))
+    elif kind == "huge":
+        probs = probs.tolist()
+        probs[t][0] = 10**400
+    elif kind == "1-D":
+        probs = probs[t]
+    elif kind == "strings":
+        probs = [["a", "b", "c"]]
+    if draw(st.booleans()) and isinstance(probs, np.ndarray):
+        probs = probs.tolist()
+    return probs
+
+
 class TestDecodeWords:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(0, 40), box_frames(), max_size=6), st.sampled_from([1, 3, 8, 0, 2.5]))
+    @example({3: [[0.5, 0.5, 0.0]], 1: [[0.5, 0.5]], 0: [[0.9, 0.9, 0.9]]}, 8)
+    @example({0: [[0.5, 0.0, 0.5]], 2: np.full((2, 3), np.nan)}, 0)
+    def test_equals_box_by_box_check(self, frames_by_id, beam_width):
+        # the first bad box, in dict order, is named with its own check's
+        # message, before the beam width is checked; good boxes decode alike
+        mine = decode_outcome(decode_words, TWO_CHARS, frames_by_id, beam_width)
+        assert mine == decode_outcome(decode_words_reference, TWO_CHARS, frames_by_id, beam_width)
+
     def test_default_beam_is_the_pipelines(self):
         default = inspect.signature(decode_words).parameters["beam_width"].default
         assert default == PipelineParams().beam_width
